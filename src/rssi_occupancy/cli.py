@@ -45,8 +45,12 @@ class _ArtifactWriter:
     def write(self, path: str | Path, text: str) -> None:
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.written.append(path)
 
     def rollback(self) -> None:
@@ -158,7 +162,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "k": args.k,
         "seed": seed,
         "split": args.split,
-        "jobs": args.jobs,
     }
     writer = _ArtifactWriter()
     scores_path = args.scores_csv or str(Path(args.out).with_suffix(".scores.csv"))
@@ -215,7 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--split", choices=("random", "chronological"), default="random")
     p_eval.add_argument("--out", required=True, help="output report JSON")
     p_eval.add_argument("--scores-csv", default=None, help="per-config scores CSV path")
-    p_eval.add_argument("--jobs", type=int, default=1, help="worker cap (recorded; execution is serial)")
     p_eval.set_defaults(func=_cmd_evaluate)
     return parser
 

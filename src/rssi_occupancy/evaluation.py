@@ -23,7 +23,7 @@ from . import __version__
 from .dataset import RssiDataset, deduplicate
 from .features import FeatureMatrix, build_feature_matrix, build_raw_matrix, segment
 from .models import ModelSpec, default_grid, family_task, fit
-from .preprocess import SelectionConfig, apply_mask, apply_scaler, fit_scaler, select_features
+from .preprocess import apply_mask, apply_scaler, fit_scaler, select_features
 
 KFOLD_CHOICES = (3, 5, 10)
 
@@ -264,9 +264,12 @@ def grid_search(
 ) -> GridSearchResult:
     """Evaluate every config with k-fold CV; ties break by grid order.
 
-    Metric: accuracy for classifiers, negated RMSE for regressors. Configs
-    whose fit fails on every fold are excluded (kept in the report with an
-    empty score list); if every config fails, that is an error.
+    Metric: accuracy for classifiers, negated RMSE for regressors. A fold
+    whose fit or predict raises ``ValueError`` (``ModelError`` and
+    ``LinAlgError`` among them) counts as failed; other exceptions are
+    programming errors and propagate. Configs whose fit fails on every fold
+    are excluded (kept in the report with an empty score list); if every
+    config fails, that is an error.
     """
     if not grid:
         raise EvaluationError("empty hyperparameter grid")
@@ -283,7 +286,7 @@ def grid_search(
             try:
                 model = fit(spec, train.rows[fit_idx], y[fit_idx])
                 pred = model.predict(train.rows[val_idx])
-            except Exception:
+            except ValueError:
                 n_failed += 1
                 continue
             if task == "classification":
@@ -310,7 +313,6 @@ class PipelineConfig:
     k: int = 5
     seed: int = 0
     split_mode: str = "random"
-    selection: SelectionConfig | None = None
     grids: Mapping[str, Sequence[Mapping]] | None = None
 
 
@@ -472,9 +474,8 @@ def run_pipeline(
     n_features_total = train.n_features
     n_kept = n_features_total
     if representation == "features":
-        selection_config = config.selection or SelectionConfig(seed=config.seed)
         mask = stage("select-features", select_features, train, train.labels_for(model_task),
-                     selection_config, model_task)
+                     config.seed, model_task)
         train = stage("apply-selection", apply_mask, train, mask)
         test = stage("apply-selection", apply_mask, test, mask)
         n_kept = int(mask.kept.size)

@@ -8,7 +8,9 @@ transmitter (56 total). The exact members, in column order, are in
 Conventions that tests rely on:
 
 - std / variance are population moments; skewness and excess kurtosis of
-  zero-variance input are defined as 0, as are the AR coefficients.
+  zero-variance input are defined as 0, as are the AR coefficients. The same
+  holds when the variance is so small that variance**1.5 (skewness) or
+  variance**2 (kurtosis) underflows to 0.
 - time-weighted variance uses weights proportional to inter-sample gaps,
   which under uniform sampling equals the plain population variance.
 - percentiles and quartiles interpolate linearly between closest ranks.
@@ -249,12 +251,13 @@ def time_features(x: np.ndarray) -> np.ndarray:
     rms = float(np.sqrt(np.mean(x**2)))
     value_range = maximum - minimum
     median = float(np.median(x))
-    if std > 0:
-        skewness = float(np.mean(deviations**3) / variance**1.5)
-        kurtosis = float(np.mean(deviations**4) / variance**2 - 3.0)
-    else:
-        skewness = 0.0
-        kurtosis = 0.0
+    # guard the denominators, not std: they underflow to 0 for tiny variances
+    skew_denominator = variance**1.5
+    kurt_denominator = variance**2
+    skewness = float(np.mean(deviations**3) / skew_denominator) if skew_denominator > 0 else 0.0
+    kurtosis = (
+        float(np.mean(deviations**4) / kurt_denominator - 3.0) if kurt_denominator > 0 else 0.0
+    )
     tw_variance = variance  # uniform sampling: gap weights are all equal
 
     p10, p25, p75, p90 = (float(v) for v in np.percentile(x, (10, 25, 75, 90)))

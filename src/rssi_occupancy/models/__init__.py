@@ -10,10 +10,6 @@ from .base import (
     default_grid,
     family_task,
     fit,
-    model_from_text,
-    model_to_text,
-    predict,
-    predictions_to_csv,
 )
 from .ensembles import GradientBoosting, RandomForest
 
@@ -29,8 +25,4 @@ __all__ = [
     "default_grid",
     "family_task",
     "fit",
-    "model_from_text",
-    "model_to_text",
-    "predict",
-    "predictions_to_csv",
 ]

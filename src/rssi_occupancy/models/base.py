@@ -7,18 +7,18 @@ bayesian, theil_sen.
 ``ModelSpec`` names a family, a hyperparameter mapping (keys restricted to
 the family's documented grid dimensions) and a seed; ``fit`` returns an
 immutable ``TrainedModel`` whose predictions are deterministic given
-(spec, seed, data).
+(spec, seed, data). Fitted models live in memory only: the pipeline scores
+them on held-out data and nothing reloads them, so there is no model file
+format.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .. import __version__
 from .discriminant import LinearDiscriminant
 from .ensembles import GradientBoosting, RandomForest
 from .linear import BayesianRidge, LeastSquares, RidgeRegression
@@ -67,9 +67,6 @@ _DEFAULTS: dict[str, dict] = {
     "bayesian": {"lam": 1.0},
     "theil_sen": {"n_subsets": 200},
 }
-
-MODEL_FORMAT = "rssi-occupancy/model"
-MODEL_FORMAT_VERSION = 1
 
 
 class ModelError(ValueError):
@@ -188,9 +185,7 @@ def _build_inner(spec: ModelSpec, params: dict):
             seed=spec.seed,
         )
     if family == "gradient_boosting":
-        return GradientBoosting(
-            n_trees=int(params["n_trees"]), max_depth=params["depth"], seed=spec.seed
-        )
+        return GradientBoosting(n_trees=int(params["n_trees"]), max_depth=params["depth"])
     if family == "linear":
         return LeastSquares()
     if family == "ridge":
@@ -241,81 +236,3 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"{spec.family}: degenerate training data ({exc})") from exc
     return TrainedModel(spec=spec, task=task, n_features=X.shape[1], inner=inner)
-
-
-def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
-
-
-def predictions_to_csv(predictions: np.ndarray, column: str = "prediction") -> str:
-    """Export a prediction vector as a one-column CSV."""
-    values = np.asarray(predictions)
-    lines = [column]
-    for value in values:
-        if isinstance(value, (bool, np.bool_)):
-            lines.append("true" if value else "false")
-        elif isinstance(value, (int, np.integer)):
-            lines.append(str(int(value)))
-        else:
-            lines.append(repr(float(value)))
-    return "\n".join(lines) + "\n"
-
-
-_CLASS_KINDS = {"b": bool, "i": int, "u": int, "f": float, "U": str}
-
-
-def model_to_text(model: TrainedModel) -> str:
-    """Self-describing text artifact (JSON) with a format/version tag."""
-    document = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "package_version": __version__,
-        "family": model.spec.family,
-        "params": model.spec.resolved_params(),
-        "seed": model.spec.seed,
-        "task": model.task,
-        "n_features": model.n_features,
-        "state": model.inner.state(),
-    }
-    if model.classes is not None:
-        document["classes"] = model.classes.tolist()
-        document["classes_kind"] = model.classes.dtype.kind
-    return json.dumps(document, sort_keys=True, indent=1)
-
-
-_INNER_TYPES = {
-    "knn": NearestNeighbors,
-    "wknn": NearestNeighbors,
-    "lda": LinearDiscriminant,
-    "qlda": LinearDiscriminant,
-    "svm": SupportVectorClassifier,
-    "random_forest": RandomForest,
-    "gradient_boosting": GradientBoosting,
-    "linear": LeastSquares,
-    "ridge": RidgeRegression,
-    "bayesian": BayesianRidge,
-    "ransac": RansacRegression,
-    "theil_sen": TheilSenRegression,
-}
-
-
-def model_from_text(text: str) -> TrainedModel:
-    document = json.loads(text)
-    if document.get("format") != MODEL_FORMAT:
-        raise ModelError(f"not a model artifact (format={document.get('format')!r})")
-    if document.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelError(f"unsupported model format version {document.get('format_version')!r}")
-    family = document["family"]
-    spec = ModelSpec(family=family, params=document["params"], seed=document["seed"])
-    inner = _INNER_TYPES[family].from_state(document["state"])
-    classes = None
-    if "classes" in document:
-        kind = _CLASS_KINDS.get(document.get("classes_kind", "i"), int)
-        classes = np.array([kind(c) for c in document["classes"]])
-    return TrainedModel(
-        spec=spec,
-        task=document["task"],
-        n_features=int(document["n_features"]),
-        inner=inner,
-        classes=classes,
-    )

@@ -93,30 +93,3 @@ class LinearDiscriminant:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_scores(X), axis=1)
-
-    def state(self) -> dict:
-        state = {
-            "quadratic": self.quadratic,
-            "n_classes": self.n_classes,
-            "means": self.means_.tolist(),
-            "log_priors": self.log_priors_.tolist(),
-        }
-        if self.quadratic:
-            state["chol"] = [c.tolist() for c in self.chol_]
-            state["log_det"] = self.log_det_.tolist()
-        else:
-            state["chol"] = self.chol_.tolist()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LinearDiscriminant":
-        model = cls(quadratic=state["quadratic"])
-        model.n_classes = state["n_classes"]
-        model.means_ = np.asarray(state["means"], dtype=np.float64)
-        model.log_priors_ = np.asarray(state["log_priors"], dtype=np.float64)
-        if model.quadratic:
-            model.chol_ = [np.asarray(c, dtype=np.float64) for c in state["chol"]]
-            model.log_det_ = np.asarray(state["log_det"], dtype=np.float64)
-        else:
-            model.chol_ = np.asarray(state["chol"], dtype=np.float64)
-        return model

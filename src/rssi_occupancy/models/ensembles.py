@@ -1,13 +1,13 @@
 """Bagged and boosted tree ensembles built on the CART core.
 
-Random forests bootstrap rows per tree and subsample features per split
-(``sqrt`` policy by default); per-tree generators are spawned from one seed
-sequence, so results are seed-deterministic and trees could be fitted in
-parallel without changing the outcome.
+Random forests bootstrap rows per tree and draw floor(sqrt(d)) candidate
+features per split; per-tree generators are spawned from one seed sequence,
+so results are seed-deterministic and trees could be fitted in parallel
+without changing the outcome.
 
-Gradient boosting fits regression trees to residuals under squared loss with
-shrinkage; the recorded training loss per round is non-increasing for
-learning rates in (0, 2].
+Gradient boosting fits regression trees on all features to residuals under
+squared loss with shrinkage 0.1; the recorded training loss per round is
+non-increasing.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ import numpy as np
 
 from .trees import DecisionTree
 
-
-def _resolve_max_features(policy, d: int) -> int | None:
-    if policy is None or policy == "all":
-        return None
-    if policy == "sqrt":
-        return max(1, int(np.sqrt(d)))
-    if policy == "third":
-        return max(1, d // 3)
-    return max(1, min(int(policy), d))
+LEARNING_RATE = 0.1
 
 
 class RandomForest:
@@ -35,15 +27,11 @@ class RandomForest:
         task: str = "regression",
         n_trees: int = 100,
         max_depth: int | None = None,
-        min_leaf: int = 1,
-        max_features="sqrt",
         seed: int = 0,
     ):
         self.task = task
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
-        self.min_leaf = int(min_leaf)
-        self.max_features = max_features
         self.seed = int(seed)
         self.trees: list[DecisionTree] = []
         self.n_classes = 0
@@ -58,7 +46,7 @@ class RandomForest:
             self.n_classes = int(y.max()) + 1
         else:
             y = np.asarray(y, dtype=np.float64)
-        k = _resolve_max_features(self.max_features, d)
+        k = max(1, int(np.sqrt(d)))
 
         children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         self.trees = []
@@ -69,7 +57,6 @@ class RandomForest:
             tree = DecisionTree(
                 criterion=criterion,
                 max_depth=self.max_depth,
-                min_leaf=self.min_leaf,
                 max_features=k,
             )
             if self.task == "classification":
@@ -94,37 +81,13 @@ class RandomForest:
             acc += tree.predict(X)
         return acc / len(self.trees)
 
-    def state(self) -> dict:
-        return {
-            "task": self.task,
-            "n_classes": self.n_classes,
-            "trees": [t.state() for t in self.trees],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RandomForest":
-        forest = cls(task=state["task"], n_trees=len(state["trees"]))
-        forest.n_classes = state["n_classes"]
-        forest.trees = [DecisionTree.from_state(s) for s in state["trees"]]
-        return forest
-
 
 class GradientBoosting:
     """Squared-loss boosting of regression trees with shrinkage."""
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth: int | None = 4,
-        min_leaf: int = 1,
-        learning_rate: float = 0.1,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 100, max_depth: int | None = 4):
         self.n_trees = int(n_trees)
         self.max_depth = max_depth
-        self.min_leaf = int(min_leaf)
-        self.learning_rate = float(learning_rate)
-        self.seed = int(seed)
         self.base_: float = 0.0
         self.trees: list[DecisionTree] = []
         self.train_losses_: list[float] = []
@@ -132,21 +95,14 @@ class GradientBoosting:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoosting":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        rng = np.random.default_rng(self.seed)  # trees use all features; kept for API parity
         self.base_ = float(y.mean())
         current = np.full(y.shape, self.base_)
         self.trees = []
         self.train_losses_ = [float(np.mean((y - current) ** 2))]
         for _ in range(self.n_trees):
             residual = y - current
-            tree = DecisionTree(
-                criterion="variance",
-                max_depth=self.max_depth,
-                min_leaf=self.min_leaf,
-                max_features=None,
-            )
-            tree.fit(X, residual, rng)
-            current = current + self.learning_rate * tree.predict(X)
+            tree = DecisionTree(criterion="variance", max_depth=self.max_depth).fit(X, residual)
+            current = current + LEARNING_RATE * tree.predict(X)
             self.trees.append(tree)
             self.train_losses_.append(float(np.mean((y - current) ** 2)))
         return self
@@ -155,19 +111,5 @@ class GradientBoosting:
         X = np.asarray(X, dtype=np.float64)
         acc = np.full(X.shape[0], self.base_)
         for tree in self.trees:
-            acc += self.learning_rate * tree.predict(X)
+            acc += LEARNING_RATE * tree.predict(X)
         return acc
-
-    def state(self) -> dict:
-        return {
-            "base": self.base_,
-            "learning_rate": self.learning_rate,
-            "trees": [t.state() for t in self.trees],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "GradientBoosting":
-        model = cls(n_trees=len(state["trees"]), learning_rate=state["learning_rate"])
-        model.base_ = state["base"]
-        model.trees = [DecisionTree.from_state(s) for s in state["trees"]]
-        return model

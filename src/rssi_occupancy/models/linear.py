@@ -33,16 +33,6 @@ class LeastSquares:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
 
-    def state(self) -> dict:
-        return {"coef": self.coef_.tolist(), "intercept": self.intercept_}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "LeastSquares":
-        model = cls()
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        return model
-
 
 class RidgeRegression:
     """Closed-form L2-penalized least squares; lam=0 reproduces OLS."""
@@ -71,16 +61,6 @@ class RidgeRegression:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
-
-    def state(self) -> dict:
-        return {"coef": self.coef_.tolist(), "intercept": self.intercept_, "lam": self.lam}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RidgeRegression":
-        model = cls(lam=state["lam"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        return model
 
 
 class BayesianRidge:
@@ -137,21 +117,3 @@ class BayesianRidge:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
-
-    def state(self) -> dict:
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "alpha": self.alpha_,
-            "lambda": self.lambda_,
-            "lam_init": self.lam_init,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "BayesianRidge":
-        model = cls(lam=state["lam_init"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        model.alpha_ = float(state["alpha"])
-        model.lambda_ = float(state["lambda"])
-        return model

@@ -63,20 +63,3 @@ class NearestNeighbors:
         for c in range(self.n_classes):
             votes[:, c] = np.sum(weights * (labels == c), axis=1)
         return np.argmax(votes, axis=1)
-
-    def state(self) -> dict:
-        return {
-            "k": self.k,
-            "weighted": self.weighted,
-            "n_classes": self.n_classes,
-            "X": self.X_.tolist(),
-            "y_idx": self.y_idx_.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "NearestNeighbors":
-        model = cls(k=state["k"], weighted=state["weighted"])
-        model.X_ = np.asarray(state["X"], dtype=np.float64)
-        model.y_idx_ = np.asarray(state["y_idx"], dtype=np.int64)
-        model.n_classes = state["n_classes"]
-        return model

@@ -30,11 +30,10 @@ def _fit_full_rank(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 class RansacRegression:
     """Iterative inlier consensus around a least-squares base model."""
 
-    def __init__(self, residual_quantile: float = 0.5, n_trials: int = RANSAC_TRIALS, seed: int = 0):
+    def __init__(self, residual_quantile: float = 0.5, seed: int = 0):
         if not 0 < residual_quantile <= 1:
             raise ValueError(f"residual_quantile must be in (0, 1], got {residual_quantile}")
         self.residual_quantile = float(residual_quantile)
-        self.n_trials = int(n_trials)
         self.seed = int(seed)
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
@@ -54,7 +53,7 @@ class RansacRegression:
         rng = np.random.default_rng(self.seed)
         best: tuple[int, float] | None = None
         best_mask: np.ndarray | None = None
-        for _ in range(self.n_trials):
+        for _ in range(RANSAC_TRIALS):
             subset = rng.choice(n, size=min_samples, replace=False)
             solution = _fit_full_rank(X[subset], y[subset])
             if solution is None:
@@ -76,22 +75,6 @@ class RansacRegression:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
-
-    def state(self) -> dict:
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "n_inliers": self.n_inliers_,
-            "residual_quantile": self.residual_quantile,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RansacRegression":
-        model = cls(residual_quantile=state["residual_quantile"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        model.n_inliers_ = int(state["n_inliers"])
-        return model
 
 
 def spatial_median(points: np.ndarray) -> np.ndarray:
@@ -149,17 +132,3 @@ class TheilSenRegression:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
-
-    def state(self) -> dict:
-        return {
-            "coef": self.coef_.tolist(),
-            "intercept": self.intercept_,
-            "n_subsets": self.n_subsets,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TheilSenRegression":
-        model = cls(n_subsets=state["n_subsets"])
-        model.coef_ = np.asarray(state["coef"], dtype=np.float64)
-        model.intercept_ = float(state["intercept"])
-        return model

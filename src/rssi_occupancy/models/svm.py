@@ -256,34 +256,6 @@ class _BinarySVM:
             return K @ self.dual_coef
         return K @ self.dual_coef + self.b
 
-    def state(self) -> dict:
-        state = {
-            "kernel": self.kernel,
-            "penalty": self.penalty,
-            "loss": self.loss,
-            "C": self.C,
-            "gamma": self.gamma,
-            "b": self.b,
-        }
-        if self.w is not None:
-            state["w"] = self.w.tolist()
-        else:
-            state["support_rows"] = self.support_rows.tolist()
-            state["dual_coef"] = self.dual_coef.tolist()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "_BinarySVM":
-        machine = cls(state["kernel"], state["penalty"], state["loss"], state["C"])
-        machine.gamma = float(state["gamma"])
-        machine.b = float(state["b"])
-        if "w" in state:
-            machine.w = np.asarray(state["w"], dtype=np.float64)
-        else:
-            machine.support_rows = np.asarray(state["support_rows"], dtype=np.float64)
-            machine.dual_coef = np.asarray(state["dual_coef"], dtype=np.float64)
-        return machine
-
 
 class SupportVectorClassifier:
     """One-vs-rest wrapper; binary problems use a single machine."""
@@ -315,14 +287,3 @@ class SupportVectorClassifier:
             return (self.machines[0].decision(X) >= 0).astype(np.int64)
         scores = np.column_stack([m.decision(X) for m in self.machines])
         return np.argmax(scores, axis=1)
-
-    def state(self) -> dict:
-        return {"n_classes": self.n_classes, "machines": [m.state() for m in self.machines]}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SupportVectorClassifier":
-        first = state["machines"][0]
-        model = cls(first["kernel"], first["penalty"], first["loss"], first["C"])
-        model.n_classes = state["n_classes"]
-        model.machines = [_BinarySVM.from_state(s) for s in state["machines"]]
-        return model

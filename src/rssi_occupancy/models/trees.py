@@ -4,7 +4,9 @@ Split search is vectorized: per node, candidate features are gathered into an
 (n, f) block, column-sorted once, and the best threshold per feature falls out
 of prefix sums. Regression splits maximize the sum-of-squares reduction,
 classification splits the Gini impurity reduction; both are equivalent to
-maximizing sum(left_stat)/n_left + sum(right_stat)/n_right.
+maximizing sum(left_stat)/n_left + sum(right_stat)/n_right. A node is split
+whenever it has two or more rows, lies above the depth cap and some split
+reduces impurity, so a leaf may hold a single row.
 
 Thresholds are stored as the largest value routed left and compared with
 ``<=``, which avoids the floating-point pitfalls of midpoints.
@@ -29,14 +31,12 @@ class DecisionTree:
         self,
         criterion: str = "variance",
         max_depth: int | None = None,
-        min_leaf: int = 1,
         max_features: int | None = None,
     ):
         if criterion not in ("variance", "gini"):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.criterion = criterion
         self.max_depth = max_depth
-        self.min_leaf = max(1, int(min_leaf))
         self.max_features = max_features
         # Parallel node arrays, filled during fit.
         self.feature: list[int] = []
@@ -49,7 +49,10 @@ class DecisionTree:
 
     # -- fitting ------------------------------------------------------------
 
-    def fit(self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> "DecisionTree":
+    def fit(
+        self, X: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None
+    ) -> "DecisionTree":
+        """Grow the tree; ``rng`` draws the candidate features when ``max_features`` is set."""
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         self.importances_ = np.zeros(d)
@@ -78,7 +81,7 @@ class DecisionTree:
             self.right.append(-1)
             self.value.append(self._leaf_value(y[rows]))
 
-            if depth >= depth_cap or rows.size < 2 * self.min_leaf:
+            if depth >= depth_cap or rows.size < 2:
                 continue
             split = self._best_split(X, y, rows, rng)
             if split is None:
@@ -112,12 +115,10 @@ class DecisionTree:
         order = np.argsort(block, axis=0, kind="stable")
         xs = np.take_along_axis(block, order, axis=0)
 
-        # valid split positions: strictly increasing neighbours, min_leaf on both sides
+        # valid split positions: strictly increasing neighbours
         left_n = np.arange(1, n, dtype=np.float64)
         right_n = n - left_n
         valid = xs[1:] > xs[:-1]
-        size_ok = (left_n >= self.min_leaf) & (right_n >= self.min_leaf)
-        valid &= size_ok[:, None]
         if not valid.any():
             return None
 
@@ -185,32 +186,3 @@ class DecisionTree:
             stack.append((int(self._left[node]), rows[mask]))
             stack.append((int(self._right[node]), rows[~mask]))
         return out
-
-    # -- serialization --------------------------------------------------------
-
-    def state(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "n_classes": self.n_classes,
-            "feature": self._feat.tolist(),
-            "threshold": self._thr.tolist(),
-            "left": self._left.tolist(),
-            "right": self._right.tolist(),
-            "value": self._val.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DecisionTree":
-        tree = cls(criterion=state["criterion"])
-        tree.n_classes = state["n_classes"]
-        tree.feature = list(state["feature"])
-        tree.threshold = list(state["threshold"])
-        tree.left = list(state["left"])
-        tree.right = list(state["right"])
-        tree.value = [np.asarray(v) for v in state["value"]]
-        tree._feat = np.array(state["feature"], dtype=np.int64)
-        tree._thr = np.array(state["threshold"], dtype=np.float64)
-        tree._left = np.array(state["left"], dtype=np.int64)
-        tree._right = np.array(state["right"], dtype=np.int64)
-        tree._val = np.asarray(state["value"], dtype=np.float64)
-        return tree

@@ -7,12 +7,13 @@ Scaling: x_nor = (x - Q2) / (Q3 - Q1) per column, with quartiles interpolated
 linearly between closest ranks; zero-IQR columns are centered only
 (divisor 1).
 
-Selection: a random forest is fitted on the training matrix (Gini impurity
-for classification, variance for regression) and columns whose normalized
-total impurity decrease reaches the mean importance are kept. Exact duplicate
-columns are fitted once and share their importance equally, which keeps the
-ranking symmetric under feature duplication. The mask is never empty: if no
-column reaches the threshold the single top column is kept.
+Selection: a random forest of 50 fully grown trees is fitted on the training
+matrix (Gini impurity for classification, variance for regression) and
+columns whose normalized total impurity decrease reaches the mean importance
+are kept. Exact duplicate columns are fitted once and share their importance
+equally, which keeps the ranking symmetric under feature duplication. The
+mask is never empty: if no column reaches the threshold the single top column
+is kept.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .models.ensembles import RandomForest
+
+SELECTION_TREES = 50
 
 
 class PreprocessError(ValueError):
@@ -48,23 +51,6 @@ class SelectionMask:
 
     kept: np.ndarray  # strictly increasing column indices
     importances: np.ndarray  # non-negative, sums to 1
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    n_trees: int = 50
-    min_leaf: int = 1
-    importance_rule: str = "mean"
-    max_depth: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise PreprocessError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.min_leaf < 1:
-            raise PreprocessError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.importance_rule not in ("mean", "median"):
-            raise PreprocessError(f"unknown importance_rule {self.importance_rule!r}")
 
 
 def fit_scaler(train: FeatureMatrix) -> ScalerParams:
@@ -104,10 +90,10 @@ def _duplicate_groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 def select_features(
     train: FeatureMatrix,
     labels: np.ndarray,
-    config: SelectionConfig = SelectionConfig(),
+    seed: int = 0,
     task: str = "classification",
 ) -> SelectionMask:
-    """Forest-importance selection; deterministic under the config seed."""
+    """Forest-importance selection; deterministic under ``seed``."""
     labels = np.asarray(labels)
     if task == "classification":
         classes, y = np.unique(labels, return_inverse=True)
@@ -123,14 +109,7 @@ def select_features(
         raise PreprocessError("selection needs at least 2 rows")
 
     representatives, groups = _duplicate_groups(train.rows)
-    forest = RandomForest(
-        task=task,
-        n_trees=config.n_trees,
-        max_depth=config.max_depth,
-        min_leaf=config.min_leaf,
-        max_features="sqrt",
-        seed=config.seed,
-    )
+    forest = RandomForest(task=task, n_trees=SELECTION_TREES, seed=seed)
     forest.fit(train.rows[:, representatives], y)
 
     importances = np.zeros(train.n_features)
@@ -140,12 +119,8 @@ def select_features(
     total = importances.sum()
     importances = importances / total if total > 0 else np.full_like(importances, 1.0 / importances.size)
 
-    if config.importance_rule == "mean":
-        threshold = importances.mean()
-    else:
-        threshold = np.median(importances)
     # epsilon keeps exact-equality cases (uniform importances) in the mask
-    kept = np.flatnonzero(importances >= threshold - 1e-12)
+    kept = np.flatnonzero(importances >= importances.mean() - 1e-12)
     if kept.size == 0:
         kept = np.array([int(np.argmax(importances))], dtype=np.int64)
     return SelectionMask(kept=kept, importances=importances)
@@ -155,54 +130,3 @@ def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:
     if mask.kept.size and int(mask.kept.max()) >= matrix.n_features:
         raise PreprocessError("selection mask refers to columns beyond the matrix width")
     return matrix.take_columns(mask.kept)
-
-
-# -- plain-text sidecar (re-apply a trained pipeline later) -------------------
-
-
-def scaler_to_text(params: ScalerParams, feature_names: tuple[str, ...]) -> str:
-    lines = ["# robust scaler: name q1 q2 q3"]
-    for name, q1, q2, q3 in zip(feature_names, params.q1, params.q2, params.q3):
-        lines.append(f"{name} {float(q1)!r} {float(q2)!r} {float(q3)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def scaler_from_text(text: str) -> tuple[ScalerParams, tuple[str, ...]]:
-    names: list[str] = []
-    quartiles: list[tuple[float, float, float]] = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        name, q1, q2, q3 = stripped.rsplit(" ", 3)
-        names.append(name)
-        quartiles.append((float(q1), float(q2), float(q3)))
-    arr = np.array(quartiles, dtype=np.float64).reshape(-1, 3)
-    return (
-        ScalerParams(q1=arr[:, 0], q2=arr[:, 1], q3=arr[:, 2]),
-        tuple(names),
-    )
-
-
-def mask_to_text(mask: SelectionMask) -> str:
-    lines = ["# feature selection: kept column indices, then importances"]
-    lines.append("kept " + " ".join(str(int(i)) for i in mask.kept))
-    lines.append("importances " + " ".join(repr(float(v)) for v in mask.importances))
-    return "\n".join(lines) + "\n"
-
-
-def mask_from_text(text: str) -> SelectionMask:
-    kept: np.ndarray | None = None
-    importances: np.ndarray | None = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, _, rest = stripped.partition(" ")
-        if key == "kept":
-            kept = np.array([int(v) for v in rest.split()], dtype=np.int64)
-        elif key == "importances":
-            importances = np.array([float(v) for v in rest.split()], dtype=np.float64)
-    if kept is None or importances is None:
-        raise PreprocessError("selection sidecar is missing kept/importances lines")
-    return SelectionMask(kept=kept, importances=importances)

@@ -80,6 +80,15 @@ class TestSimulate:
         assert code == 1
         assert not out.exists()
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError("injected")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            cli._ArtifactWriter().write(tmp_path / "d.csv", "text")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestValidate:
     def test_valid_dataset_exits_0(self, dataset_files, capsys):

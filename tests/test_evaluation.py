@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rssi_occupancy import evaluation
 from rssi_occupancy.evaluation import (
     EvaluationError,
     PipelineConfig,
@@ -252,6 +253,25 @@ class TestGridSearch:
         assert result.scores[1].n_failed == 3
         assert result.scores[1].fold_scores == []
         assert result.best_params == {"k": 3}
+
+    def test_only_value_errors_count_as_failed_folds(self, monkeypatch):
+        matrix = self._classification_matrix(n=30)
+        real_fit = evaluation.fit
+
+        def fit_failing_with(error):
+            def flaky_fit(spec, X, y):
+                if spec.params["k"] == 5:
+                    raise error("injected")
+                return real_fit(spec, X, y)
+
+            return flaky_fit
+
+        monkeypatch.setattr(evaluation, "fit", fit_failing_with(ValueError))
+        result = grid_search("knn", [{"k": 3}, {"k": 5}], matrix, k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == [0, 3]
+        monkeypatch.setattr(evaluation, "fit", fit_failing_with(TypeError))
+        with pytest.raises(TypeError, match="injected"):
+            grid_search("knn", [{"k": 3}, {"k": 5}], matrix, k=3, seed=0)
 
     def test_all_configs_failing_is_an_error(self):
         matrix = self._classification_matrix(n=12)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssi_occupancy.dataset import RssiDataset, RssiRecord, TransmitterMeta
@@ -135,6 +135,7 @@ class TestTimeFeatures:
             max_size=64,
         )
     )
+    @example([0.0, 0.0, 0.0, -5.3e-133])
     def test_skewness_of_negation_is_negated(self, values):
         x = np.array(values)
         skew = time_features(x)[T["skewness"]]

@@ -11,9 +11,6 @@ from rssi_occupancy.models import (
     default_grid,
     family_task,
     fit,
-    model_from_text,
-    model_to_text,
-    predictions_to_csv,
 )
 
 
@@ -316,31 +313,3 @@ class TestContracts:
         first = fit(ModelSpec(family, params, seed=9), X, noisy).predict(probe)
         second = fit(ModelSpec(family, params, seed=9), X, noisy).predict(probe)
         assert np.array_equal(first, second)
-
-    @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES + REGRESSOR_FAMILIES)
-    def test_text_artifact_round_trip(self, blobs, linear_data, family):
-        if family_task(family) == "classification":
-            X, y = blobs
-            probe = X[::3] + 0.1
-        else:
-            X, y = linear_data
-            probe = X[::3] + 0.1
-        params = {"random_forest": {"n_trees": 10, "depth": 4},
-                  "gradient_boosting": {"n_trees": 10, "depth": 4},
-                  "theil_sen": {"n_subsets": 30}}.get(family, {})
-        model = fit(ModelSpec(family, params, seed=2), X, y)
-        restored = model_from_text(model_to_text(model))
-        assert np.array_equal(model.predict(probe), restored.predict(probe))
-        assert restored.spec.family == family
-
-    def test_predictions_export_as_csv(self, blobs, linear_data):
-        X, y = blobs
-        labels = fit(ModelSpec("knn", {"k": 3}), X, y).predict(X[:4])
-        text = predictions_to_csv(labels, column="occupancy")
-        assert text.splitlines()[0] == "occupancy"
-        assert set(text.splitlines()[1:]) <= {"true", "false"}
-        Xl, yl = linear_data
-        estimates = fit(ModelSpec("linear"), Xl, yl).predict(Xl[:3])
-        lines = predictions_to_csv(estimates).splitlines()
-        assert lines[0] == "prediction"
-        assert [float(v) for v in lines[1:]] == pytest.approx(estimates.tolist())

@@ -7,14 +7,9 @@ from rssi_occupancy.features import FeatureDiagnostics, FeatureMatrix
 from rssi_occupancy.preprocess import (
     PreprocessError,
     ScalerParams,
-    SelectionConfig,
     apply_mask,
     apply_scaler,
     fit_scaler,
-    mask_from_text,
-    mask_to_text,
-    scaler_from_text,
-    scaler_to_text,
     select_features,
 )
 
@@ -90,16 +85,6 @@ class TestScaler:
         for j in range(4):
             assert np.array_equal(np.argsort(scaled.rows[:, j]), np.argsort(test.rows[:, j]))
 
-    def test_text_round_trip(self):
-        rng = np.random.default_rng(22)
-        matrix = matrix_from(rng.normal(size=(10, 3)))
-        params = fit_scaler(matrix)
-        restored, names = scaler_from_text(scaler_to_text(params, matrix.feature_names))
-        assert names == matrix.feature_names
-        assert np.array_equal(restored.q1, params.q1)
-        assert np.array_equal(restored.q2, params.q2)
-        assert np.array_equal(restored.q3, params.q3)
-
 
 class TestSelection:
     def test_planted_signal_column_wins(self):
@@ -107,7 +92,7 @@ class TestSelection:
         labels = rng.integers(0, 2, 120).astype(bool)
         rows = rng.normal(size=(120, 10))
         rows[:, 4] = labels.astype(float)
-        mask = select_features(matrix_from(rows), labels, SelectionConfig(seed=0), "classification")
+        mask = select_features(matrix_from(rows), labels, 0, "classification")
         assert int(np.argmax(mask.importances)) == 4
         assert 4 in mask.kept
 
@@ -116,7 +101,7 @@ class TestSelection:
         column = rng.normal(size=60)
         labels = column > 0
         rows = np.tile(column[:, None], (1, 6))
-        mask = select_features(matrix_from(rows), labels, SelectionConfig(seed=1), "classification")
+        mask = select_features(matrix_from(rows), labels, 1, "classification")
         assert np.allclose(mask.importances, 1.0 / 6.0)
         assert np.array_equal(mask.kept, np.arange(6))
 
@@ -125,7 +110,7 @@ class TestSelection:
         labels = rng.normal(size=80)
         rows = rng.normal(size=(80, 12))
         rows[:, 2] += labels
-        mask = select_features(matrix_from(rows), labels, SelectionConfig(seed=2), "regression")
+        mask = select_features(matrix_from(rows), labels, 2, "regression")
         assert mask.importances.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(mask.importances >= 0)
         assert np.all(np.diff(mask.kept) > 0)
@@ -137,8 +122,8 @@ class TestSelection:
         rows = rng.normal(size=(100, 15))
         rows[:, 0] += labels * 2
         matrix = matrix_from(rows)
-        first = select_features(matrix, labels, SelectionConfig(seed=7), "classification")
-        second = select_features(matrix, labels, SelectionConfig(seed=7), "classification")
+        first = select_features(matrix, labels, 7, "classification")
+        second = select_features(matrix, labels, 7, "classification")
         assert np.array_equal(first.kept, second.kept)
         assert np.array_equal(first.importances, second.importances)
 
@@ -155,18 +140,7 @@ class TestSelection:
         rows = rng.normal(size=(60, 8))
         rows[:, 3] += labels * 3
         matrix = matrix_from(rows)
-        mask = select_features(matrix, labels, SelectionConfig(seed=3), "classification")
+        mask = select_features(matrix, labels, 3, "classification")
         reduced = apply_mask(matrix, mask)
         assert reduced.n_features == mask.kept.size
         assert reduced.feature_names == tuple(matrix.feature_names[i] for i in mask.kept)
-
-    def test_mask_text_round_trip(self):
-        mask = select_features(
-            matrix_from(np.random.default_rng(29).normal(size=(40, 5))),
-            np.random.default_rng(30).normal(size=40),
-            SelectionConfig(seed=4),
-            "regression",
-        )
-        restored = mask_from_text(mask_to_text(mask))
-        assert np.array_equal(restored.kept, mask.kept)
-        assert np.allclose(restored.importances, mask.importances)
