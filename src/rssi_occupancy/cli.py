@@ -23,7 +23,6 @@ from .dataset import (
     parse_sidecar,
     serialize_dataset,
     serialize_sidecar,
-    validate,
 )
 from .evaluation import (
     KFOLD_CHOICES,
@@ -109,15 +108,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except Exception:
         writer.rollback()
         raise
-    print(f"wrote {len(dataset.records)} records to {args.out}")
+    print(f"wrote {len(dataset)} records to {args.out}")
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.dataset, args.sidecar)
-    report = validate(dataset)
-    print(report)
-    return 0 if report.is_valid else 1
+    _load_dataset(args.dataset, args.sidecar)  # raises DatasetError on the first violation
+    print("dataset valid")
+    return 0
 
 
 def _cmd_featurize(args: argparse.Namespace) -> int:
@@ -192,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sidecar", default=None, help="output sidecar path (default: <out>.sidecar)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_val = sub.add_parser("validate", help="report dataset invariant violations")
+    p_val = sub.add_parser("validate", help="check that a dataset and its sidecar parse")
     p_val.add_argument("dataset", help="dataset CSV")
     p_val.add_argument("--sidecar", default=None, help="sidecar path (default: <dataset>.sidecar)")
     p_val.set_defaults(func=_cmd_validate)

@@ -1,4 +1,8 @@
-"""Labeled RSSI dataset: domain types, CSV ingestion, validation, dedup.
+"""Labeled RSSI dataset: the columnar :class:`RssiDataset`, CSV ingestion, dedup.
+
+The dataset checks its own invariants when it is built, so there is no
+separate validation pass; parsing still checks each CSV line as it reads it,
+to report errors in outside input by line number.
 
 The on-disk format is a rectangular CSV with header
 ``timestamp,<mac_1>,...,<mac_n>,occupancy,count`` plus a small key-value
@@ -14,7 +18,7 @@ from __future__ import annotations
 import calendar
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, TextIO
+from typing import Mapping
 
 import numpy as np
 
@@ -25,7 +29,7 @@ _TS_FORMAT = "%d/%m/%Y %H:%M:%S"
 
 
 class DatasetError(ValueError):
-    """Malformed dataset input; carries the offending 1-based line number."""
+    """Malformed dataset input or a broken invariant; parse errors carry the 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -52,35 +56,94 @@ class RssiRecord:
     count: int
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("timestamps_ms", "rssi", "counts")
+
+
+@dataclass(frozen=True, eq=False)
 class RssiDataset:
-    """Time-ordered labeled RSSI rows for a fixed transmitter arrangement."""
+    """Time-ordered labeled RSSI rows for a fixed transmitter arrangement, as columns.
+
+    Record ``i`` is ``timestamps_ms[i]``, the RSSI row ``rssi[i]`` (one
+    value per transmitter, in transmitter order) and the occupant count
+    ``counts[i]``; occupancy is derived as ``counts > 0``. The columns are
+    read-only int64 views. Construction checks the column shapes, unique
+    transmitter ids, positive distances and rate, non-decreasing timestamps,
+    RSSI in [-127, 0] dBm and non-negative counts, and raises
+    :class:`DatasetError` naming the first bad record.
+    """
 
     transmitters: tuple[TransmitterMeta, ...]
-    records: tuple[RssiRecord, ...]
+    timestamps_ms: np.ndarray  # (n,)
+    rssi: np.ndarray  # (n, n_transmitters)
+    counts: np.ndarray  # (n,)
     sampling_hz: float
+
+    def __post_init__(self) -> None:
+        ids = self.transmitter_ids()
+        if len(set(ids)) != len(ids):
+            raise DatasetError("duplicate transmitter ids")
+        for t in self.transmitters:
+            if t.distance_cm <= 0:
+                raise DatasetError(f"{t.id}: distance_cm must be positive, got {t.distance_cm}")
+        if not self.sampling_hz > 0:
+            raise DatasetError(f"sampling_hz must be positive, got {self.sampling_hz}")
+        for name in _COLUMNS:
+            column = np.asarray(getattr(self, name))
+            if column.size and column.dtype.kind not in "iu":
+                raise DatasetError(f"{name} must hold integers, got dtype {column.dtype}")
+            column = column.astype(np.int64, copy=False).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        timestamps, rssi, counts = self.timestamps_ms, self.rssi, self.counts
+        n = timestamps.size
+        if timestamps.ndim != 1 or rssi.shape != (n, len(ids)) or counts.shape != (n,):
+            raise DatasetError(
+                f"column shapes timestamps_ms {timestamps.shape}, rssi {rssi.shape}, "
+                f"counts {counts.shape} do not fit (n,), (n, {len(ids)}), (n,)"
+            )
+        for bad, problem in (
+            (np.diff(timestamps, prepend=timestamps[:1]) < 0, "timestamp decreases"),
+            (((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any(axis=1), "RSSI outside dBm range"),
+            (counts < 0, "negative count"),
+        ):
+            if bad.any():
+                i = int(bad.argmax())
+                raise DatasetError(
+                    f"record {i}: {problem} (timestamp_ms {timestamps[i]}, "
+                    f"rssi {rssi[i].tolist()}, count {counts[i]})"
+                )
+
+    def __len__(self) -> int:
+        return self.timestamps_ms.shape[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RssiDataset):
+            return NotImplemented
+        same_meta = (self.transmitters, self.sampling_hz) == (other.transmitters, other.sampling_hz)
+        return same_meta and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
 
     @property
     def n_transmitters(self) -> int:
         return len(self.transmitters)
 
+    @property
+    def occupancy(self) -> np.ndarray:
+        return self.counts > 0
+
+    @property
+    def records(self) -> tuple[RssiRecord, ...]:
+        """The rows as objects, for readers outside the package; it works on the columns."""
+        return tuple(
+            RssiRecord(ts, tuple(rssi), count > 0, count)
+            for ts, rssi, count in zip(
+                self.timestamps_ms.tolist(), self.rssi.tolist(), self.counts.tolist()
+            )
+        )
+
     def transmitter_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.transmitters)
-
-    def rssi_matrix(self) -> np.ndarray:
-        """All RSSI values as an (n_records, n_transmitters) float array."""
-        if not self.records:
-            return np.empty((0, self.n_transmitters), dtype=np.float64)
-        return np.array([r.rssi for r in self.records], dtype=np.float64)
-
-    def counts(self) -> np.ndarray:
-        return np.array([r.count for r in self.records], dtype=np.int64)
-
-    def occupancy(self) -> np.ndarray:
-        return np.array([r.occupancy for r in self.records], dtype=bool)
-
-    def timestamps_ms(self) -> np.ndarray:
-        return np.array([r.timestamp_ms for r in self.records], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -89,33 +152,6 @@ class DatasetMeta:
 
     sampling_hz: float
     distance_by_mac: Mapping[str, int]
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One invariant violation; ``index`` is the record index when applicable."""
-
-    kind: str
-    index: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.findings
-
-    def __str__(self) -> str:
-        if self.is_valid:
-            return "dataset valid"
-        return "\n".join(
-            f"[{f.kind}] record {f.index}: {f.message}" if f.index is not None
-            else f"[{f.kind}] {f.message}"
-            for f in self.findings
-        )
 
 
 def format_timestamp_ms(timestamp_ms: int) -> str:
@@ -177,7 +213,7 @@ def parse_sidecar(text: str) -> DatasetMeta:
 
 
 def serialize_sidecar(dataset: RssiDataset) -> str:
-    lines = [f"sampling_hz = {dataset.sampling_hz:g}"]
+    lines = [f"sampling_hz = {dataset.sampling_hz:.17g}"]  # 17 digits round-trip any float
     lines += [f"{t.id} = {t.distance_cm}" for t in dataset.transmitters]
     return "\n".join(lines) + "\n"
 
@@ -191,19 +227,14 @@ def _parse_bool(text: str, line: int) -> bool:
     raise DatasetError(f"occupancy must be true/false, got {text!r}", line)
 
 
-def parse_dataset(csv_text: str | TextIO | Iterable[str], meta: DatasetMeta) -> RssiDataset:
+def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
     """Parse the dataset CSV against its sidecar.
 
     Raises :class:`DatasetError` with the offending line number on the first
     malformed row, label inconsistency, RSSI out of [-127, 0], timestamp
     disorder, or MAC mismatch against the sidecar.
     """
-    if isinstance(csv_text, str):
-        lines: Iterable[str] = csv_text.splitlines()
-    else:
-        lines = (line.rstrip("\n").rstrip("\r") for line in csv_text)
-
-    iterator = enumerate(lines, start=1)
+    iterator = enumerate(csv_text.splitlines(), start=1)
     header_line: tuple[int, str] | None = None
     for lineno, raw in iterator:
         if raw.strip():
@@ -235,7 +266,9 @@ def parse_dataset(csv_text: str | TextIO | Iterable[str], meta: DatasetMeta) -> 
     )
     n = len(macs)
 
-    records: list[RssiRecord] = []
+    timestamps: list[int] = []
+    rssi: list[int] = []  # row-major, n values per record
+    counts: list[int] = []
     prev_ts: int | None = None
     for lineno, raw in iterator:
         if not raw.strip():
@@ -246,7 +279,6 @@ def parse_dataset(csv_text: str | TextIO | Iterable[str], meta: DatasetMeta) -> 
         ts = parse_timestamp(parts[0], lineno)
         if prev_ts is not None and ts < prev_ts:
             raise DatasetError(f"timestamp decreases ({ts} < {prev_ts})", lineno)
-        rssi_values: list[int] = []
         for mac, field in zip(macs, parts[1:-2]):
             try:
                 value = int(field)
@@ -256,7 +288,7 @@ def parse_dataset(csv_text: str | TextIO | Iterable[str], meta: DatasetMeta) -> 
                 raise DatasetError(
                     f"RSSI {value} for {mac} outside [{RSSI_MIN}, {RSSI_MAX}] dBm", lineno
                 )
-            rssi_values.append(value)
+            rssi.append(value)
         occupancy = _parse_bool(parts[-2], lineno)
         try:
             count = int(parts[-1])
@@ -269,90 +301,50 @@ def parse_dataset(csv_text: str | TextIO | Iterable[str], meta: DatasetMeta) -> 
                 f"label inconsistency: occupancy={str(occupancy).lower()} with count={count}",
                 lineno,
             )
-        records.append(RssiRecord(ts, tuple(rssi_values), occupancy, count))
+        timestamps.append(ts)
+        counts.append(count)
         prev_ts = ts
 
     return RssiDataset(
-        transmitters=transmitters, records=tuple(records), sampling_hz=meta.sampling_hz
+        transmitters=transmitters,
+        timestamps_ms=np.array(timestamps, dtype=np.int64),
+        rssi=np.array(rssi, dtype=np.int64).reshape(-1, n),
+        counts=np.array(counts, dtype=np.int64),
+        sampling_hz=meta.sampling_hz,
     )
 
 
 def serialize_dataset(dataset: RssiDataset) -> str:
     """Emit the dataset CSV; ``parse_dataset`` of the output round-trips."""
-    header = "timestamp," + ",".join(t.id for t in dataset.transmitters) + ",occupancy,count"
+    header = "timestamp," + ",".join(dataset.transmitter_ids()) + ",occupancy,count"
     lines = [header]
-    for record in dataset.records:
-        lines.append(
-            ",".join(
-                [
-                    format_timestamp_ms(record.timestamp_ms),
-                    *(str(v) for v in record.rssi),
-                    "true" if record.occupancy else "false",
-                    str(record.count),
-                ]
-            )
-        )
+    for ts, rssi, count in zip(
+        dataset.timestamps_ms.tolist(), dataset.rssi.tolist(), dataset.counts.tolist()
+    ):
+        occupancy = "true" if count > 0 else "false"
+        lines.append(",".join([format_timestamp_ms(ts), *map(str, rssi), occupancy, str(count)]))
     return "\n".join(lines) + "\n"
 
 
 def deduplicate(dataset: RssiDataset) -> RssiDataset:
-    """Drop rows whose (rssi values, occupancy, count) tuple was seen before.
+    """Drop rows whose (rssi values, count) tuple was seen before.
 
-    The timestamp is deliberately excluded from the key: repeated
-    predictor/label tuples are what inflate training data, while timestamps
-    never feed the models. First occurrence wins; order is preserved.
+    Occupancy follows from the count, so it adds nothing to the key. The
+    timestamp is deliberately excluded: repeated predictor/label tuples are
+    what inflate training data, while timestamps never feed the models.
+    First occurrence wins; order is preserved.
     """
-    seen: set[tuple] = set()
-    kept: list[RssiRecord] = []
-    for record in dataset.records:
-        key = (record.rssi, record.occupancy, record.count)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(record)
+    # Any order that groups equal keys will do. lexsort is stable, so each group
+    # starts with its first record; RSSI in [-127, 0] fits int8, which sorts by radix.
+    order = np.lexsort([dataset.counts, *dataset.rssi.astype(np.int8).T])
+    ranked = np.column_stack((dataset.rssi, dataset.counts))[order]
+    first_of_run = np.ones(len(order), dtype=bool)
+    first_of_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    kept = np.sort(order[first_of_run])
     return RssiDataset(
-        transmitters=dataset.transmitters, records=tuple(kept), sampling_hz=dataset.sampling_hz
+        transmitters=dataset.transmitters,
+        timestamps_ms=dataset.timestamps_ms[kept],
+        rssi=dataset.rssi[kept],
+        counts=dataset.counts[kept],
+        sampling_hz=dataset.sampling_hz,
     )
-
-
-def validate(dataset: RssiDataset) -> ValidationReport:
-    """Collect every invariant violation; empty report iff the dataset is valid."""
-    findings: list[Finding] = []
-    ids = [t.id for t in dataset.transmitters]
-    if len(set(ids)) != len(ids):
-        findings.append(Finding("transmitter-id", None, "duplicate transmitter ids"))
-    for t in dataset.transmitters:
-        if t.distance_cm <= 0:
-            findings.append(
-                Finding("transmitter-distance", None, f"{t.id}: distance_cm={t.distance_cm}")
-            )
-    if dataset.sampling_hz <= 0:
-        findings.append(Finding("sampling-rate", None, f"sampling_hz={dataset.sampling_hz}"))
-
-    n = dataset.n_transmitters
-    prev_ts: int | None = None
-    for i, record in enumerate(dataset.records):
-        if prev_ts is not None and record.timestamp_ms < prev_ts:
-            findings.append(
-                Finding("ordering", i, f"timestamp {record.timestamp_ms} < previous {prev_ts}")
-            )
-        prev_ts = record.timestamp_ms
-        if len(record.rssi) != n:
-            findings.append(
-                Finding("vector-length", i, f"rssi length {len(record.rssi)} != {n} transmitters")
-            )
-        for value in record.rssi:
-            if not RSSI_MIN <= value <= RSSI_MAX:
-                findings.append(Finding("rssi-range", i, f"RSSI {value} outside dBm range"))
-                break
-        if record.count < 0:
-            findings.append(Finding("count-range", i, f"negative count {record.count}"))
-        elif record.occupancy != (record.count > 0):
-            findings.append(
-                Finding(
-                    "label-consistency",
-                    i,
-                    f"occupancy={str(record.occupancy).lower()} with count={record.count}",
-                )
-            )
-    return ValidationReport(tuple(findings))

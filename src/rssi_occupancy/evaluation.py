@@ -254,6 +254,10 @@ class GridSearchResult:
     def best_params(self) -> dict:
         return self.scores[self.best_index].params
 
+    @property
+    def best_score(self) -> float:
+        return self.scores[self.best_index].mean
+
 
 def grid_search(
     family: str,
@@ -336,7 +340,7 @@ class FamilyResult:
                 for s in self.search.scores
             ],
             "best_params": _json_params(self.search.best_params),
-            "best_cv_score": self.search.scores[self.search.best_index].mean,
+            "best_cv_score": self.search.best_score,
             "test": self.test_metrics.as_dict(),
         }
 
@@ -419,7 +423,11 @@ def run_pipeline(
     representation: str,
     config: PipelineConfig,
 ) -> EvalReport:
-    """Execute the full offline workflow and score each family on the test set."""
+    """Execute the full offline workflow and score each family on the test set.
+
+    ``best_family`` has the highest best CV score (accuracy, or negated RMSE
+    for counting); ties go to the earlier family, as in ``grid_search``.
+    """
     if task not in TASKS:
         raise EvaluationError(f"unknown task {task!r}; expected one of {TASKS}")
     if representation not in REPRESENTATIONS:
@@ -497,14 +505,11 @@ def run_pipeline(
             metrics = regression_metrics(pred, y_test)
         family_results.append(FamilyResult(family=family, search=search, test_metrics=metrics))
 
-    if model_task == "classification":
-        best = max(family_results, key=lambda r: r.test_metrics.accuracy)
-    else:
-        best = min(family_results, key=lambda r: r.test_metrics.rmse)
+    best = max(family_results, key=lambda r: r.search.best_score)
 
     fingerprint = {
-        "n_records": len(dataset.records),
-        "n_records_deduped": len(deduped.records),
+        "n_records": len(dataset),
+        "n_records_deduped": len(deduped),
         "n_windows": len(windows),
         "n_rows": matrix.n_rows,
         "n_train": train.n_rows,

@@ -188,28 +188,26 @@ def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
         raise FeatureError(
             f"window of {window_s}s at {dataset.sampling_hz}Hz holds {length} < 2 samples"
         )
-    n_records = len(dataset.records)
+    n_records = len(dataset)
     n_windows = n_records // length
     if n_windows == 0:
         raise FeatureError(f"dataset has {n_records} records, shorter than one window ({length})")
 
-    matrix = dataset.rssi_matrix()
-    counts = dataset.counts()
-    timestamps = dataset.timestamps_ms()
+    matrix = dataset.rssi.astype(np.float64)
     ids = dataset.transmitter_ids()
 
     windows: list[Window] = []
     for w in range(n_windows):
         lo, hi = w * length, (w + 1) * length
-        window_counts = counts[lo:hi]
+        window_counts = dataset.counts[lo:hi]
         occupancy, count = _majority_labels(window_counts)
         windows.append(
             Window(
-                start_ms=int(timestamps[lo]),
+                start_ms=int(dataset.timestamps_ms[lo]),
                 transmitter_ids=ids,
                 sampling_hz=dataset.sampling_hz,
                 samples=matrix[lo:hi].T.copy(),
-                counts=window_counts.copy(),
+                counts=window_counts,
                 label_occupancy=occupancy,
                 label_count=count,
             )

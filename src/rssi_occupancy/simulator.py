@@ -11,6 +11,10 @@ All randomness derives from a single 64-bit seed via stable sub-streams
 (one noise stream per transmitter, one motion-parameter stream per
 transmitter/person slot), so identical configurations render bit-identical
 datasets.
+
+Each transmitter's signal is rendered as one array over time; the arrays go
+straight into the columns of :class:`RssiDataset`, whose constructor checks
+the dataset invariants.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RSSI_MAX, RSSI_MIN, RssiDataset, RssiRecord, TransmitterMeta
+from .dataset import RSSI_MAX, RSSI_MIN, RssiDataset, TransmitterMeta
 
 SUPPORTED_RATES_HZ = (20.0, 45.0, 100.0, 200.0)
 
@@ -159,21 +163,15 @@ def simulate(config: ScenarioConfig) -> RssiDataset:
         clipped = np.clip(signal, RSSI_MIN, RSSI_MAX)
         columns.append(np.rint(clipped).astype(np.int64))
 
-    rssi = np.stack(columns, axis=1)
-    records = tuple(
-        RssiRecord(
-            timestamp_ms=int(timestamps[j]),
-            rssi=tuple(int(v) for v in rssi[j]),
-            occupancy=bool(counts[j] > 0),
-            count=int(counts[j]),
-        )
-        for j in range(n_records)
-    )
     transmitters = tuple(
         TransmitterMeta(id=mac, distance_cm=int(distance)) for mac, distance in config.transmitters
     )
     return RssiDataset(
-        transmitters=transmitters, records=records, sampling_hz=float(config.sampling_hz)
+        transmitters=transmitters,
+        timestamps_ms=timestamps,
+        rssi=np.stack(columns, axis=1),
+        counts=counts,
+        sampling_hz=float(config.sampling_hz),
     )
 
 

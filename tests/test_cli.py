@@ -95,6 +95,13 @@ class TestValidate:
         assert cli.main(["validate", str(dataset_files)]) == 0
         assert "dataset valid" in capsys.readouterr().out
 
+    def test_invalid_dataset_exits_2_naming_the_line(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        csv.write_text("timestamp,M1,occupancy,count\n1,-50,true,1\n2,5,true,1\n")
+        (tmp_path / "x.sidecar").write_text("sampling_hz = 45\nM1 = 100\n")
+        assert cli.main(["validate", str(csv)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         csv.write_text("timestamp,M1,occupancy,count\n")

@@ -1,4 +1,4 @@
-"""Dataset ingestion, serialization round-trips, dedup and validation."""
+"""Dataset construction checks, ingestion, serialization round-trips and dedup."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from rssi_occupancy.dataset import (
     DatasetError,
     DatasetMeta,
     RssiDataset,
-    RssiRecord,
     TransmitterMeta,
     deduplicate,
     parse_dataset,
@@ -17,7 +16,6 @@ from rssi_occupancy.dataset import (
     parse_timestamp,
     serialize_dataset,
     serialize_sidecar,
-    validate,
 )
 
 COLLECTION_SIDECAR = """\
@@ -45,30 +43,43 @@ def collection_dataset():
 def make_dataset(rows, n_tx=2, sampling_hz=45.0):
     """rows: list of (timestamp_ms, rssi tuple, count)."""
     transmitters = tuple(TransmitterMeta(f"AA:{i:02X}", 100 * (i + 1)) for i in range(n_tx))
-    records = tuple(
-        RssiRecord(ts, tuple(rssi), count > 0, count) for ts, rssi, count in rows
+    return RssiDataset(
+        transmitters=transmitters,
+        timestamps_ms=np.array([ts for ts, _, _ in rows], dtype=np.int64),
+        rssi=np.array([rssi for _, rssi, _ in rows], dtype=np.int64).reshape(len(rows), n_tx),
+        counts=np.array([count for _, _, count in rows], dtype=np.int64),
+        sampling_hz=sampling_hz,
     )
-    return RssiDataset(transmitters=transmitters, records=records, sampling_hz=sampling_hz)
+
+
+def seen_set_rows(dataset):
+    """Brute-force dedup: indices of the first occurrence of each (rssi, count)."""
+    seen, kept = set(), []
+    for i, (rssi, count) in enumerate(zip(dataset.rssi.tolist(), dataset.counts.tolist())):
+        key = (tuple(rssi), count)
+        if key not in seen:
+            seen.add(key)
+            kept.append(i)
+    return kept
 
 
 class TestParse:
     def test_minimal_two_mac_row(self):
         sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\nM2 = 200\n")
         dataset = parse_dataset("timestamp,M1,M2,occupancy,count\n1000,-50,-60,true,2\n", sidecar)
-        assert len(dataset.records) == 1
-        assert dataset.records[0].count == 2
-        assert dataset.records[0].rssi == (-50, -60)
+        assert len(dataset) == 1
+        assert dataset.counts.tolist() == [2]
+        assert dataset.rssi.tolist() == [[-50, -60]]
         assert dataset.sampling_hz == 45.0
 
     def test_collection_table_rows(self, collection_dataset):
         dataset = collection_dataset
         assert dataset.n_transmitters == 5
         assert [t.distance_cm for t in dataset.transmitters] == [25, 500, 100, 300, 600]
-        assert dataset.records[0].rssi == (-51, -65, -80, -100, -35)
-        assert dataset.records[0].count == 2
-        assert dataset.records[1].count == 4
-        assert dataset.records[2] == dataset.records[2]
-        assert not dataset.records[2].occupancy
+        assert dataset.rssi[0].tolist() == [-51, -65, -80, -100, -35]
+        assert dataset.counts.tolist() == [2, 4, 0]
+        assert dataset.occupancy.tolist() == [True, True, False]
+        assert dataset.timestamps_ms[2] - dataset.timestamps_ms[0] == 194_995
 
     def test_collection_table_round_trips_byte_identical(self, collection_dataset):
         assert serialize_dataset(collection_dataset) == COLLECTION_CSV
@@ -131,8 +142,8 @@ class TestDeduplicate:
         b = (1, (-55, -65), 2)
         dataset = make_dataset([a, (1, *b[1:]), (2, a[1], a[2]), (3, a[1], a[2])])
         deduped = deduplicate(dataset)
-        assert [r.rssi for r in deduped.records] == [(-50, -60), (-55, -65)]
-        assert [r.timestamp_ms for r in deduped.records] == [0, 1]
+        assert deduped.rssi.tolist() == [[-50, -60], [-55, -65]]
+        assert deduped.timestamps_ms.tolist() == [0, 1]
 
     def test_matches_brute_force_seen_set(self):
         rng = np.random.default_rng(5)
@@ -146,16 +157,12 @@ class TestDeduplicate:
             rows.append((900 + j, source[1], source[2]))
         dataset = make_dataset(rows)
 
-        seen = set()
-        expected = []
-        for record in dataset.records:
-            key = (record.rssi, record.occupancy, record.count)
-            if key not in seen:
-                seen.add(key)
-                expected.append(record)
+        kept = seen_set_rows(dataset)
         deduped = deduplicate(dataset)
-        assert list(deduped.records) == expected
-        assert len(deduped.records) <= 900
+        assert deduped.timestamps_ms.tolist() == kept  # timestamp i is row i
+        assert np.array_equal(deduped.rssi, dataset.rssi[kept])
+        assert np.array_equal(deduped.counts, dataset.counts[kept])
+        assert len(deduped) <= 900
 
     def test_idempotent(self):
         rng = np.random.default_rng(6)
@@ -168,34 +175,63 @@ class TestDeduplicate:
         assert deduplicate(once) == once
 
 
-class TestValidate:
-    def test_valid_dataset_empty_report(self):
+class TestConstruction:
+    def test_valid_dataset_constructs(self):
         dataset = make_dataset([(i, (-50, -60), i % 2) for i in range(10)])
-        assert validate(dataset).is_valid
+        assert len(dataset) == 10
+        assert dataset.occupancy.tolist() == [i % 2 == 1 for i in range(10)]
 
-    def test_vector_length_finding(self):
-        dataset = make_dataset([(0, (-50, -60), 1), (1, (-50,), 1)])
-        report = validate(dataset)
-        assert [f.kind for f in report.findings] == ["vector-length"]
-        assert report.findings[0].index == 1
+    def test_columns_are_read_only(self):
+        dataset = make_dataset([(0, (-50, -60), 1)])
+        with pytest.raises(ValueError):
+            dataset.rssi[0, 0] = -40
 
-    def test_swapped_timestamps_single_ordering_finding(self):
+    def test_wrong_rssi_column_count_rejected(self):
+        with pytest.raises(DatasetError, match=r"rssi \(2, 1\)"):
+            RssiDataset(
+                transmitters=(TransmitterMeta("M1", 10), TransmitterMeta("M2", 20)),
+                timestamps_ms=np.array([0, 1]),
+                rssi=np.array([[-50], [-50]]),
+                counts=np.array([1, 1]),
+                sampling_hz=45.0,
+            )
+
+    def test_swapped_timestamps_name_record_6(self):
         rows = [(i, (-50, -60), 0) for i in range(10)]
         rows[5], rows[6] = (rows[6][0], *rows[5][1:]), (rows[5][0], *rows[6][1:])
-        dataset = make_dataset(rows)
-        report = validate(dataset)
-        assert [f.kind for f in report.findings] == ["ordering"]
-        assert report.findings[0].index == 6
+        with pytest.raises(DatasetError, match=r"record 6: timestamp decreases \(timestamp_ms 5,"):
+            make_dataset(rows)
 
-    def test_label_inconsistency_finding(self):
-        records = (RssiRecord(0, (-50, -60), False, 2),)
-        dataset = RssiDataset(
-            transmitters=(TransmitterMeta("M1", 10), TransmitterMeta("M2", 20)),
-            records=records,
-            sampling_hz=45.0,
-        )
-        report = validate(dataset)
-        assert [f.kind for f in report.findings] == ["label-consistency"]
+    def test_rssi_out_of_range_rejected(self):
+        rows = [(0, (-50, -60), 0), (1, (-50, 3), 0)]
+        with pytest.raises(DatasetError, match=r"record 1: RSSI outside .* rssi \[-50, 3\]"):
+            make_dataset(rows)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DatasetError, match=r"record 2: negative count .*count -1\)"):
+            make_dataset([(0, (-50, -60), 0), (1, (-50, -60), 1), (2, (-50, -60), -1)])
+
+    def test_non_integer_rssi_rejected(self):
+        with pytest.raises(DatasetError, match="rssi must hold integers"):
+            RssiDataset(
+                transmitters=(TransmitterMeta("M1", 10),),
+                timestamps_ms=np.array([0]),
+                rssi=np.array([[-50.5]]),
+                counts=np.array([1]),
+                sampling_hz=45.0,
+            )
+
+    def test_transmitter_and_rate_checks(self):
+        columns = dict(timestamps_ms=[0], rssi=[[-50]], counts=[0])
+        with pytest.raises(DatasetError, match="duplicate transmitter"):
+            RssiDataset(
+                transmitters=(TransmitterMeta("M1", 10), TransmitterMeta("M1", 20)),
+                timestamps_ms=[0], rssi=[[-50, -50]], counts=[0], sampling_hz=45.0,
+            )
+        with pytest.raises(DatasetError, match="distance_cm must be positive"):
+            RssiDataset(transmitters=(TransmitterMeta("M1", 0),), sampling_hz=45.0, **columns)
+        with pytest.raises(DatasetError, match="sampling_hz must be positive"):
+            RssiDataset(transmitters=(TransmitterMeta("M1", 10),), sampling_hz=0.0, **columns)
 
 
 @st.composite
@@ -229,3 +265,19 @@ def test_serialize_parse_round_trip(dataset):
     assert parse_sidecar(serialize_sidecar(dataset)).distance_by_mac == dict(
         meta.distance_by_mac
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_deduplicate_matches_brute_force_seen_set(dataset):
+    kept = seen_set_rows(dataset)
+    deduped = deduplicate(dataset)
+    assert np.array_equal(deduped.timestamps_ms, dataset.timestamps_ms[kept])
+    assert np.array_equal(deduped.rssi, dataset.rssi[kept])
+    assert np.array_equal(deduped.counts, dataset.counts[kept])
+
+
+def test_sidecar_rate_round_trips_exactly():
+    dataset = make_dataset([(0, (-50, -60), 1)], sampling_hz=44.1234567)
+    assert parse_sidecar(serialize_sidecar(dataset)).sampling_hz == 44.1234567
+    assert serialize_sidecar(make_dataset([], sampling_hz=200.0)).startswith("sampling_hz = 200\n")

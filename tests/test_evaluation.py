@@ -348,3 +348,13 @@ class TestRunPipeline:
         search = report.family_results[0].search
         best_mean = search.scores[search.best_index].mean
         assert all(best_mean >= s.mean for s in search.scores if s.fold_scores)
+
+    def test_best_family_is_chosen_by_cv_score(self, small_dataset):
+        grids = {"linear": [{}], "ridge": [{"lam": 1.0}], "bayesian": [{"lam": 1.0}]}
+        config = PipelineConfig(families=("linear", "ridge", "bayesian"), k=3, seed=2, grids=grids)
+        report = run_pipeline(small_dataset, "counting", "features", config)
+        by_cv = max(report.family_results, key=lambda r: r.search.best_score)
+        assert report.best_family == by_cv.family == "ridge"
+        # the test split would have picked another family: selection never looks at it
+        by_test = min(report.family_results, key=lambda r: r.test_metrics.rmse)
+        assert by_test.family == "bayesian"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rssi_occupancy.dataset import RssiDataset, RssiRecord, TransmitterMeta
+from rssi_occupancy.dataset import RssiDataset, TransmitterMeta
 from rssi_occupancy.features import (
     FEATURES_PER_TRANSMITTER,
     FREQ_FEATURE_NAMES,
@@ -29,16 +29,18 @@ T = {name: i for i, name in enumerate(TIME_FEATURE_NAMES)}
 F = {name: i for i, name in enumerate(FREQ_FEATURE_NAMES)}
 
 
-def make_dataset(counts, n_tx=1, sampling_hz=20.0, rssi_fn=None):
+def make_dataset(counts, n_tx=1, sampling_hz=20.0, rssi=None):
+    """One record per count, 50 ms apart; ``rssi`` defaults to -50 - tx on every row."""
     transmitters = tuple(TransmitterMeta(f"AA:{i:02X}", 100 + i) for i in range(n_tx))
-    records = []
-    for i, count in enumerate(counts):
-        if rssi_fn is None:
-            rssi = tuple(-50 - tx for tx in range(n_tx))
-        else:
-            rssi = rssi_fn(i)
-        records.append(RssiRecord(i * 50, rssi, count > 0, count))
-    return RssiDataset(transmitters=transmitters, records=tuple(records), sampling_hz=sampling_hz)
+    if rssi is None:
+        rssi = np.tile(-50 - np.arange(n_tx), (len(counts), 1))
+    return RssiDataset(
+        transmitters=transmitters,
+        timestamps_ms=np.arange(len(counts)) * 50,
+        rssi=rssi,
+        counts=np.array(counts, dtype=np.int64),
+        sampling_hz=sampling_hz,
+    )
 
 
 class TestSegment:
@@ -276,20 +278,15 @@ class TestFeatureMatrix:
     def test_transmitter_permutation_permutes_column_blocks(self):
         rng = np.random.default_rng(13)
         rssi = rng.integers(-90, -40, size=(60, 3))
-
-        def fn(i):
-            return tuple(int(v) for v in rssi[i])
-
-        dataset = make_dataset([1] * 60, n_tx=3, sampling_hz=20.0, rssi_fn=fn)
+        dataset = make_dataset([1] * 60, n_tx=3, sampling_hz=20.0, rssi=rssi)
         base = build_feature_matrix(segment(dataset))
 
         perm = [2, 0, 1]
         permuted_dataset = RssiDataset(
             transmitters=tuple(dataset.transmitters[p] for p in perm),
-            records=tuple(
-                RssiRecord(r.timestamp_ms, tuple(r.rssi[p] for p in perm), r.occupancy, r.count)
-                for r in dataset.records
-            ),
+            timestamps_ms=dataset.timestamps_ms,
+            rssi=dataset.rssi[:, perm],
+            counts=dataset.counts,
             sampling_hz=dataset.sampling_hz,
         )
         permuted = build_feature_matrix(segment(permuted_dataset))
@@ -325,12 +322,8 @@ class TestRawMatrix:
     def test_one_row_per_record_and_identity_values(self):
         rng = np.random.default_rng(14)
         rssi = rng.integers(-90, -40, size=(63, 2))
-
-        def fn(i):
-            return tuple(int(v) for v in rssi[i])
-
         counts = [int(c) for c in rng.integers(0, 3, size=63)]
-        dataset = make_dataset(counts, n_tx=2, sampling_hz=20.0, rssi_fn=fn)
+        dataset = make_dataset(counts, n_tx=2, sampling_hz=20.0, rssi=rssi)
         windows = segment(dataset, 1.0)  # 3 windows of 20; 3 trailing records dropped
         matrix = build_raw_matrix(windows)
         assert matrix.feature_names == ("AA:00/rssi", "AA:01/rssi")

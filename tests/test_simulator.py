@@ -1,11 +1,12 @@
 """Scenario simulation: propagation math, determinism, label semantics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from rssi_occupancy.dataset import serialize_dataset, validate
+from rssi_occupancy.dataset import serialize_dataset
 from rssi_occupancy.simulator import (
     BodyEffectParams,
     PathLossParams,
@@ -64,16 +65,16 @@ class TestSimulate:
         dataset = simulate(config)
         for i, (_, distance) in enumerate(config.transmitters):
             expected = int(np.rint(mean_rssi(distance, config.path_loss)))
-            assert all(r.rssi[i] == expected for r in dataset.records)
-        assert all(not r.occupancy and r.count == 0 for r in dataset.records)
+            assert np.all(dataset.rssi[:, i] == expected)
+        assert not dataset.occupancy.any() and not dataset.counts.any()
 
     def test_constant_schedule_labels(self):
         dataset = simulate(make_config(schedule=((0.0, 3),)))
-        assert all(r.occupancy and r.count == 3 for r in dataset.records)
+        assert dataset.occupancy.all() and np.all(dataset.counts == 3)
 
     def test_record_count_is_floor_of_duration_times_rate(self):
-        assert len(simulate(make_config(duration_s=60.0)).records) == 2700
-        assert len(simulate(make_config(duration_s=10.02)).records) == 450
+        assert len(simulate(make_config(duration_s=60.0))) == 2700
+        assert len(simulate(make_config(duration_s=10.02))) == 450
 
     def test_identical_seed_renders_byte_identical_csv(self):
         config = make_config(
@@ -97,8 +98,9 @@ class TestSimulate:
             body_effect=BodyEffectParams(6.0, 2.0, 2.0),
             seed=11,
         )
-        report = validate(simulate(config))
-        assert report.is_valid, str(report)
+        dataset = simulate(config)
+        # replace() constructs a new RssiDataset, which re-runs every invariant check
+        assert dataclasses.replace(dataset) == dataset
 
     def test_monotone_attenuation_in_count(self):
         # noise and motion off: mean RSSI must be non-increasing in count
@@ -108,7 +110,7 @@ class TestSimulate:
                 schedule=((0.0, count),) if count else (),
                 body_effect=BodyEffectParams(6.0, 0.0, 0.0),
             )
-            means.append(simulate(config).rssi_matrix().mean(axis=0))
+            means.append(simulate(config).rssi.mean(axis=0))
         for lower, higher in zip(means[1:], means[:-1]):
             assert np.all(lower <= higher)
 
@@ -118,7 +120,7 @@ class TestSimulate:
             path_loss=PathLossParams(-80.0, 100.0, 3.5, 10.0),
             seed=3,
         )
-        matrix = simulate(config).rssi_matrix()
+        matrix = simulate(config).rssi
         assert matrix.min() >= -127
         assert matrix.max() <= 0
 
@@ -170,7 +172,7 @@ event = 30 2
         assert config.seed == 7
         assert config.body_effect.atten_db_per_person == 6.0
         dataset = simulate(config)
-        assert len(dataset.records) == 2700
+        assert len(dataset) == 2700
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioError, match="line 2.*unknown key"):
