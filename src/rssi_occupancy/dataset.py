@@ -1,23 +1,30 @@
 """Labeled RSSI dataset: the columnar :class:`RssiDataset`, CSV ingestion, dedup.
 
 The dataset checks its own invariants when it is built, so there is no
-separate validation pass; parsing still checks each CSV line as it reads it,
-to report errors in outside input by line number.
+separate validation pass; parsing still reports errors in outside input by
+line number.
 
 The on-disk format is a rectangular CSV with header
 ``timestamp,<mac_1>,...,<mac_n>,occupancy,count`` plus a small key-value
 sidecar file that carries the sampling rate and the transmitter-to-receiver
 distance for every MAC (distances do not fit a rectangular CSV).
 
-Timestamps are serialized as ``DD/MM/YYYY HH:MM:SS.mmm`` (UTC) and parsed
-leniently: plain epoch milliseconds are accepted too.
+Timestamps are serialized as ``DD/MM/YYYY HH:MM:SS.mmm`` (UTC, years
+0001-9999). Parsing accepts that form, with or without a millisecond part of
+one to six digits, with one-digit day, month, hour, minute or second fields,
+and plain epoch milliseconds. Canonical lines (the serialized form exactly,
+with no spaces) are decoded a column at a time from the bytes of the text,
+with the calendar done in integer arithmetic; every other line takes the
+per-line checks, ``strptime`` included. The first bad line is then checked
+again on its own, so the error names the same line and says the same as a
+line-by-line pass.
 """
 
 from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import Mapping
 
 import numpy as np
@@ -154,10 +161,68 @@ class DatasetMeta:
     distance_by_mac: Mapping[str, int]
 
 
-def format_timestamp_ms(timestamp_ms: int) -> str:
-    seconds, millis = divmod(int(timestamp_ms), 1000)
-    dt = datetime.fromtimestamp(seconds, tz=timezone.utc)
-    return f"{dt.strftime(_TS_FORMAT)}.{millis:03d}"
+# Days from 0000-03-01 to 1970-01-01. Counting years from March puts the leap
+# day last, so a 400-year era of 146,097 days splits by plain integer division
+# (H. Hinnant, "chrono-Compatible Low-Level Date Algorithms").
+_EPOCH_DAYS = 719_468
+
+# Besides "\n", str.splitlines ends a line at each of these ("\r\n" counts once).
+_OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# The canonical timestamp, one letter per digit; every other character is literal.
+_STAMP_LAYOUT = "dd/mm/yyyy HH:MM:SS.fff"
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of proleptic Gregorian dates, elementwise on integer arrays."""
+    year = year - (month <= 2)
+    era = year // 400
+    year_of_era = year - era * 400
+    day_of_year = (153 * np.where(month > 2, month - 3, month + 9) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    return era * 146_097 + day_of_era - _EPOCH_DAYS
+
+
+def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`_days_from_civil`: (year, month, day) of days since 1970-01-01."""
+    days = days + _EPOCH_DAYS
+    era = days // 146_097
+    day_of_era = days - era * 146_097
+    year_of_era = (
+        day_of_era - day_of_era // 1460 + day_of_era // 36_524 - day_of_era // 146_096
+    ) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    month_from_march = (5 * day_of_year + 2) // 153
+    day = day_of_year - (153 * month_from_march + 2) // 5 + 1
+    month = np.where(month_from_march < 10, month_from_march + 3, month_from_march - 9)
+    return year_of_era + era * 400 + (month <= 2), month, day
+
+
+def _decode_stamps(buf: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch ms of the canonical timestamps at ``buf[left:left + 23]``, and which are.
+
+    A stamp is canonical when it matches the layout digit for digit and names
+    a real instant, which is exactly when ``strptime`` would accept it; the
+    rest are left to :func:`parse_timestamp` and its error.
+    """
+    ok = np.ones(left.shape, dtype=bool)
+    fields: dict[str, np.ndarray] = {}  # int32 holds every field and day count, at half the memory
+    for offset, symbol in enumerate(_STAMP_LAYOUT):
+        char = buf.take(left + offset, mode="clip")
+        if symbol.isalpha():
+            digit = char - np.uint8(ord("0"))  # wraps below '0', so one test bounds both ends
+            ok &= digit <= 9
+            fields[symbol] = fields.get(symbol, 0) * 10 + digit.astype(np.int32)
+        else:
+            ok &= char == ord(symbol)
+    year, month, day = fields["y"], fields["m"], fields["d"]
+    hour, minute, second = fields["H"], fields["M"], fields["S"]
+    days = _days_from_civil(year, month, day)
+    ok &= (year >= 1) & (hour < 24) & (minute < 60) & (second < 60)
+    for given, real in zip((year, month, day), _civil_from_days(days)):
+        ok &= given == real  # 31/02 comes back as 03/03, month 13 as next January
+    seconds = (hour * 60 + minute) * 60 + second
+    return (days.astype(np.int64) * 86_400 + seconds) * 1000 + fields["f"], ok
 
 
 def parse_timestamp(text: str, line: int | None = None) -> int:
@@ -227,6 +292,108 @@ def _parse_bool(text: str, line: int) -> bool:
     raise DatasetError(f"occupancy must be true/false, got {text!r}", line)
 
 
+def _parse_row(
+    raw: str, line: int, macs: list[str], prev_ts: int | None
+) -> tuple[int, list[int], int]:
+    """Check one CSV line and return (timestamp_ms, rssi, count).
+
+    The checks run in the order their errors are reported; ``prev_ts`` is the
+    previous record's timestamp, or None to skip the order check.
+    """
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != len(macs) + 3:
+        raise DatasetError(f"expected {len(macs) + 3} fields, got {len(parts)}", line)
+    ts = parse_timestamp(parts[0], line)
+    if prev_ts is not None and ts < prev_ts:
+        raise DatasetError(f"timestamp decreases ({ts} < {prev_ts})", line)
+    rssi = []
+    for mac, field in zip(macs, parts[1:-2]):
+        try:
+            value = int(field)
+        except ValueError:
+            raise DatasetError(f"non-integer RSSI {field!r} for {mac}", line) from None
+        if not RSSI_MIN <= value <= RSSI_MAX:
+            raise DatasetError(
+                f"RSSI {value} for {mac} outside [{RSSI_MIN}, {RSSI_MAX}] dBm", line
+            )
+        rssi.append(value)
+    occupancy = _parse_bool(parts[-2], line)
+    try:
+        count = int(parts[-1])
+    except ValueError:
+        raise DatasetError(f"non-integer count {parts[-1]!r}", line) from None
+    if count < 0:
+        raise DatasetError(f"negative count {count}", line)
+    if occupancy != (count > 0):
+        raise DatasetError(
+            f"label inconsistency: occupancy={str(occupancy).lower()} with count={count}", line
+        )
+    return ts, rssi, count
+
+
+def _decode_ints(
+    buf: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of the fields ``buf[left:right]``, and which are '-'? and 1-18 ASCII digits."""
+    negative = buf.take(left, mode="clip") == ord("-")
+    left = left + negative
+    width = right - left
+    ok = (width >= 1) & (width <= 18)  # 18 digits always fit int64
+    value = np.zeros(left.shape, dtype=np.int64)
+    for k in range(int(width.max(initial=0, where=ok))):
+        digit = buf.take(left + k, mode="clip") - np.uint8(ord("0"))
+        inside = k < width
+        ok &= ~inside | (digit <= 9)
+        value = np.where(inside, value * 10 + digit, value)
+    return np.where(negative, -value, value), ok
+
+
+def _spells(buf: np.ndarray, left: np.ndarray, right: np.ndarray, word: bytes) -> np.ndarray:
+    """Which fields ``buf[left:right]`` are exactly ``word``."""
+    match = right - left == len(word)
+    for offset, char in enumerate(word):
+        match &= buf.take(left + offset, mode="clip") == char
+    return match
+
+
+def _decode_rows(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the lines ``buf[starts:ends]`` in bulk: (timestamps, rssi, counts, canonical).
+
+    A line is canonical when it has n + 3 fields, a canonical timestamp,
+    integer RSSI in range, a ``true``/``false`` occupancy that agrees with a
+    non-negative integer count, and nothing else (no spaces, no other
+    spellings). Such a line passes every per-line check; the other lines,
+    blank ones included, are left to :func:`_parse_row`. Fields are decoded
+    one column at a time.
+    """
+    commas = np.flatnonzero(buf == ord(","))
+    first_comma = np.searchsorted(commas, starts)
+    rows = np.flatnonzero(np.searchsorted(commas, ends) - first_comma == n + 2)
+    first_comma = first_comma[rows]
+
+    timestamps = np.zeros(starts.size, dtype=np.int64)
+    rssi = np.zeros((starts.size, n), dtype=np.int64)
+    counts = np.zeros(starts.size, dtype=np.int64)
+    canonical = np.zeros(starts.size, dtype=bool)
+    left = starts[rows]
+    right = commas[first_comma]
+    timestamps[rows], ok = _decode_stamps(buf, left)
+    ok &= right - left == len(_STAMP_LAYOUT)
+    for j in range(n):
+        left, right = right + 1, commas[first_comma + j + 1]
+        rssi[rows, j], field_ok = _decode_ints(buf, left, right)
+        ok &= field_ok & (rssi[rows, j] >= RSSI_MIN) & (rssi[rows, j] <= RSSI_MAX)
+    left, right = right + 1, commas[first_comma + n + 1]
+    occupied = _spells(buf, left, right, b"true")
+    ok &= occupied | _spells(buf, left, right, b"false")
+    counts[rows], field_ok = _decode_ints(buf, right + 1, ends[rows])
+    ok &= field_ok & (counts[rows] >= 0) & (occupied == (counts[rows] > 0))
+    canonical[rows] = ok
+    return timestamps, rssi, counts, canonical
+
+
 def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
     """Parse the dataset CSV against its sidecar.
 
@@ -234,17 +401,26 @@ def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
     malformed row, label inconsistency, RSSI out of [-127, 0], timestamp
     disorder, or MAC mismatch against the sidecar.
     """
-    iterator = enumerate(csv_text.splitlines(), start=1)
-    header_line: tuple[int, str] | None = None
-    for lineno, raw in iterator:
-        if raw.strip():
-            header_line = (lineno, raw)
-            break
-    if header_line is None:
+    if any(char in csv_text for char in _OTHER_LINE_BREAKS):
+        csv_text = "\n".join(csv_text.splitlines())
+    # Lines are numbered as str.splitlines numbers them, and may hold any
+    # character but '\n'; UTF-8 keeps every other character above ASCII.
+    data = csv_text.encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))
+    starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+
+    def line(i: int) -> str:
+        return data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
+
+    header_index = next((i for i in range(ends.size) if line(i).strip()), None)
+    if header_index is None:
         raise DatasetError("empty input: no header row")
 
-    header_lineno, header = header_line
-    fields = [f.strip() for f in header.split(",")]
+    header_lineno = header_index + 1
+    fields = [f.strip() for f in line(header_index).split(",")]
     if len(fields) < 4 or fields[0] != "timestamp" or fields[-2:] != ["occupancy", "count"]:
         raise DatasetError(
             "header must be 'timestamp,<mac_1>,...,<mac_n>,occupancy,count'", header_lineno
@@ -264,66 +440,96 @@ def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
     transmitters = tuple(
         TransmitterMeta(id=mac, distance_cm=int(meta.distance_by_mac[mac])) for mac in macs
     )
-    n = len(macs)
 
-    timestamps: list[int] = []
-    rssi: list[int] = []  # row-major, n values per record
-    counts: list[int] = []
-    prev_ts: int | None = None
-    for lineno, raw in iterator:
+    first = header_index + 1  # body row i is line first + i + 1
+    timestamps, rssi, counts, canonical = _decode_rows(
+        buf, starts[first:], ends[first:], len(macs)
+    )
+    # Blank and non-canonical lines get the per-line checks. Checked without the
+    # order, the first line that fails ends the scan: no later line can matter.
+    blank = np.zeros(canonical.size, dtype=bool)
+    end = canonical.size
+    for i in np.flatnonzero(~canonical).tolist():
+        raw = line(first + i)
         if not raw.strip():
+            blank[i] = True
             continue
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) != n + 3:
-            raise DatasetError(f"expected {n + 3} fields, got {len(parts)}", lineno)
-        ts = parse_timestamp(parts[0], lineno)
-        if prev_ts is not None and ts < prev_ts:
-            raise DatasetError(f"timestamp decreases ({ts} < {prev_ts})", lineno)
-        for mac, field in zip(macs, parts[1:-2]):
-            try:
-                value = int(field)
-            except ValueError:
-                raise DatasetError(f"non-integer RSSI {field!r} for {mac}", lineno) from None
-            if not RSSI_MIN <= value <= RSSI_MAX:
-                raise DatasetError(
-                    f"RSSI {value} for {mac} outside [{RSSI_MIN}, {RSSI_MAX}] dBm", lineno
-                )
-            rssi.append(value)
-        occupancy = _parse_bool(parts[-2], lineno)
         try:
-            count = int(parts[-1])
-        except ValueError:
-            raise DatasetError(f"non-integer count {parts[-1]!r}", lineno) from None
-        if count < 0:
-            raise DatasetError(f"negative count {count}", lineno)
-        if occupancy != (count > 0):
-            raise DatasetError(
-                f"label inconsistency: occupancy={str(occupancy).lower()} with count={count}",
-                lineno,
-            )
-        timestamps.append(ts)
-        counts.append(count)
-        prev_ts = ts
+            timestamps[i], rssi[i], counts[i] = _parse_row(raw, first + i + 1, macs, None)
+        except DatasetError:
+            end = i
+            break
+    rows = np.flatnonzero(~blank[:end])
+    timestamps = timestamps[rows]
+    decreases = timestamps[1:] < timestamps[:-1]
+    if decreases.any() or end < canonical.size:
+        # The first bad line is the first decrease or the line that failed, whichever
+        # comes first; its checks, now with the order, raise what a line-by-line pass would.
+        k = int(decreases.argmax()) + 1 if decreases.any() else rows.size
+        i = int(rows[k]) if k < rows.size else end
+        prev_ts = int(timestamps[k - 1]) if k else None
+        _parse_row(line(first + i), first + i + 1, macs, prev_ts)
 
     return RssiDataset(
         transmitters=transmitters,
-        timestamps_ms=np.array(timestamps, dtype=np.int64),
-        rssi=np.array(rssi, dtype=np.int64).reshape(-1, n),
-        counts=np.array(counts, dtype=np.int64),
+        timestamps_ms=timestamps,
+        rssi=rssi[rows],
+        counts=counts[rows],
         sampling_hz=meta.sampling_hz,
     )
 
 
+def _encode_ints(values: np.ndarray) -> np.ndarray:
+    """Decimal spellings of integers as uint8 rows: right-aligned, NUL-padded, then ','."""
+    magnitude = np.abs(values)
+    n_digits = len(str(magnitude.max(initial=0)))
+    table = np.zeros((values.size, n_digits + 2), dtype=np.uint8)
+    table[:, -1] = ord(",")
+    for k in range(n_digits):
+        shown = (magnitude >= 10**k) | (k == 0)
+        table[:, -2 - k] = np.where(shown, magnitude // 10**k % 10 + ord("0"), 0)
+    negative = np.flatnonzero(values < 0)
+    width = np.count_nonzero(table[negative, :-1], axis=1)
+    table[negative, -2 - width] = ord("-")
+    return table
+
+
 def serialize_dataset(dataset: RssiDataset) -> str:
-    """Emit the dataset CSV; ``parse_dataset`` of the output round-trips."""
-    header = "timestamp," + ",".join(dataset.transmitter_ids()) + ",occupancy,count"
-    lines = [header]
-    for ts, rssi, count in zip(
-        dataset.timestamps_ms.tolist(), dataset.rssi.tolist(), dataset.counts.tolist()
-    ):
-        occupancy = "true" if count > 0 else "false"
-        lines.append(",".join([format_timestamp_ms(ts), *map(str, rssi), occupancy, str(count)]))
-    return "\n".join(lines) + "\n"
+    """Emit the dataset CSV; ``parse_dataset`` of the output round-trips.
+
+    Every row is spelled into one uint8 table, field by field; NUL bytes pad
+    the variable-width fields and are dropped at the end.
+    """
+    seconds, millis = np.divmod(dataset.timestamps_ms, 1000)
+    days, seconds = np.divmod(seconds, 86_400)
+    year, month, day = _civil_from_days(days)
+    outside = (year < 1) | (year > 9999)
+    if outside.any():
+        raise DatasetError(
+            f"timestamp_ms {dataset.timestamps_ms[outside.argmax()]} falls outside "
+            "years 1-9999, which DD/MM/YYYY cannot spell"
+        )
+    fields = {
+        "y": year, "m": month, "d": day,
+        "H": seconds // 3600, "M": seconds // 60 % 60, "S": seconds % 60, "f": millis,
+    }
+    stamps = np.empty((len(dataset), len(_STAMP_LAYOUT) + 1), dtype=np.uint8)
+    stamps[:] = np.frombuffer(f"{_STAMP_LAYOUT},".encode(), dtype=np.uint8)
+    for offset in reversed(range(len(_STAMP_LAYOUT))):  # least significant digit first
+        symbol = _STAMP_LAYOUT[offset]
+        if symbol.isalpha():
+            fields[symbol], digit = np.divmod(fields[symbol], 10)
+            stamps[:, offset] = digit + ord("0")
+    words = np.frombuffer(b"false,\0true,", dtype=np.uint8).reshape(2, 6)
+    table = np.hstack([
+        stamps,
+        *map(_encode_ints, dataset.rssi.T),
+        words[dataset.occupancy.astype(np.intp)],
+        _encode_ints(dataset.counts),
+    ])
+    table[:, -1] = ord("\n")
+    header = "timestamp," + ",".join(dataset.transmitter_ids()) + ",occupancy,count\n"
+    return header + table[table != 0].tobytes().decode("ascii")
 
 
 def deduplicate(dataset: RssiDataset) -> RssiDataset:

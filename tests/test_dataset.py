@@ -1,8 +1,12 @@
 """Dataset construction checks, ingestion, serialization round-trips and dedup."""
 
+import re
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rssi_occupancy.dataset import (
@@ -17,6 +21,8 @@ from rssi_occupancy.dataset import (
     serialize_dataset,
     serialize_sidecar,
 )
+
+import dataset_reference as reference
 
 COLLECTION_SIDECAR = """\
 sampling_hz = 200
@@ -281,3 +287,189 @@ def test_sidecar_rate_round_trips_exactly():
     dataset = make_dataset([(0, (-50, -60), 1)], sampling_hz=44.1234567)
     assert parse_sidecar(serialize_sidecar(dataset)).sampling_hz == 44.1234567
     assert serialize_sidecar(make_dataset([], sampling_hz=200.0)).startswith("sampling_hz = 200\n")
+
+
+def meta_of(dataset):
+    return DatasetMeta(
+        sampling_hz=dataset.sampling_hz,
+        distance_by_mac={t.id: t.distance_cm for t in dataset.transmitters},
+    )
+
+
+def respellings(stamp, timestamp_ms):
+    """Other accepted spellings of a canonical stamp; the last two may name another instant."""
+    date_and_time, millis = stamp[:19], stamp[20:]
+    return [
+        stamp,
+        str(timestamp_ms),  # epoch milliseconds
+        f"{date_and_time}.{millis.rstrip('0') or '0'}",  # '.5' for 500 ms
+        f"{date_and_time}.{millis}000",  # microseconds
+        re.sub(r"\b0(\d)", r"\1", date_and_time) + "." + millis,  # '1/2/2021 3:4:5.006'
+        date_and_time,  # no milliseconds
+        f"{date_and_time}.{millis[:2]}",  # a short millisecond part
+    ]
+
+
+# One corrupted row each: {field: new text}; -1 is the count, -2 the occupancy.
+CORRUPTIONS = [
+    *({1: text} for text in ["abc", "-200", "5", "-50.0", "", "−50", "-５０", "é"]),
+    *({-2: text} for text in ["TRUE", "yes", "True "]),
+    *({-1: text} for text in ["x", "٣"]),
+    {-2: "false", -1: "-1"},  # a negative count that agrees with its occupancy
+    {-2: "false", -1: "3"},
+    *({0: text} for text in ["0", "01/01/1970 00:00:00.000", "١٠", "1e3"]),
+    *({0: text} for text in ["31/02/2021 00:00:00.000", "01/01/2021 24:00:00.000"]),
+    *({0: text} for text in ["01/01/2021 00:00:60.000", "26/08/2020 09:56:45.0100000"]),
+]
+
+
+@st.composite
+def dataset_csvs(draw):
+    """Serialized ``datasets()`` respelled, padded and maybe corrupted as outside files are."""
+    dataset = draw(datasets())
+    lines = serialize_dataset(dataset).splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for fields, timestamp_ms in zip(rows, dataset.timestamps_ms.tolist()):
+        if draw(st.integers(0, 3)) == 0:
+            fields[0] = draw(st.sampled_from(respellings(fields[0], timestamp_ms)))
+        if draw(st.integers(0, 7)) == 0:
+            i = draw(st.integers(0, len(fields) - 1))
+            fields[i] = draw(st.sampled_from([" ", "\t", " \t"])) + fields[i] + " "
+    if rows and draw(st.booleans()):
+        fields = draw(st.sampled_from(rows))
+        change = draw(st.sampled_from(CORRUPTIONS + ["flip occupancy", "drop", "extra"]))
+        if change == "flip occupancy":
+            fields[-2] = "true" if fields[-2] == "false" else "false"
+        elif change == "drop":
+            fields.pop(draw(st.integers(0, len(fields) - 1)))
+        elif change == "extra":
+            fields.append("-50")
+        else:
+            for i, text in change.items():
+                fields[i] = text
+    lines[1:] = [",".join(fields) for fields in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " ", "\t", "  \t "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, meta_of(dataset)
+
+
+def assert_parses_like_reference(text, meta):
+    """The same dataset as the line-by-line parser, or the same error on the same line."""
+    try:
+        expected = reference.parse_dataset(text, meta)
+    except DatasetError as error:
+        with pytest.raises(DatasetError) as raised:
+            parse_dataset(text, meta)
+        assert (str(raised.value), raised.value.line) == (str(error), error.line)
+    else:
+        assert parse_dataset(text, meta) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(dataset_csvs())
+def test_parse_matches_line_by_line_reference(case):
+    assert_parses_like_reference(*case)
+
+
+@pytest.mark.parametrize("change", CORRUPTIONS, ids=repr)
+def test_each_corruption_of_a_canonical_line_matches_reference(change):
+    lines = COLLECTION_CSV.splitlines()
+    fields = lines[2].split(",")
+    for i, text in change.items():
+        fields[i] = text
+    lines[2] = ",".join(fields)
+    assert_parses_like_reference("\n".join(lines) + "\n", parse_sidecar(COLLECTION_SIDECAR))
+
+
+def test_first_of_two_bad_lines_is_named():
+    sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
+    text = "timestamp,M1,occupancy,count\n0,-50,false,0\n0,x,false,0\n0,-50,maybe,0\n"
+    with pytest.raises(DatasetError, match="line 3: non-integer RSSI 'x'"):
+        parse_dataset(text, sidecar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**40), 2**40), max_size=20).map(sorted))
+@example([-(2**40), -1, 0, 999, 1000, 2**40])
+def test_timestamp_codec_agrees_with_datetime(stamps):
+    dataset = make_dataset([(t, (-50,), 0) for t in stamps], n_tx=1)
+    text = serialize_dataset(dataset)
+    assert text == reference.serialize_dataset(dataset)
+    assert parse_dataset(text, meta_of(dataset)) == dataset
+
+
+ONE_ROW = "timestamp,M1,occupancy,count\n{},-50,false,0\n"
+ONE_ROW_META = DatasetMeta(sampling_hz=45.0, distance_by_mac={"M1": 100})
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        "28/02/1972 23:59:59.999", "29/02/1972 00:00:00.000", "01/03/1972 00:00:00.000",
+        "29/02/2000 12:00:00.000", "28/02/2100 23:59:59.999", "01/03/2100 00:00:00.000",
+        "31/12/1969 23:59:59.999", "31/12/1999 23:59:59.999", "01/01/2000 00:00:00.000",
+        "01/01/0001 00:00:00.000", "31/12/9999 23:59:59.999",
+    ],
+)
+def test_calendar_edges_decode_like_strptime_and_round_trip(stamp):
+    dataset = parse_dataset(ONE_ROW.format(stamp), ONE_ROW_META)
+    assert dataset.timestamps_ms.tolist() == [reference.parse_timestamp(stamp)]
+    assert serialize_dataset(dataset) == ONE_ROW.format(stamp)
+
+
+@pytest.mark.parametrize(
+    "stamp",
+    [
+        "31/02/2021 00:00:00.000", "29/02/2100 00:00:00.000", "31/04/2021 00:00:00.000",
+        "00/01/2021 00:00:00.000", "01/13/2021 00:00:00.000", "01/00/2021 00:00:00.000",
+        "01/01/0000 00:00:00.000", "01/01/2021 24:00:00.000", "01/01/2021 00:60:00.000",
+        "01/01/2021 00:00:60.000",
+    ],
+)
+def test_impossible_calendar_values_raise_like_strptime(stamp):
+    with pytest.raises(DatasetError) as expected:
+        reference.parse_dataset(ONE_ROW.format(stamp), ONE_ROW_META)
+    with pytest.raises(DatasetError) as raised:
+        parse_dataset(ONE_ROW.format(stamp), ONE_ROW_META)
+    assert str(raised.value) == str(expected.value) == f"line 2: unparseable timestamp {stamp!r}"
+
+
+def test_years_outside_four_digits_are_not_serialized():
+    with pytest.raises(DatasetError, match="outside years 1-9999"):
+        serialize_dataset(make_dataset([(253_402_300_800_000, (-50,), 0)], n_tx=1))
+
+
+def test_empty_body_round_trips_without_warnings():
+    empty = make_dataset([], n_tx=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = serialize_dataset(empty)
+        assert text == "timestamp,AA:00,AA:01,occupancy,count\n"
+        assert parse_dataset(text, meta_of(empty)) == empty
+        assert parse_dataset(text.rstrip("\n"), meta_of(empty)) == empty
+
+
+def test_parse_peak_memory_is_a_few_times_the_text():
+    # The columnar parse peaks near 5.7x the text, which holds 48 bytes a row; an
+    # (n, 23) int64 digit matrix alone would add 3.8x, and a unicode cell array more.
+    rng = np.random.default_rng(8)
+    n = 20_000
+    dataset = RssiDataset(
+        transmitters=tuple(TransmitterMeta(f"M{i}", 100) for i in range(4)),
+        timestamps_ms=1_600_000_000_000 + 5 * np.arange(n),
+        rssi=rng.integers(-127, 1, (n, 4)),
+        counts=rng.integers(0, 4, n),
+        sampling_hz=200.0,
+    )
+    text = serialize_dataset(dataset)
+    tracemalloc.start()
+    try:
+        parsed = parse_dataset(text, meta_of(dataset))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == dataset
+    assert peak < 8 * len(text)
