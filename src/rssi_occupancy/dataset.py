@@ -12,12 +12,12 @@ distance for every MAC (distances do not fit a rectangular CSV).
 Timestamps are serialized as ``DD/MM/YYYY HH:MM:SS.mmm`` (UTC, years
 0001-9999). Parsing accepts that form, with or without a millisecond part of
 one to six digits, with one-digit day, month, hour, minute or second fields,
-and plain epoch milliseconds. Canonical lines (the serialized form exactly,
-with no spaces) are decoded a column at a time from the bytes of the text,
-with the calendar done in integer arithmetic; every other line takes the
-per-line checks, ``strptime`` included. The first bad line is then checked
-again on its own, so the error names the same line and says the same as a
-line-by-line pass.
+and plain epoch milliseconds; those and the counts must fit int64. Canonical
+lines (the serialized form exactly, with no spaces) are decoded a column at a
+time from the bytes of the text, with the calendar done in integer
+arithmetic; every other line takes the per-line checks, ``strptime``
+included. The first bad line is then checked again on its own, so the error
+names the same line and says the same as a line-by-line pass.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ RSSI_MIN = -127
 RSSI_MAX = 0
 
 _TS_FORMAT = "%d/%m/%Y %H:%M:%S"
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class DatasetError(ValueError):
@@ -229,9 +230,13 @@ def parse_timestamp(text: str, line: int | None = None) -> int:
     """Parse epoch milliseconds or a DD/MM/YYYY HH:MM:SS[.mmm] wall-clock."""
     text = text.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         pass
+    else:
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise DatasetError(f"timestamp {text!r} outside the int64 range", line)
+        return value
     for fmt in (_TS_FORMAT + ".%f", _TS_FORMAT):
         try:
             dt = datetime.strptime(text, fmt)
@@ -324,6 +329,8 @@ def _parse_row(
         raise DatasetError(f"non-integer count {parts[-1]!r}", line) from None
     if count < 0:
         raise DatasetError(f"negative count {count}", line)
+    if count > _INT64_MAX:
+        raise DatasetError(f"count {count} outside the int64 range", line)
     if occupancy != (count > 0):
         raise DatasetError(
             f"label inconsistency: occupancy={str(occupancy).lower()} with count={count}", line
@@ -398,8 +405,9 @@ def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
     """Parse the dataset CSV against its sidecar.
 
     Raises :class:`DatasetError` with the offending line number on the first
-    malformed row, label inconsistency, RSSI out of [-127, 0], timestamp
-    disorder, or MAC mismatch against the sidecar.
+    malformed row, label inconsistency, RSSI out of [-127, 0], epoch-ms
+    timestamp or count beyond int64, timestamp disorder, or MAC mismatch
+    against the sidecar.
     """
     if any(char in csv_text for char in _OTHER_LINE_BREAKS):
         csv_text = "\n".join(csv_text.splitlines())

@@ -21,6 +21,22 @@ Conventions that tests rely on:
 - the high-frequency power ratio (above 3.5 Hz) is defined as 0 when the
   sampling rate is at most 7 Hz (no spectrum above 3.5 Hz exists); the
   feature matrix diagnostics flag that case.
+
+Every window is featurized in one block: ``build_feature_matrix`` stacks the
+samples of all windows into one C-contiguous ``(windows x transmitters, L)``
+float64 array and computes each feature as a column, reducing along the last
+axis; ``time_features`` and ``freq_features`` are the same block functions on
+a single row. The block gives the same bits as computing the definitions one
+vector at a time (``tests/features_reference.py``): the same numpy reductions
+over each contiguous row, autocovariances as stacked row @ column products,
+one LAPACK solve per 4x4 Toeplitz system (row by row, with a least-squares
+fallback, if any system in the block is singular), ECDF thresholds spaced as
+``np.linspace`` spaces them for one row, and the skewness and kurtosis
+denominators variance**1.5 and variance**2 taken with Python's scalar float
+``pow``, since numpy's vectorized power differs in the last bit. The one
+exception is the four "sum below/above" features: they add exact zeros in
+place of the unselected samples, which changes nothing on integer-valued
+samples such as RSSI but may round a sum of other floats differently.
 """
 
 from __future__ import annotations
@@ -37,6 +53,7 @@ N_FFT_BINS = 10
 N_DWT_LEVELS = 3
 N_SUB_BANDS = 4
 HF_CUTOFF_HZ = 3.5
+MIN_FEATURE_LENGTH = 4  # the shortest vector the frequency features take
 
 TIME_FEATURE_NAMES: tuple[str, ...] = (
     "max",
@@ -215,96 +232,119 @@ def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
     return windows
 
 
-def _yule_walker(x: np.ndarray, order: int) -> np.ndarray:
-    n = x.size
-    centered = x - x.mean()
-    autocov = np.zeros(order + 1)
-    for lag in range(min(order, n - 1) + 1):
-        autocov[lag] = centered[: n - lag] @ centered[lag:] / n
-    if autocov[0] <= 0:
-        return np.zeros(order)
-    lags = np.abs(np.subtract.outer(np.arange(order), np.arange(order)))
-    toeplitz = autocov[lags]
+def _ar_coefficients(deviations: np.ndarray) -> np.ndarray:
+    """Yule-Walker AR coefficients of every row of mean-removed samples."""
+    n_rows, length = deviations.shape
+    autocov = np.zeros((n_rows, AR_ORDER + 1))
+    for lag in range(min(AR_ORDER, length - 1) + 1):
+        # a stack of row @ column products: the same dot as on one vector (einsum is not)
+        products = deviations[:, None, : length - lag] @ deviations[:, lag:, None]
+        autocov[:, lag] = products[:, 0, 0] / length
+    lags = np.abs(np.subtract.outer(np.arange(AR_ORDER), np.arange(AR_ORDER)))
+    toeplitz = autocov[:, lags]
+    rhs = autocov[:, 1:]
+    coeffs = np.zeros((n_rows, AR_ORDER))
+    live = np.flatnonzero(~(autocov[:, 0] <= 0))  # zero-variance rows keep 0
     try:
-        coeffs = np.linalg.solve(toeplitz, autocov[1 : order + 1])
-    except np.linalg.LinAlgError:
-        coeffs = np.linalg.lstsq(toeplitz, autocov[1 : order + 1], rcond=None)[0]
-    if not np.all(np.isfinite(coeffs)):
-        return np.zeros(order)
+        coeffs[live] = np.linalg.solve(toeplitz[live], rhs[live, :, None])[..., 0]
+    except np.linalg.LinAlgError:  # a singular block: solve row by row, lstsq where singular
+        for i in live:
+            try:
+                coeffs[i] = np.linalg.solve(toeplitz[i], rhs[i])
+            except np.linalg.LinAlgError:
+                coeffs[i] = np.linalg.lstsq(toeplitz[i], rhs[i], rcond=None)[0]
+    coeffs[~np.isfinite(coeffs).all(axis=1)] = 0.0
     return coeffs
 
 
-def time_features(x: np.ndarray) -> np.ndarray:
-    """The 35 time-domain features of one sample vector, in catalog order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise FeatureError("time_features needs a 1-D vector of length >= 2")
+def _ratio_or_zero(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator where the denominator is > 0, else 0."""
+    out = np.zeros(np.broadcast(numerator, denominator).shape)
+    return np.divide(numerator, denominator, out=out, where=denominator > 0)
 
-    maximum = float(x.max())
-    minimum = float(x.min())
-    mean = float(x.mean())
-    deviations = x - mean
-    variance = float(np.mean(deviations**2))
-    std = float(np.sqrt(variance))
-    rms = float(np.sqrt(np.mean(x**2)))
-    value_range = maximum - minimum
-    median = float(np.median(x))
-    # guard the denominators, not std: they underflow to 0 for tiny variances
-    skew_denominator = variance**1.5
-    kurt_denominator = variance**2
-    skewness = float(np.mean(deviations**3) / skew_denominator) if skew_denominator > 0 else 0.0
-    kurtosis = (
-        float(np.mean(deviations**4) / kurt_denominator - 3.0) if kurt_denominator > 0 else 0.0
-    )
-    tw_variance = variance  # uniform sampling: gap weights are all equal
 
-    p10, p25, p75, p90 = (float(v) for v in np.percentile(x, (10, 25, 75, 90)))
-    iqr = p75 - p25
-    ecdf_points = np.linspace(minimum, maximum, N_ECDF_POINTS)
-    ecdf = [float(np.mean(x <= t)) for t in ecdf_points]
-
+def _rms_and_power_deviation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the RMS, and the mean absolute deviation of the squares from their mean."""
     squares = x**2
-    features = [
+    rms = np.sqrt(np.mean(squares, axis=1))
+    squares -= squares.mean(axis=1)[:, None]  # in place: one block-sized temporary
+    return rms, np.mean(np.abs(squares, out=squares), axis=1)
+
+
+def _time_block(x: np.ndarray) -> np.ndarray:
+    """The 35 time-domain features of every row of ``x`` (n, L), in catalog order."""
+    maximum = x.max(axis=1)
+    minimum = x.min(axis=1)
+    mean = x.mean(axis=1)
+    deviations = x - mean[:, None]
+    variance = np.mean(deviations**2, axis=1)
+    # Python float pow, as on one vector: numpy's power differs in the last bit.
+    # Guard the denominators, not std: they underflow to 0 for tiny variances.
+    skew_denominator = np.array([v**1.5 for v in variance.tolist()])
+    kurt_denominator = np.array([v**2 for v in variance.tolist()])
+    skewness = _ratio_or_zero(np.mean(deviations**3, axis=1), skew_denominator)
+    kurtosis = np.where(
+        kurt_denominator > 0,
+        _ratio_or_zero(np.mean(deviations**4, axis=1), kurt_denominator) - 3.0,
+        0.0,
+    )
+    rms, mean_power_dev = _rms_and_power_deviation(x)
+    p10, p25, p75, p90 = np.percentile(x, (10, 25, 75, 90), axis=1)
+
+    # np.linspace(minimum, maximum, N) of each row; a batched linspace would take
+    # its denormal-step branch for every row as soon as one row had a zero step
+    div = N_ECDF_POINTS - 1
+    steps = np.arange(N_ECDF_POINTS, dtype=np.float64)
+    delta = maximum - minimum
+    step = delta / div
+    zero_step = (step == 0)[:, None]
+    ecdf_points = np.where(
+        zero_step, steps / div * delta[:, None], steps * step[:, None]
+    ) + minimum[:, None]
+    ecdf_points[:, -1] = maximum
+    ecdf = [np.mean(x <= ecdf_points[:, [j]], axis=1) for j in range(N_ECDF_POINTS)]
+
+    columns = [
         maximum,
         minimum,
         mean,
-        std,
+        np.sqrt(variance),
         rms,
-        value_range,
-        median,
+        delta,
+        np.median(x, axis=1),
         skewness,
         kurtosis,
-        tw_variance,
-        iqr,
+        variance,  # tw_variance; uniform sampling: gap weights are all equal
+        p75 - p25,
         *ecdf,
         p10,
         p25,
         p75,
         p90,
-        float(x[x < p10].sum()),
-        float(x[x < p25].sum()),
-        float(x[x > p75].sum()),
-        float(x[x > p90].sum()),
-        float(np.mean(np.abs(deviations))),
-        float(np.mean(np.abs(squares - squares.mean()))),
-        *(float(c) for c in _yule_walker(x, AR_ORDER)),
+        # masked sums: exact on integer-valued samples, reordered sums otherwise
+        np.where(x < p10[:, None], x, 0.0).sum(axis=1),
+        np.where(x < p25[:, None], x, 0.0).sum(axis=1),
+        np.where(x > p75[:, None], x, 0.0).sum(axis=1),
+        np.where(x > p90[:, None], x, 0.0).sum(axis=1),
+        np.mean(np.abs(deviations), axis=1),
+        mean_power_dev,
     ]
-    return np.array(features, dtype=np.float64)
+    return np.column_stack([*columns, _ar_coefficients(deviations)])
 
 
-def _haar_detail_energies(x: np.ndarray, levels: int) -> list[float]:
-    approx = x.astype(np.float64)
-    energies: list[float] = []
-    for _ in range(levels):
-        pairs = approx.size // 2
+def _haar_detail_energies(x: np.ndarray) -> np.ndarray:
+    """Haar detail energies of every row of ``x`` at each of N_DWT_LEVELS levels."""
+    approx = x
+    energies = np.zeros((x.shape[0], N_DWT_LEVELS))
+    for level in range(N_DWT_LEVELS):
+        pairs = approx.shape[1] // 2
         if pairs == 0:
-            energies.append(0.0)
-            continue
-        even = approx[: 2 * pairs : 2]
-        odd = approx[1 : 2 * pairs : 2]
+            break
+        even = approx[:, : 2 * pairs : 2]
+        odd = approx[:, 1 : 2 * pairs : 2]
         detail = (even - odd) / np.sqrt(2.0)
         approx = (even + odd) / np.sqrt(2.0)
-        energies.append(float(np.sum(detail**2)))
+        energies[:, level] = np.sum(detail**2, axis=1)
     return energies
 
 
@@ -313,67 +353,73 @@ def hf_ratio_defined(sampling_hz: float) -> bool:
     return sampling_hz > 2 * HF_CUTOFF_HZ
 
 
-def freq_features(x: np.ndarray, sampling_hz: float) -> np.ndarray:
-    """The 21 frequency-domain features of one sample vector, in catalog order."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 4:
-        raise FeatureError("freq_features needs a 1-D vector of length >= 4")
+def _positive_magnitudes(x: np.ndarray, n_fft: int) -> np.ndarray:
+    """|FFT| of every mean-removed, Hann-windowed row at bins 1..n_fft/2."""
+    windowed = x - x.mean(axis=1)[:, None]
+    windowed *= np.hanning(x.shape[1])
+    return np.abs(np.fft.rfft(windowed, n_fft, axis=1)[:, 1:])
+
+
+def _freq_block(x: np.ndarray, sampling_hz: float) -> np.ndarray:
+    """The 21 frequency-domain features of every row of ``x`` (n, L), in catalog order."""
     if sampling_hz <= 0:
         raise FeatureError(f"sampling_hz must be positive, got {sampling_hz}")
-
-    n = x.size
+    n_rows, length = x.shape
     n_fft = 1
-    while n_fft < n:
+    while n_fft < length:
         n_fft *= 2
-    windowed = (x - x.mean()) * np.hanning(n)
-    spectrum = np.fft.rfft(windowed, n_fft)
-    magnitudes = np.abs(spectrum[1:])  # positive-frequency bins 1..n_fft/2
+    magnitudes = _positive_magnitudes(x, n_fft)
     power = magnitudes**2
-    total_power = float(power.sum())
+    total_power = power.sum(axis=1)
     freqs = np.arange(1, n_fft // 2 + 1) * sampling_hz / n_fft
 
-    fft_bins = np.zeros(N_FFT_BINS)
-    take = min(N_FFT_BINS, magnitudes.size)
-    fft_bins[:take] = magnitudes[:take]
+    fft_bins = np.zeros((n_rows, N_FFT_BINS))
+    take = min(N_FFT_BINS, magnitudes.shape[1])
+    fft_bins[:, :take] = magnitudes[:, :take]
 
-    if total_power > 0:
-        k_star = int(np.argmax(power))
-        dominant_freq = float(freqs[k_star])
-        dominant_ratio = float(power[k_star] / total_power)
-    else:
-        dominant_freq = 0.0
-        dominant_ratio = 0.0
+    k_star = np.argmax(power, axis=1)
+    dominant_freq = np.where(total_power > 0, freqs[k_star], 0.0)
+    dominant_ratio = _ratio_or_zero(power[np.arange(n_rows), k_star], total_power)
 
-    if hf_ratio_defined(sampling_hz) and total_power > 0:
-        hf_ratio = float(power[freqs > HF_CUTOFF_HZ].sum() / total_power)
+    # freqs ascend, so the bins above the cutoff and each sub-band are slices
+    if hf_ratio_defined(sampling_hz):
+        above = np.searchsorted(freqs, HF_CUTOFF_HZ, side="right")
+        hf_ratio = _ratio_or_zero(power[:, above:].sum(axis=1), total_power)
     else:
-        hf_ratio = 0.0
+        hf_ratio = np.zeros(n_rows)
 
-    dwt_energies = _haar_detail_energies(x, N_DWT_LEVELS)
-    level_total = sum(dwt_energies)
-    if level_total > 0:
-        probs = np.array(dwt_energies) / level_total
-        probs = probs[probs > 0]
-        entropy = float(-np.sum(probs * np.log(probs)))
-    else:
-        entropy = 0.0
+    dwt_energies = _haar_detail_energies(x)
+    level_total = dwt_energies.sum(axis=1)  # under 8 terms: summed left to right
+    probs = _ratio_or_zero(dwt_energies, level_total[:, None])
+    # zero-probability levels drop out of the entropy: add exact zeros in their place
+    positive = probs > 0
+    terms = np.where(positive, probs * np.log(np.where(positive, probs, 1.0)), 0.0)
+    entropy = np.where(level_total > 0, -terms.sum(axis=1), 0.0)
 
     band_edges = np.linspace(0.0, sampling_hz / 2.0, N_SUB_BANDS + 1)
     band_index = np.digitize(freqs, band_edges[1:-1], right=True)
-    band_energies = [float(power[band_index == b].sum()) for b in range(N_SUB_BANDS)]
+    bounds = np.searchsorted(band_index, np.arange(N_SUB_BANDS + 1))
+    band_energies = [power[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    return np.array(
-        [
-            *fft_bins,
-            dominant_freq,
-            dominant_ratio,
-            hf_ratio,
-            *dwt_energies,
-            entropy,
-            *band_energies,
-        ],
-        dtype=np.float64,
+    return np.column_stack(
+        [fft_bins, dominant_freq, dominant_ratio, hf_ratio, dwt_energies, entropy, *band_energies]
     )
+
+
+def time_features(x: np.ndarray) -> np.ndarray:
+    """The 35 time-domain features of one sample vector, in catalog order."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise FeatureError("time_features needs a 1-D vector of length >= 2")
+    return _time_block(x[None])[0]
+
+
+def freq_features(x: np.ndarray, sampling_hz: float) -> np.ndarray:
+    """The 21 frequency-domain features of one sample vector, in catalog order."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size < MIN_FEATURE_LENGTH:
+        raise FeatureError(f"freq_features needs a 1-D vector of length >= {MIN_FEATURE_LENGTH}")
+    return _freq_block(x[None], sampling_hz)[0]
 
 
 def _check_homogeneous(windows: list[Window]) -> Window:
@@ -389,7 +435,9 @@ def _check_homogeneous(windows: list[Window]) -> Window:
 def build_feature_matrix(windows: list[Window]) -> FeatureMatrix:
     """Per window, concatenate time then frequency features over transmitters.
 
-    Non-finite values are replaced by 0 and tallied in the diagnostics.
+    All windows are computed in one block, so they must share one length of
+    at least ``MIN_FEATURE_LENGTH`` samples. Non-finite values are replaced
+    by 0 and tallied in the diagnostics.
     """
     first = _check_homogeneous(windows)
     names = tuple(
@@ -397,14 +445,21 @@ def build_feature_matrix(windows: list[Window]) -> FeatureMatrix:
         for mac in first.transmitter_ids
         for feat in (*TIME_FEATURE_NAMES, *FREQ_FEATURE_NAMES)
     )
-    rows = np.empty((len(windows), len(names)), dtype=np.float64)
-    for i, window in enumerate(windows):
-        parts = []
-        for tx in range(len(first.transmitter_ids)):
-            vector = window.samples[tx]
-            parts.append(time_features(vector))
-            parts.append(freq_features(vector, window.sampling_hz))
-        rows[i] = np.concatenate(parts)
+    lengths = {w.length for w in windows}
+    if len(lengths) > 1:
+        raise FeatureError(f"windows differ in length: {sorted(lengths)} samples")
+    (length,) = lengths
+    if length < MIN_FEATURE_LENGTH:
+        raise FeatureError(
+            f"windows of {length} samples at {first.sampling_hz:g} Hz are too short to "
+            f"featurize: the frequency features need >= {MIN_FEATURE_LENGTH} samples"
+        )
+    # one C-contiguous (windows x transmitters, L) block, one row per sample vector
+    block = np.ascontiguousarray(
+        np.stack([w.samples for w in windows]).reshape(-1, length), dtype=np.float64
+    )
+    features = np.concatenate([_time_block(block), _freq_block(block, first.sampling_hz)], axis=1)
+    rows = features.reshape(len(windows), len(names))
 
     diagnostics = FeatureDiagnostics(hf_ratio_ill_posed=not hf_ratio_defined(first.sampling_hz))
     bad = ~np.isfinite(rows)

@@ -9,6 +9,12 @@ from rssi_occupancy.dataset import serialize_dataset, serialize_sidecar
 from rssi_occupancy.simulator import simulate
 
 from conftest import small_scenario
+from test_dataset import (
+    BEYOND_INT64_GOOD_LINE,
+    BEYOND_INT64_HEADER,
+    BEYOND_INT64_LINES,
+    BEYOND_INT64_SIDECAR,
+)
 
 SCENARIO_TEXT = """\
 sampling_hz = 45
@@ -102,6 +108,14 @@ class TestValidate:
         assert cli.main(["validate", str(csv)]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", BEYOND_INT64_LINES, ids=("count", "epoch_ms"))
+    def test_integer_beyond_int64_exits_2_naming_the_line(self, tmp_path, capsys, line, message):
+        csv = tmp_path / "x.csv"
+        csv.write_text(f"{BEYOND_INT64_HEADER}\n{BEYOND_INT64_GOOD_LINE}\n{line}\n")
+        (tmp_path / "x.sidecar").write_text(BEYOND_INT64_SIDECAR)
+        assert cli.main(["validate", str(csv)]) == 2
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         csv.write_text("timestamp,M1,occupancy,count\n")
@@ -128,6 +142,18 @@ class TestFeaturize:
         (tmp_path / "tiny.sidecar").write_text("sampling_hz = 45\nM1 = 100\n")
         code = cli.main(["featurize", str(csv), "--out", str(tmp_path / "f.csv")])
         assert code == 2
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_windows_under_four_samples_exit_2_naming_length_and_rate(self, tmp_path, capsys):
+        csv = tmp_path / "slow.csv"
+        rows = "".join(f"{i * 333},-50,false,0\n" for i in range(12))
+        csv.write_text("timestamp,M1,occupancy,count\n" + rows)
+        (tmp_path / "slow.sidecar").write_text("sampling_hz = 3\nM1 = 100\n")
+        code = cli.main(["featurize", str(csv), "--window-s", "1", "--out", str(tmp_path / "f.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "windows of 3 samples at 3 Hz are too short" in err
+        assert ">= 4 samples" in err
         assert not (tmp_path / "f.csv").exists()
 
 

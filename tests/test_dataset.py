@@ -41,6 +41,22 @@ timestamp,AA:AA:AA:AA:AA:01,AA:AA:AA:AA:AA:02,AA:AA:AA:AA:AA:03,AA:AA:AA:AA:AA:0
 """
 
 
+BEYOND_INT64_SIDECAR = "sampling_hz = 45\nM1 = 100\nM2 = 200\nM3 = 300\nM4 = 400\n"
+BEYOND_INT64_HEADER = "timestamp,M1,M2,M3,M4,occupancy,count"
+BEYOND_INT64_GOOD_LINE = "0,-50,-50,-50,-50,false,0"
+# (line, error): a count and an epoch-ms timestamp that do not fit int64
+BEYOND_INT64_LINES = [
+    (
+        "26/08/2020 09:56:45.005,-48,-51,-57,-60,true,111111111111111111111111111111",
+        "count 111111111111111111111111111111 outside the int64 range",
+    ),
+    (
+        "99999999999999999999999,-50,-50,-50,-50,false,0",
+        "timestamp '99999999999999999999999' outside the int64 range",
+    ),
+]
+
+
 @pytest.fixture
 def collection_dataset():
     return parse_dataset(COLLECTION_CSV, parse_sidecar(COLLECTION_SIDECAR))
@@ -126,6 +142,19 @@ class TestParse:
         text = "timestamp,M1,occupancy,count\n10,-50,true,1\n5,-50,true,1\n"
         with pytest.raises(DatasetError, match="line 3.*timestamp decreases"):
             parse_dataset(text, sidecar)
+
+    @pytest.mark.parametrize("line, message", BEYOND_INT64_LINES, ids=("count", "epoch_ms"))
+    def test_integers_beyond_int64_report_line(self, line, message):
+        text = f"{BEYOND_INT64_HEADER}\n{BEYOND_INT64_GOOD_LINE}\n{line}\n"
+        with pytest.raises(DatasetError, match=re.escape(f"line 3: {message}")):
+            parse_dataset(text, parse_sidecar(BEYOND_INT64_SIDECAR))
+
+    def test_epoch_milliseconds_at_the_int64_ends(self):
+        assert parse_timestamp(str(2**63 - 1)) == 2**63 - 1
+        assert parse_timestamp(str(-(2**63))) == -(2**63)
+        for text in (str(2**63), str(-(2**63) - 1)):
+            with pytest.raises(DatasetError, match="line 7: timestamp .* outside the int64 range"):
+                parse_timestamp(text, 7)
 
     def test_epoch_milliseconds_accepted(self):
         assert parse_timestamp("1598435805005") == 1598435805005

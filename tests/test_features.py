@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rssi_occupancy.dataset import RssiDataset, TransmitterMeta
+from rssi_occupancy.dataset import RssiDataset, TransmitterMeta, deduplicate
 from rssi_occupancy.features import (
     FEATURES_PER_TRANSMITTER,
     FREQ_FEATURE_NAMES,
+    N_ECDF_POINTS,
     TIME_FEATURE_NAMES,
     FeatureError,
     Window,
@@ -24,6 +26,9 @@ from rssi_occupancy.simulator import (
     ScenarioConfig,
     simulate,
 )
+
+import features_reference as reference
+from conftest import small_scenario
 
 T = {name: i for i, name in enumerate(TIME_FEATURE_NAMES)}
 F = {name: i for i, name in enumerate(FREQ_FEATURE_NAMES)}
@@ -331,3 +336,137 @@ class TestRawMatrix:
         assert np.array_equal(matrix.rows, rssi[:60].astype(float))
         assert np.array_equal(matrix.labels_count, np.array(counts[:60]))
         assert np.array_equal(matrix.labels_occupancy, np.array(counts[:60]) > 0)
+
+
+def make_window(samples, sampling_hz=20.0):
+    """One window over ``samples`` (n_transmitters, L), all labels 0."""
+    samples = np.asarray(samples, dtype=np.float64)
+    return Window(
+        start_ms=0,
+        transmitter_ids=tuple(f"M{i}" for i in range(samples.shape[0])),
+        sampling_hz=sampling_hz,
+        samples=samples,
+        counts=np.zeros(samples.shape[1], dtype=np.int64),
+        label_occupancy=False,
+        label_count=0,
+    )
+
+
+def random_windows(seed, n_windows, n_tx, length, sampling_hz=20.0):
+    rng = np.random.default_rng(seed)
+    samples = rng.integers(-90, -40, size=(n_windows, n_tx, length))
+    return [make_window(s, sampling_hz) for s in samples]
+
+
+def assert_matches_reference(windows):
+    """The block path gives the reference's rows bit for bit, and its non-finite tally."""
+    matrix = build_feature_matrix(windows)
+    want, nonfinite = reference.feature_rows(windows)
+    assert np.array_equal(matrix.rows, want)
+    assert np.array_equal(np.signbit(matrix.rows), np.signbit(want))  # CSV spells -0.0
+    assert matrix.diagnostics.nonfinite_replaced == nonfinite
+    return matrix
+
+
+MASKED_SUMS = [T[name] for name in ("sum_below_p10", "sum_below_p25", "sum_above_p75", "sum_above_p90")]
+
+
+class TestBlockMatchesReference:
+    @pytest.mark.parametrize("sampling_hz, dedup", [(20.0, False), (45.0, True), (200.0, False)])
+    def test_simulated_scenarios_bit_identical(self, sampling_hz, dedup):
+        dataset = simulate(small_scenario(sampling_hz=sampling_hz))
+        if dedup:  # as the pipeline does before segmenting
+            dataset = deduplicate(dataset)
+        assert_matches_reference(segment(dataset))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(4, 40)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        st.sampled_from([3.0, 7.0, 20.0, 45.0, 200.0]),
+    )
+    def test_arbitrary_float_windows_match_reference(self, samples, sampling_hz):
+        windows = [make_window(s, sampling_hz) for s in samples]
+        got = build_feature_matrix(windows).rows
+        want, _ = reference.feature_rows(windows)
+        # Only the masked sums ("sum below/above" a percentile) add in another
+        # order: they add zeros in place of the unselected samples, which is
+        # exact on integers and moves a float sum of L terms by far less than
+        # 1e-12 * L * max|x|.
+        atol = 1e-12 * samples.shape[2] * np.abs(samples).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+        n_tx = samples.shape[1]
+        exact = np.ones(got.shape[1], dtype=bool)
+        exact[[tx * FEATURES_PER_TRANSMITTER + c for tx in range(n_tx) for c in MASKED_SUMS]] = False
+        assert np.array_equal(got[:, exact], want[:, exact])
+
+    def test_constant_window_moments_and_ar_are_zero(self):
+        windows = [make_window(np.full((2, 20), -42.0)), *random_windows(1, 2, 2, 20)]
+        matrix = assert_matches_reference(windows)
+        for name in ("skewness", "kurtosis", "ar_1", "ar_2", "ar_3", "ar_4"):
+            assert matrix.rows[0, T[name]] == 0.0
+            assert matrix.rows[0, FEATURES_PER_TRANSMITTER + T[name]] == 0.0
+
+    def test_ecdf_thresholds_beside_a_constant_window(self):
+        # Samples on the row's own linspace thresholds: a linspace over the whole
+        # block would space them as k / 9 * 0.7, a few just below, once any row
+        # of the block is constant.
+        spread = np.linspace(0.0, 0.7, N_ECDF_POINTS)[None, :]
+        matrix = assert_matches_reference([make_window(np.full((1, 10), -42.0)), make_window(spread)])
+        ecdf = [matrix.rows[1, T[f"ecdf_{j}"]] for j in range(1, N_ECDF_POINTS + 1)]
+        assert ecdf == [j / N_ECDF_POINTS for j in range(1, N_ECDF_POINTS + 1)]
+
+    def test_singular_toeplitz_row_falls_back_and_others_stay_exact(self, monkeypatch):
+        # Autocovariances 2**-1074 at lags 0-3: an all-equal, singular Toeplitz.
+        tiny = 2.0**-537
+        singular = np.array([tiny] * 10 + [-tiny] * 10)
+        assert {float(singular[: 20 - lag] @ singular[lag:] / 20) for lag in range(4)} == {
+            2.0**-1074
+        }
+        windows = random_windows(2, 4, 2, 20)
+        samples = windows[2].samples.copy()
+        samples[1] = singular
+        windows[2] = make_window(samples)
+        assert_matches_reference(windows)
+
+        # Force the batched solve to fail, as LAPACK builds that flag the singular
+        # block do: the row-by-row fallback still gives the reference's rows.
+        solve = np.linalg.solve
+        batched_calls = []
+
+        def failing_batched_solve(a, b):
+            if np.ndim(a) == 3:
+                batched_calls.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_batched_solve)
+        assert_matches_reference(windows)
+        assert batched_calls == [8]
+
+    def test_nan_sample_tally_matches_reference(self):
+        windows = random_windows(3, 3, 2, 20)
+        samples = windows[1].samples.copy()
+        samples[0, 5] = np.nan
+        windows[1] = make_window(samples)
+        matrix = assert_matches_reference(windows)
+        assert matrix.diagnostics.nonfinite_replaced > 0
+        assert np.all(np.isfinite(matrix.rows))
+
+    @pytest.mark.parametrize("length", [4, 5])
+    def test_shortest_windows_match_reference(self, length):
+        # length 4 is the shortest frequency window; both leave AR lags past L - 1
+        for sampling_hz in (float(length), 45.0):
+            assert_matches_reference(random_windows(length, 3, 2, length, sampling_hz))
+
+    def test_unequal_window_lengths_rejected(self):
+        windows = [*random_windows(4, 2, 2, 20), *random_windows(5, 1, 2, 21)]
+        with pytest.raises(FeatureError, match="differ in length"):
+            build_feature_matrix(windows)
+
+    def test_windows_under_four_samples_rejected_naming_length_and_rate(self):
+        with pytest.raises(FeatureError, match="windows of 3 samples at 3 Hz are too short"):
+            build_feature_matrix(random_windows(6, 2, 1, 3, sampling_hz=3.0))
