@@ -10,7 +10,9 @@ Conventions that tests rely on:
 - std / variance are population moments; skewness and excess kurtosis of
   zero-variance input are defined as 0, as are the AR coefficients. The same
   holds when the variance is so small that variance**1.5 (skewness) or
-  variance**2 (kurtosis) underflows to 0.
+  variance**2 (kurtosis) underflows to 0. A finite variance so large that
+  variance**2 overflows (above ~1.3e154; RSSI in [-127, 0] cannot reach it)
+  raises ``FeatureError``.
 - time-weighted variance uses weights proportional to inter-sample gaps,
   which under uniform sampling equals the plain population variance.
 - percentiles and quartiles interpolate linearly between closest ranks.
@@ -280,8 +282,15 @@ def _time_block(x: np.ndarray) -> np.ndarray:
     variance = np.mean(deviations**2, axis=1)
     # Python float pow, as on one vector: numpy's power differs in the last bit.
     # Guard the denominators, not std: they underflow to 0 for tiny variances.
-    skew_denominator = np.array([v**1.5 for v in variance.tolist()])
-    kurt_denominator = np.array([v**2 for v in variance.tolist()])
+    try:
+        skew_denominator = np.array([v**1.5 for v in variance.tolist()])
+        kurt_denominator = np.array([v**2 for v in variance.tolist()])
+    except OverflowError:
+        largest = max(v for v in variance.tolist() if v < np.inf)
+        raise FeatureError(
+            f"sample variance {largest:.3g} is too large to featurize: its square, "
+            "the kurtosis denominator, overflows float64"
+        ) from None
     skewness = _ratio_or_zero(np.mean(deviations**3, axis=1), skew_denominator)
     kurtosis = np.where(
         kurt_denominator > 0,

@@ -2,19 +2,27 @@
 
 Random forests bootstrap rows per tree and draw floor(sqrt(d)) candidate
 features per split; per-tree generators are spawned from one seed sequence,
-so results are seed-deterministic and trees could be fitted in parallel
-without changing the outcome.
+so results are seed-deterministic. ``trees.grow_forest`` grows all trees in
+lockstep: every bootstrap is drawn first, each column gets rank codes once,
+and each step scores the next depth-first node of every tree in one batched
+search whose temporaries are capped by one module constant. Each tree keeps
+its own generator and depth-first order, so every draw is the one a
+tree-by-tree fit would make, and on integer-valued targets (head counts,
+class indices) the forest is bit-identical to one. Every tree votes over the
+forest's classes, including classes its bootstrap sample missed.
 
 Gradient boosting fits regression trees on all features to residuals under
 squared loss with shrinkage 0.1; the recorded training loss per round is
-non-increasing.
+non-increasing. Its trees keep ``DecisionTree.fit``'s per-node sorted
+search: the residuals are fractional, and binned sums would re-associate
+their additions and change the fitted trees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .trees import DecisionTree
+from .trees import DecisionTree, grow_forest
 
 LEARNING_RATE = 0.1
 
@@ -39,7 +47,7 @@ class RandomForest:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
-        n, d = X.shape
+        d = X.shape[1]
         criterion = "gini" if self.task == "classification" else "variance"
         if self.task == "classification":
             y = np.asarray(y, dtype=np.int64)
@@ -49,21 +57,11 @@ class RandomForest:
         k = max(1, int(np.sqrt(d)))
 
         children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees = []
+        rngs = [np.random.default_rng(child) for child in children]
+        self.trees = grow_forest(X, y, rngs, criterion, self.max_depth, k, self.n_classes)
         raw_importance = np.zeros(d)
-        for child in children:
-            rng = np.random.default_rng(child)
-            rows = rng.integers(0, n, size=n)
-            tree = DecisionTree(
-                criterion=criterion,
-                max_depth=self.max_depth,
-                max_features=k,
-            )
-            if self.task == "classification":
-                tree.n_classes = self.n_classes
-            tree.fit(X[rows], y[rows], rng)
+        for tree in self.trees:
             raw_importance += tree.importances_
-            self.trees.append(tree)
         total = raw_importance.sum()
         self.importances_ = raw_importance / total if total > 0 else np.full(d, 1.0 / d)
         return self

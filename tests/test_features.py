@@ -462,6 +462,14 @@ class TestBlockMatchesReference:
         for sampling_hz in (float(length), 45.0):
             assert_matches_reference(random_windows(length, 3, 2, length, sampling_hz))
 
+    def test_variance_whose_square_overflows_rejected(self):
+        samples = np.array([1.3e103, 0.0, 0.0, 0.0])
+        with pytest.raises(FeatureError, match="sample variance 3.17e\\+205 is too large"):
+            time_features(samples)
+        windows = [make_window(np.full((2, 4), -50.0)), make_window(np.stack([samples, -np.ones(4)]))]
+        with pytest.raises(FeatureError, match="kurtosis denominator, overflows float64"):
+            build_feature_matrix(windows)
+
     def test_unequal_window_lengths_rejected(self):
         windows = [*random_windows(4, 2, 2, 20), *random_windows(5, 1, 2, 21)]
         with pytest.raises(FeatureError, match="differ in length"):

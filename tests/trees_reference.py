@@ -1,0 +1,244 @@
+"""Reference trees and forests, grown one tree and one node at a time.
+
+These are the ``DecisionTree``, ``RandomForest`` and ``GradientBoosting``
+that ``rssi_occupancy.models`` used before a forest grew its trees in
+lockstep: per node, the candidate columns are gathered, column-sorted and
+scored by prefix sums, and a node's rows are copied out of ``X[rows]``.
+The tests compare the lockstep forest against them, exactly on
+integer-valued targets, and boosting, which still grows its trees this way,
+exactly on any targets.
+
+One change from the former code: a forest's trees keep the forest's class
+count. The former ``DecisionTree.fit`` replaced it with ``y.max() + 1`` of
+the tree's bootstrap sample, which made ``RandomForest.predict`` add vote
+vectors of different lengths.
+"""
+
+import numpy as np
+
+_NO_GAIN = 1e-12
+LEARNING_RATE = 0.1
+
+
+class DecisionTree:
+    def __init__(self, criterion="variance", max_depth=None, max_features=None):
+        self.criterion = criterion
+        self.max_depth = max_depth
+        self.max_features = max_features
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+        self.importances_ = None
+        self.n_classes = 0
+
+    def fit(self, X, y, rng=None):
+        X = np.asarray(X, dtype=np.float64)
+        n, d = X.shape
+        self.importances_ = np.zeros(d)
+        if self.criterion == "gini":
+            y = np.asarray(y, dtype=np.int64)
+            self.n_classes = max(self.n_classes, int(y.max()) + 1 if y.size else 0)
+        else:
+            y = np.asarray(y, dtype=np.float64)
+
+        depth_cap = self.max_depth if self.max_depth is not None else np.inf
+        stack = [(np.arange(n), 0, -1, False)]
+        while stack:
+            rows, depth, parent, is_right = stack.pop()
+            node_id = len(self.feature)
+            if parent >= 0:
+                if is_right:
+                    self.right[parent] = node_id
+                else:
+                    self.left[parent] = node_id
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.value.append(self._leaf_value(y[rows]))
+
+            if depth >= depth_cap or rows.size < 2:
+                continue
+            split = self._best_split(X, y, rows, rng)
+            if split is None:
+                continue
+            feat, thr, decrease, tied = split
+            share = decrease / len(tied)
+            for t in tied:
+                self.importances_[t] += share
+            self.feature[node_id] = feat
+            self.threshold[node_id] = thr
+            mask = X[rows, feat] <= thr
+            stack.append((rows[~mask], depth + 1, node_id, True))
+            stack.append((rows[mask], depth + 1, node_id, False))
+        self._finalize()
+        return self
+
+    def _leaf_value(self, y_node):
+        if self.criterion == "gini":
+            return np.bincount(y_node, minlength=self.n_classes).astype(np.float64)
+        return float(y_node.mean()) if y_node.size else 0.0
+
+    def _candidate_features(self, d, rng):
+        if self.max_features is None or self.max_features >= d:
+            return np.arange(d)
+        return np.sort(rng.choice(d, size=self.max_features, replace=False))
+
+    def _best_split(self, X, y, rows, rng):
+        n = rows.size
+        feats = self._candidate_features(X.shape[1], rng)
+        block = X[np.ix_(rows, feats)]
+        order = np.argsort(block, axis=0, kind="stable")
+        xs = np.take_along_axis(block, order, axis=0)
+
+        left_n = np.arange(1, n, dtype=np.float64)
+        right_n = n - left_n
+        valid = xs[1:] > xs[:-1]
+        if not valid.any():
+            return None
+
+        if self.criterion == "variance":
+            ys = y[rows][order]
+            cum = np.cumsum(ys, axis=0)
+            total = cum[-1, 0]
+            score = cum[:-1] ** 2 / left_n[:, None] + (total - cum[:-1]) ** 2 / right_n[:, None]
+            parent_score = total**2 / n
+        else:
+            y_node = y[rows]
+            score = np.zeros((n - 1, len(feats)))
+            parent_score = 0.0
+            for c in range(self.n_classes):
+                members = (y_node == c).astype(np.float64)
+                n_c = members.sum()
+                if n_c == 0:
+                    continue
+                cum = np.cumsum(members[order], axis=0)
+                score += cum[:-1] ** 2 / left_n[:, None] + (n_c - cum[:-1]) ** 2 / right_n[:, None]
+                parent_score += n_c**2 / n
+
+        score = np.where(valid, score, -np.inf)
+        col_best_pos = np.argmax(score, axis=0)
+        col_best = score[col_best_pos, np.arange(len(feats))]
+        best = col_best.max()
+        decrease = best - parent_score
+        if not np.isfinite(best) or decrease <= _NO_GAIN * max(1.0, abs(parent_score)):
+            return None
+        tied_cols = np.flatnonzero(col_best == best)
+        chosen_col = int(tied_cols[0])
+        pos = int(col_best_pos[chosen_col])
+        threshold = float(xs[pos, chosen_col])
+        return int(feats[chosen_col]), threshold, float(decrease), feats[tied_cols]
+
+    def _finalize(self):
+        self._feat = np.array(self.feature, dtype=np.int64)
+        self._thr = np.array(self.threshold, dtype=np.float64)
+        self._left = np.array(self.left, dtype=np.int64)
+        self._right = np.array(self.right, dtype=np.int64)
+        if self.criterion == "gini":
+            self._val = np.vstack([v for v in self.value]) if self.value else np.empty((0, 0))
+        else:
+            self._val = np.array(self.value, dtype=np.float64)
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        n = X.shape[0]
+        if self.criterion == "gini":
+            out = np.zeros((n, self.n_classes))
+        else:
+            out = np.zeros(n)
+        stack = [(0, np.arange(n))]
+        while stack:
+            node, rows = stack.pop()
+            if rows.size == 0:
+                continue
+            if self._feat[node] < 0:
+                out[rows] = self._val[node]
+                continue
+            mask = X[rows, self._feat[node]] <= self._thr[node]
+            stack.append((int(self._left[node]), rows[mask]))
+            stack.append((int(self._right[node]), rows[~mask]))
+        return out
+
+
+class RandomForest:
+    def __init__(self, task="regression", n_trees=100, max_depth=None, seed=0):
+        self.task = task
+        self.n_trees = int(n_trees)
+        self.max_depth = max_depth
+        self.seed = int(seed)
+        self.trees = []
+        self.n_classes = 0
+        self.importances_ = None
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        n, d = X.shape
+        criterion = "gini" if self.task == "classification" else "variance"
+        if self.task == "classification":
+            y = np.asarray(y, dtype=np.int64)
+            self.n_classes = int(y.max()) + 1
+        else:
+            y = np.asarray(y, dtype=np.float64)
+        k = max(1, int(np.sqrt(d)))
+
+        children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
+        self.trees = []
+        raw_importance = np.zeros(d)
+        for child in children:
+            rng = np.random.default_rng(child)
+            rows = rng.integers(0, n, size=n)
+            tree = DecisionTree(criterion=criterion, max_depth=self.max_depth, max_features=k)
+            if self.task == "classification":
+                tree.n_classes = self.n_classes
+            tree.fit(X[rows], y[rows], rng)
+            raw_importance += tree.importances_
+            self.trees.append(tree)
+        total = raw_importance.sum()
+        self.importances_ = raw_importance / total if total > 0 else np.full(d, 1.0 / d)
+        return self
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        if self.task == "classification":
+            votes = np.zeros((X.shape[0], self.n_classes))
+            for tree in self.trees:
+                counts = tree.predict(X)
+                votes += counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
+            return np.argmax(votes, axis=1)
+        acc = np.zeros(X.shape[0])
+        for tree in self.trees:
+            acc += tree.predict(X)
+        return acc / len(self.trees)
+
+
+class GradientBoosting:
+    def __init__(self, n_trees=100, max_depth=4):
+        self.n_trees = int(n_trees)
+        self.max_depth = max_depth
+        self.base_ = 0.0
+        self.trees = []
+        self.train_losses_ = []
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        self.base_ = float(y.mean())
+        current = np.full(y.shape, self.base_)
+        self.trees = []
+        self.train_losses_ = [float(np.mean((y - current) ** 2))]
+        for _ in range(self.n_trees):
+            residual = y - current
+            tree = DecisionTree(criterion="variance", max_depth=self.max_depth).fit(X, residual)
+            current = current + LEARNING_RATE * tree.predict(X)
+            self.trees.append(tree)
+            self.train_losses_.append(float(np.mean((y - current) ** 2)))
+        return self
+
+    def predict(self, X):
+        X = np.asarray(X, dtype=np.float64)
+        acc = np.full(X.shape[0], self.base_)
+        for tree in self.trees:
+            acc += LEARNING_RATE * tree.predict(X)
+        return acc
