@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import RssiDataset, deduplicate
 from .features import FeatureMatrix, build_feature_matrix, build_raw_matrix, segment
-from .models import ModelSpec, default_grid, family_task, fit
+from .models import ModelSpec, default_grid, family_task, fit, fit_svm_batch
 from .preprocess import apply_mask, apply_scaler, fit_scaler, select_features
 
 KFOLD_CHOICES = (3, 5, 10)
@@ -259,6 +259,37 @@ class GridSearchResult:
         return self.scores[self.best_index].mean
 
 
+def _fold_predictions(
+    specs: Sequence[ModelSpec], X_fit: np.ndarray, y_fit: np.ndarray, X_val: np.ndarray
+) -> list[np.ndarray | None]:
+    """Each spec fitted on one fold and its validation rows predicted; None where that failed.
+
+    A fit or predict that raises ``ValueError`` fails the spec's fold; other
+    exceptions propagate. SVM specs are fitted as one lockstep batch
+    (``fit_svm_batch``): a spec whose configuration is invalid fails alone,
+    and input that fails the batch, such as a fold with one class, fails the
+    fold for every spec. Every other family is fitted spec by spec.
+    """
+    predictions: list[np.ndarray | None] = []
+    if specs[0].family == "svm":
+        try:
+            fitted = fit_svm_batch(specs, X_fit, y_fit)
+        except ValueError:
+            return [None] * len(specs)
+        for model in fitted:
+            try:
+                predictions.append(None if isinstance(model, ValueError) else model.predict(X_val))
+            except ValueError:
+                predictions.append(None)
+        return predictions
+    for spec in specs:
+        try:
+            predictions.append(fit(spec, X_fit, y_fit).predict(X_val))
+        except ValueError:
+            predictions.append(None)
+    return predictions
+
+
 def grid_search(
     family: str,
     grid: Sequence[Mapping],
@@ -273,7 +304,8 @@ def grid_search(
     ``LinAlgError`` among them) counts as failed; other exceptions are
     programming errors and propagate. Configs whose fit fails on every fold
     are excluded (kept in the report with an empty score list); if every
-    config fails, that is an error.
+    config fails, that is an error. SVM configs are fitted fold by fold as
+    one lockstep batch (``_fold_predictions``).
     """
     if not grid:
         raise EvaluationError("empty hyperparameter grid")
@@ -281,25 +313,17 @@ def grid_search(
     y = train.labels_for(task)
     folds = kfold_split(train.n_rows, k, seed)
 
-    scores: list[ConfigScore] = []
-    for params in grid:
-        spec = ModelSpec(family=family, params=dict(params), seed=seed)
-        fold_scores: list[float] = []
-        n_failed = 0
-        for fit_idx, val_idx in folds:
-            try:
-                model = fit(spec, train.rows[fit_idx], y[fit_idx])
-                pred = model.predict(train.rows[val_idx])
-            except ValueError:
-                n_failed += 1
-                continue
-            if task == "classification":
-                fold_scores.append(float(np.mean(pred == y[val_idx])))
+    specs = [ModelSpec(family=family, params=dict(params), seed=seed) for params in grid]
+    scores = [ConfigScore(params=dict(params), fold_scores=[], n_failed=0) for params in grid]
+    for fit_idx, val_idx in folds:
+        predictions = _fold_predictions(specs, train.rows[fit_idx], y[fit_idx], train.rows[val_idx])
+        for score, pred in zip(scores, predictions):
+            if pred is None:
+                score.n_failed += 1
+            elif task == "classification":
+                score.fold_scores.append(float(np.mean(pred == y[val_idx])))
             else:
-                fold_scores.append(
-                    -regression_metrics(pred, y[val_idx]).rmse
-                )
-        scores.append(ConfigScore(params=dict(params), fold_scores=fold_scores, n_failed=n_failed))
+                score.fold_scores.append(-regression_metrics(pred, y[val_idx]).rmse)
 
     usable = [i for i, s in enumerate(scores) if s.fold_scores]
     if not usable:

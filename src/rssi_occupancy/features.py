@@ -10,9 +10,9 @@ Conventions that tests rely on:
 - std / variance are population moments; skewness and excess kurtosis of
   zero-variance input are defined as 0, as are the AR coefficients. The same
   holds when the variance is so small that variance**1.5 (skewness) or
-  variance**2 (kurtosis) underflows to 0. A finite variance so large that
-  variance**2 overflows (above ~1.3e154; RSSI in [-127, 0] cannot reach it)
-  raises ``FeatureError``.
+  variance**2 (kurtosis and the AR coefficients) underflows to 0. A finite
+  variance so large that variance**2 overflows (above ~1.3e154; RSSI in
+  [-127, 0] cannot reach it) raises ``FeatureError``.
 - time-weighted variance uses weights proportional to inter-sample gaps,
   which under uniform sampling equals the plain population variance.
 - percentiles and quartiles interpolate linearly between closest ranks.
@@ -234,8 +234,13 @@ def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
     return windows
 
 
-def _ar_coefficients(deviations: np.ndarray) -> np.ndarray:
-    """Yule-Walker AR coefficients of every row of mean-removed samples."""
+def _ar_coefficients(deviations: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Yule-Walker AR coefficients of every row of mean-removed samples.
+
+    Rows not ``live`` (variance**2 underflowed to 0, or NaN) keep 0, as
+    kurtosis does: their Toeplitz systems are singular or nearly so, and what
+    a solve returns for them depends on the LAPACK build.
+    """
     n_rows, length = deviations.shape
     autocov = np.zeros((n_rows, AR_ORDER + 1))
     for lag in range(min(AR_ORDER, length - 1) + 1):
@@ -246,7 +251,7 @@ def _ar_coefficients(deviations: np.ndarray) -> np.ndarray:
     toeplitz = autocov[:, lags]
     rhs = autocov[:, 1:]
     coeffs = np.zeros((n_rows, AR_ORDER))
-    live = np.flatnonzero(~(autocov[:, 0] <= 0))  # zero-variance rows keep 0
+    live = np.flatnonzero(live)
     try:
         coeffs[live] = np.linalg.solve(toeplitz[live], rhs[live, :, None])[..., 0]
     except np.linalg.LinAlgError:  # a singular block: solve row by row, lstsq where singular
@@ -338,7 +343,7 @@ def _time_block(x: np.ndarray) -> np.ndarray:
         np.mean(np.abs(deviations), axis=1),
         mean_power_dev,
     ]
-    return np.column_stack([*columns, _ar_coefficients(deviations)])
+    return np.column_stack([*columns, _ar_coefficients(deviations, kurt_denominator > 0)])
 
 
 def _haar_detail_energies(x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from .base import (
     default_grid,
     family_task,
     fit,
+    fit_svm_batch,
 )
 from .ensembles import GradientBoosting, RandomForest
 
@@ -25,4 +26,5 @@ __all__ = [
     "default_grid",
     "family_task",
     "fit",
+    "fit_svm_batch",
 ]

@@ -15,7 +15,7 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .ensembles import GradientBoosting, RandomForest
 from .linear import BayesianRidge, LeastSquares, RidgeRegression
 from .neighbors import NearestNeighbors
 from .robust import RansacRegression, TheilSenRegression
-from .svm import SupportVectorClassifier
+from .svm import SupportVectorClassifier, fit_lockstep
 
 CLASSIFIER_FAMILIES = ("knn", "wknn", "lda", "qlda", "svm")
 REGRESSOR_FAMILIES = (
@@ -201,8 +201,7 @@ def _build_inner(spec: ModelSpec, params: dict):
     raise ModelError(f"unknown model family {family!r}")
 
 
-def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
-    """Fit ``spec`` on (X, y); deterministic given the spec's seed."""
+def _checked_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ModelError("X must be a 2-D matrix")
@@ -211,15 +210,25 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     y = np.asarray(y)
     if y.shape[0] != X.shape[0]:
         raise ModelError("X and y row counts differ")
+    return X, y
 
+
+def _class_indices(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    classes, y_idx = np.unique(y, return_inverse=True)
+    if classes.size < 2:
+        raise ModelError("classification needs at least 2 distinct labels")
+    return classes, y_idx
+
+
+def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
+    """Fit ``spec`` on (X, y); deterministic given the spec's seed."""
+    X, y = _checked_input(X, y)
     task = family_task(spec.family)
     params = spec.resolved_params()
     inner = _build_inner(spec, params)
 
     if task == "classification":
-        classes, y_idx = np.unique(y, return_inverse=True)
-        if classes.size < 2:
-            raise ModelError("classification needs at least 2 distinct labels")
+        classes, y_idx = _class_indices(y)
         try:
             inner.fit(X, y_idx, classes.size)
         except np.linalg.LinAlgError as exc:
@@ -236,3 +245,37 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"{spec.family}: degenerate training data ({exc})") from exc
     return TrainedModel(spec=spec, task=task, n_features=X.shape[1], inner=inner)
+
+
+def fit_svm_batch(
+    specs: Sequence[ModelSpec], X: np.ndarray, y: np.ndarray
+) -> list[TrainedModel | ValueError]:
+    """``fit`` of several SVM specs on one training set, solved in lockstep.
+
+    Entry i is what ``fit(specs[i], X, y)`` returns, or the ``ValueError``
+    that its configuration raised (``C <= 0``, an unknown kernel). The specs'
+    machines of one kernel and one penalty are solved as one batch
+    (``svm.fit_lockstep``). Input that no spec can fit, such as a single
+    class, raises ``ModelError`` for the whole batch.
+    """
+    X, y = _checked_input(X, y)
+    classes, y_idx = _class_indices(y)
+    results: list[TrainedModel | ValueError] = []
+    for spec in specs:
+        if spec.family != "svm":
+            raise ModelError(f"fit_svm_batch fits svm specs only, got {spec.family!r}")
+        try:
+            inner = _build_inner(spec, spec.resolved_params())
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        results.append(
+            TrainedModel(
+                spec=spec, task="classification", n_features=X.shape[1], inner=inner,
+                classes=classes,
+            )
+        )
+    fit_lockstep(
+        [r.inner for r in results if isinstance(r, TrainedModel)], X, y_idx, classes.size
+    )
+    return results

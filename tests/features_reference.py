@@ -5,6 +5,11 @@ These are the per-vector ``time_features``, ``freq_features``,
 ``rssi_occupancy.features`` used before it computed every window in one
 block. The tests compare the block path against them: bit for bit on
 integer-valued RSSI, and to a stated tolerance on arbitrary floats.
+
+One change from the former code: the AR coefficients read 0 wherever
+variance**2 underflows to 0, as kurtosis does, which is the rule the module
+documents. The former ``time_features`` solved those near-singular systems,
+and one exactly singular window gave ``ar_3 = 1`` on one LAPACK build.
 """
 
 import numpy as np
@@ -63,6 +68,8 @@ def time_features(x: np.ndarray) -> np.ndarray:
         float(np.mean(deviations**4) / kurt_denominator - 3.0) if kurt_denominator > 0 else 0.0
     )
     tw_variance = variance  # uniform sampling: gap weights are all equal
+    # the documented rule: AR reads 0 wherever kurtosis does (variance**2 underflows)
+    ar_coefficients = _yule_walker(x, AR_ORDER) if kurt_denominator > 0 else np.zeros(AR_ORDER)
 
     p10, p25, p75, p90 = (float(v) for v in np.percentile(x, (10, 25, 75, 90)))
     iqr = p75 - p25
@@ -93,7 +100,7 @@ def time_features(x: np.ndarray) -> np.ndarray:
         float(x[x > p90].sum()),
         float(np.mean(np.abs(deviations))),
         float(np.mean(np.abs(squares - squares.mean()))),
-        *(float(c) for c in _yule_walker(x, AR_ORDER)),
+        *(float(c) for c in ar_coefficients),
     ]
     return np.array(features, dtype=np.float64)
 

@@ -18,6 +18,7 @@ from rssi_occupancy.evaluation import (
 from rssi_occupancy.features import FeatureDiagnostics, FeatureMatrix
 from rssi_occupancy.simulator import simulate
 
+import svm_reference
 from conftest import small_scenario
 
 
@@ -272,6 +273,71 @@ class TestGridSearch:
         monkeypatch.setattr(evaluation, "fit", fit_failing_with(TypeError))
         with pytest.raises(TypeError, match="injected"):
             grid_search("knn", [{"k": 3}, {"k": 5}], matrix, k=3, seed=0)
+
+    def _svm_grid(self):
+        return [
+            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": c}
+            for kernel in ("linear", "rbf")
+            for penalty in ("l1", "l2")
+            for loss in ("hinge", "squared_hinge")
+            for c in (0.1, 10.0)
+        ]
+
+    def test_svm_search_equals_reference_search_on_unequal_folds(self):
+        matrix = self._classification_matrix(seed=73, n=61)  # folds of 21, 20, 20 rows
+        grid = self._svm_grid()
+        result = grid_search("svm", grid, matrix, k=3, seed=4)
+        y = matrix.labels_occupancy
+        folds = kfold_split(matrix.n_rows, 3, seed=4)
+        assert sorted(len(v) for _, v in folds) == [20, 20, 21]
+        want = []
+        for params in grid:
+            scores = []
+            for fit_idx, val_idx in folds:
+                classes, y_idx = np.unique(y[fit_idx], return_inverse=True)
+                model = svm_reference.SupportVectorClassifier(**params)
+                model.fit(matrix.rows[fit_idx], y_idx, classes.size)
+                pred = classes[model.predict(matrix.rows[val_idx])]
+                scores.append(float(np.mean(pred == y[val_idx])))
+            want.append(scores)
+        assert [s.fold_scores for s in result.scores] == want
+        assert all(s.n_failed == 0 for s in result.scores)
+        means = [float(np.mean(scores)) for scores in want]
+        assert result.best_index == max(range(len(grid)), key=lambda i: (means[i], -i))
+
+    def test_svm_invalid_config_fails_only_its_folds(self):
+        matrix = self._classification_matrix(n=45)
+        good = {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}
+        grid = [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"}]
+        result = grid_search("svm", grid, matrix, k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == [0, 3, 3, 0]
+        assert [len(s.fold_scores) for s in result.scores] == [3, 0, 0, 3]
+        for i in (0, 3):
+            alone = grid_search("svm", [grid[i]], matrix, k=3, seed=0)
+            assert result.scores[i].fold_scores == alone.scores[0].fold_scores
+
+    def test_svm_one_class_fold_fails_for_every_config(self):
+        rng = np.random.default_rng(74)
+        rows = rng.normal(size=(30, 2))
+        occupancy = np.zeros(30, dtype=bool)
+        occupancy[7] = True  # the fold that validates row 7 trains on one class
+        result = grid_search("svm", self._svm_grid()[:4], make_matrix(rows, occupancy=occupancy),
+                             k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == [1, 1, 1, 1]
+        assert all(len(s.fold_scores) == 2 for s in result.scores)
+
+    def test_svm_non_value_errors_propagate(self, monkeypatch):
+        matrix = self._classification_matrix(n=30)
+        good = {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}
+        with pytest.raises(TypeError):
+            grid_search("svm", [good, {**good, "C": None}], matrix, k=3, seed=0)
+
+        def broken_batch(specs, X, y):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(evaluation, "fit_svm_batch", broken_batch)
+        with pytest.raises(TypeError, match="injected"):
+            grid_search("svm", [good], matrix, k=3, seed=0)
 
     def test_all_configs_failing_is_an_error(self):
         matrix = self._classification_matrix(n=12)

@@ -432,8 +432,9 @@ class TestBlockMatchesReference:
         windows[2] = make_window(samples)
         assert_matches_reference(windows)
 
-        # Force the batched solve to fail, as LAPACK builds that flag the singular
-        # block do: the row-by-row fallback still gives the reference's rows.
+        # Force the batched solve to fail, as LAPACK builds that flag a singular
+        # block do: the row-by-row fallback still gives the reference's rows. The
+        # singular row's variance**2 underflows, so it reads 0 without a solve.
         solve = np.linalg.solve
         batched_calls = []
 
@@ -445,7 +446,25 @@ class TestBlockMatchesReference:
 
         monkeypatch.setattr(np.linalg, "solve", failing_batched_solve)
         assert_matches_reference(windows)
-        assert batched_calls == [8]
+        assert batched_calls == [7]
+
+    def test_ar_is_zero_where_the_squared_variance_underflows(self):
+        # Exactly singular Toeplitz (autocovariances 2**-1074 at lags 0-3): a
+        # LAPACK solve may return [0, 0, 1, -0] for it instead of raising.
+        tiny = 2.0**-537
+        singular = np.array([tiny] * 10 + [-tiny] * 10)
+        ar = [T[f"ar_{i}"] for i in range(1, 5)]
+        features = time_features(singular)
+        assert features[T["tw_variance"]] > 0.0
+        assert features[T["kurtosis"]] == 0.0
+        assert features[ar].tolist() == [0.0] * 4
+        windows = [
+            make_window(np.stack([singular, -np.arange(20.0)])),
+            *random_windows(5, 1, 2, 20),
+        ]
+        matrix = assert_matches_reference(windows)
+        assert matrix.rows[0, ar].tolist() == [0.0] * 4
+        assert np.all(matrix.rows[0, [FEATURES_PER_TRANSMITTER + c for c in ar]] != 0.0)
 
     def test_nan_sample_tally_matches_reference(self):
         windows = random_windows(3, 3, 2, 20)

@@ -1,5 +1,6 @@
 """Model family sanity suite: exact-recovery oracles, invariances, determinism,
-and the lockstep forest checked bit for bit against `trees_reference`."""
+the lockstep forest checked bit for bit against `trees_reference`, and the
+lockstep SVM solver checked bit for bit against `svm_reference`."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import svm_reference
 import trees_reference
 from rssi_occupancy.models import (
     CLASSIFIER_FAMILIES,
@@ -18,7 +20,9 @@ from rssi_occupancy.models import (
     default_grid,
     family_task,
     fit,
+    fit_svm_batch,
 )
+from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.models import trees as trees_module
 
 
@@ -178,6 +182,149 @@ class TestSvm:
         y = np.repeat([0, 1, 2], 50)
         model = fit(ModelSpec("svm", {"kernel": "linear", "penalty": "l2", "loss": "squared_hinge", "C": 1.0}), X, y)
         assert np.mean(model.predict(X) == y) > 0.95
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_svm_matches_reference(model, params, X, y, probe):
+    """``model`` (a fitted svm TrainedModel) equals the reference fit bit for bit."""
+    classes, y_idx = np.unique(y, return_inverse=True)
+    want = svm_reference.SupportVectorClassifier(**params).fit(X, y_idx, classes.size)
+    got = model.inner
+    assert len(got.machines) == len(want.machines), params
+    for g, w in zip(got.machines, want.machines):
+        for name in ("w", "support_rows", "dual_coef"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a is None) == (b is None), (params, name)
+            assert a is None or _same_bits(a, b), (params, name)
+        assert _same_bits(g.b, w.b), params
+        assert g.converged == w.converged, params
+    assert np.array_equal(model.predict(probe), classes[want.predict(probe)]), params
+    return [m.converged for m in got.machines]
+
+
+def _svm_specs(grid):
+    return [ModelSpec("svm", params) for params in grid]
+
+
+class TestLockstepSvmMatchesReference:
+    @pytest.fixture(scope="class")
+    def overlapping(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(90, 4))
+        y = X[:, 0] + 0.8 * rng.normal(size=90) > 0
+        probe = rng.normal(size=(40, 4)) * 2.0
+        return X, y, probe
+
+    def test_default_grid_bit_identical(self, overlapping):
+        X, y, probe = overlapping
+        grid = default_grid("svm")
+        models = fit_svm_batch(_svm_specs(grid), X, y)
+        flags = {}
+        for params, model in zip(grid, models):
+            converged = assert_svm_matches_reference(model, params, X, y, probe)
+            flags.setdefault((params["kernel"], params["penalty"]), set()).update(converged)
+        # both outcomes occur, and some batches hold both
+        assert set().union(*flags.values()) == {False, True}
+        assert any(len(f) == 2 for f in flags.values())
+
+    def test_single_fit_is_the_batch_of_one(self, overlapping):
+        X, y, probe = overlapping
+        for params in ({"kernel": "rbf", "penalty": "l1", "loss": "hinge", "C": 10.0},
+                       {"kernel": "sigmoid", "penalty": "l2", "loss": "squared_hinge", "C": 1.0}):
+            assert_svm_matches_reference(fit(ModelSpec("svm", params), X, y), params, X, y, probe)
+
+    @pytest.mark.parametrize(
+        "kernel, penalty, expected",
+        [
+            # smoothed hinge stops at the 2,000-iteration cap, squared hinge certifies
+            ("linear", "l1", [False] * 3 + [True] * 3),
+            # dual: hinge and C = 0.1 squared hinge certify, squared hinge at C >= 1 runs to the cap
+            ("sigmoid", "l2", [True] * 4 + [False] * 2),
+        ],
+    )
+    def test_converged_problem_leaves_beside_capped_ones(
+        self, overlapping, kernel, penalty, expected
+    ):
+        # the stored iterate of a problem that left the batch is its iterate at convergence
+        X, y, probe = overlapping
+        grid = [
+            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": c}
+            for loss in ("hinge", "squared_hinge")
+            for c in (0.1, 1.0, 10.0)
+        ]
+        models = fit_svm_batch(_svm_specs(grid), X, y)
+        flags = [assert_svm_matches_reference(m, p, X, y, probe)[0] for p, m in zip(grid, models)]
+        assert flags == expected
+
+    @pytest.mark.parametrize("penalty", ("l1", "l2"))
+    def test_interleaved_losses_and_repeated_C(self, overlapping, penalty):
+        X, y, probe = overlapping
+        order = [("squared_hinge", 1.0), ("hinge", 1.0), ("squared_hinge", 10.0),
+                 ("hinge", 0.1), ("squared_hinge", 1.0)]
+        grid = [{"kernel": "rbf", "penalty": penalty, "loss": loss, "C": c} for loss, c in order]
+        for params, model in zip(grid, fit_svm_batch(_svm_specs(grid), X, y)):
+            assert_svm_matches_reference(model, params, X, y, probe)
+
+    def test_three_class_one_vs_rest(self):
+        rng = np.random.default_rng(48)
+        centers = np.array([[-1.5, 0.0], [1.5, 0.0], [0.0, 2.0]])
+        X = np.vstack([rng.normal(size=(15, 2)) + c for c in centers])
+        y = np.repeat([0, 1, 2], 15)
+        probe = rng.normal(size=(30, 2)) * 2.0
+        grid = [
+            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": 1.0}
+            for kernel in ("linear", "rbf")
+            for penalty in ("l1", "l2")
+            for loss in ("hinge", "squared_hinge")
+        ]
+        models = fit_svm_batch(_svm_specs(grid), X, y)
+        for params, model in zip(grid, models):
+            assert len(model.inner.machines) == 3
+            assert_svm_matches_reference(model, params, X, y, probe)
+
+    def test_all_zero_features(self):
+        # balanced labels on X = 0: the linear hinge dual's first power iterate
+        # vanishes (Q v = 0), and the step size falls back to 1
+        X = np.zeros((20, 3))
+        y = np.array([0, 1] * 10)
+        probe = np.random.default_rng(49).normal(size=(10, 3))
+        grid = default_grid("svm")
+        for params, model in zip(grid, fit_svm_batch(_svm_specs(grid), X, y)):
+            assert_svm_matches_reference(model, params, X, y, probe)
+
+    def test_spectral_norm_of_a_vanishing_problem_is_one(self):
+        # the zero operator vanishes at once, the nilpotent one a step later
+        operators = np.array([np.zeros((2, 2)), 2.0 * np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        norms = svm_module._spectral_norm(
+            lambda v: np.matmul(operators, v[..., None])[..., 0], 3, 2
+        )
+        assert norms.tolist() == [1.0, 2.0, 1.0]
+        reference = [svm_reference._spectral_norm(lambda v: a @ v, 2) for a in operators]
+        assert norms.tolist() == reference
+
+    def test_invalid_config_is_returned_not_raised(self, overlapping):
+        X, y, probe = overlapping
+        good = {"kernel": "rbf", "penalty": "l2", "loss": "hinge", "C": 1.0}
+        bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "C": "ten"}]
+        results = fit_svm_batch(_svm_specs([bad[0], good, *bad[1:]]), X, y)
+        assert [isinstance(r, ValueError) for r in results] == [True, False, True, True]
+        assert_svm_matches_reference(results[1], good, X, y, probe)
+        with pytest.raises(TypeError):
+            fit_svm_batch(_svm_specs([{**good, "C": None}]), X, y)
+
+    def test_one_class_fails_the_whole_batch(self, overlapping):
+        X, _, _ = overlapping
+        with pytest.raises(ModelError, match="at least 2 distinct labels"):
+            fit_svm_batch(_svm_specs(default_grid("svm")[:2]), X, np.ones(X.shape[0], dtype=bool))
+
+    def test_other_families_rejected(self, overlapping):
+        X, y, _ = overlapping
+        with pytest.raises(ModelError, match="svm specs only"):
+            fit_svm_batch([ModelSpec("knn", {"k": 3})], X, y)
 
 
 class TestLinearModels:
