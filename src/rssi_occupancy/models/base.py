@@ -43,7 +43,7 @@ _PARAM_KEYS: dict[str, frozenset[str]] = {
     "wknn": frozenset({"k"}),
     "lda": frozenset(),
     "qlda": frozenset(),
-    "svm": frozenset({"kernel", "penalty", "loss", "C"}),
+    "svm": frozenset({"kernel", "loss", "C"}),
     "gradient_boosting": frozenset({"n_trees", "depth"}),
     "random_forest": frozenset({"n_trees", "depth"}),
     "linear": frozenset(),
@@ -58,7 +58,7 @@ _DEFAULTS: dict[str, dict] = {
     "wknn": {"k": 5},
     "lda": {},
     "qlda": {},
-    "svm": {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0},
+    "svm": {"kernel": "linear", "loss": "hinge", "C": 1.0},
     "gradient_boosting": {"n_trees": 100, "depth": 4},
     "random_forest": {"n_trees": 100, "depth": None},
     "linear": {},
@@ -114,9 +114,8 @@ def default_grid(family: str) -> list[dict]:
         return [{}]
     if family == "svm":
         return [
-            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": c}
+            {"kernel": kernel, "loss": loss, "C": c}
             for kernel in ("linear", "poly", "sigmoid", "rbf")
-            for penalty in ("l1", "l2")
             for loss in ("hinge", "squared_hinge")
             for c in (0.1, 1.0, 10.0)
         ]
@@ -173,7 +172,6 @@ def _build_inner(spec: ModelSpec, params: dict):
     if family == "svm":
         return SupportVectorClassifier(
             kernel=params["kernel"],
-            penalty=params["penalty"],
             loss=params["loss"],
             C=float(params["C"]),
         )
@@ -253,8 +251,8 @@ def fit_svm_batch(
     """``fit`` of several SVM specs on one training set, solved in lockstep.
 
     Entry i is what ``fit(specs[i], X, y)`` returns, or the ``ValueError``
-    that its configuration raised (``C <= 0``, an unknown kernel). The specs'
-    machines of one kernel and one penalty are solved as one batch
+    that its configuration raised (``C`` not positive, an unknown kernel). The
+    specs' machines of one kernel are solved as one batch
     (``svm.fit_lockstep``). Input that no spec can fit, such as a single
     class, raises ``ModelError`` for the whole batch.
     """

@@ -2,11 +2,10 @@
 
 These are the ``_BinarySVM`` and ``SupportVectorClassifier`` that
 ``rssi_occupancy.models.svm`` used before it solved the machines of one
-kernel and one penalty in lockstep: the L2 penalty by accelerated projected
-gradient on the dual box QP, the L1 penalty by FISTA on the primal
-coefficients, each with its own Python loop over one problem. The tests
-compare the lockstep solver against them bit for bit: weights, intercepts,
-support rows, dual coefficients, convergence flags and predictions.
+kernel in lockstep: accelerated projected gradient on the dual box QP, with
+its own Python loop over one problem. The tests compare the lockstep solver
+against them bit for bit: weights, intercepts, support rows, dual
+coefficients, convergence flags and predictions.
 """
 
 from __future__ import annotations
@@ -14,13 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 KERNELS = ("linear", "poly", "sigmoid", "rbf")
-PENALTIES = ("l1", "l2")
 LOSSES = ("hinge", "squared_hinge")
 
 _TOL = 1e-4
-_MAX_ITER_DUAL = 2000
-_MAX_ITER_PRIMAL = 2000
-_HUBER_MU = 1e-3
+_MAX_ITER = 2000
 _DEGREE = 3
 _COEF0 = 1.0
 
@@ -65,17 +61,14 @@ def _spectral_norm(matvec, dim: int, iterations: int = 30) -> float:
 class _BinarySVM:
     """One binary machine; labels are +-1."""
 
-    def __init__(self, kernel: str, penalty: str, loss: str, C: float):
+    def __init__(self, kernel: str, loss: str, C: float):
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}")
-        if penalty not in PENALTIES:
-            raise ValueError(f"unknown penalty {penalty!r}")
         if loss not in LOSSES:
             raise ValueError(f"unknown loss {loss!r}")
         if C <= 0:
             raise ValueError(f"C must be positive, got {C}")
         self.kernel = kernel
-        self.penalty = penalty
         self.loss = loss
         self.C = float(C)
         self.gamma: float = 1.0
@@ -85,8 +78,6 @@ class _BinarySVM:
         self.support_rows: np.ndarray | None = None
         self.dual_coef: np.ndarray | None = None
         self.converged: bool = False
-
-    # --- L2 penalty: dual box QP ------------------------------------------
 
     def _fit_dual(self, X: np.ndarray, y: np.ndarray) -> None:
         m = X.shape[0]
@@ -107,7 +98,7 @@ class _BinarySVM:
         t_prev = 1.0
         pg0: float | None = None
         self.converged = False
-        for iteration in range(_MAX_ITER_DUAL):
+        for iteration in range(_MAX_ITER):
             grad_v = Q @ velocity - 1.0
             alpha_next = project(velocity - grad_v / lipschitz)
             if grad_v @ (alpha_next - alpha) > 0:  # restart momentum on non-descent
@@ -137,101 +128,11 @@ class _BinarySVM:
             self.dual_coef = dual[keep]
             self.b = float(dual.sum())
 
-    # --- L1 penalty: primal proximal gradient -------------------------------
-
-    def _fit_primal_l1(self, X: np.ndarray, y: np.ndarray) -> None:
-        if self.kernel == "linear":
-            G = X
-        else:
-            G = _kernel_matrix(self.kernel, X, X, self.gamma)
-        m, p = G.shape
-
-        smooth_hinge = self.loss == "squared_hinge"
-        mu = _HUBER_MU
-
-        def loss_grad(margin_deficit: np.ndarray) -> tuple[float, np.ndarray]:
-            t = np.maximum(margin_deficit, 0.0)
-            if smooth_hinge:
-                return float(np.sum(t**2)), 2.0 * t
-            smoothed = np.where(t < mu, t**2 / (2.0 * mu), t - mu / 2.0)
-            return float(np.sum(smoothed)), np.minimum(t / mu, 1.0)
-
-        def true_objective(coef: np.ndarray, bias: float) -> float:
-            deficit = 1.0 - y * (G @ coef + bias)
-            t = np.maximum(deficit, 0.0)
-            data_term = np.sum(t**2) if smooth_hinge else np.sum(t)
-            return float(np.sum(np.abs(coef)) + self.C * data_term)
-
-        # spectral norm of the bias-augmented Gram [G, 1]^T [G, 1]
-        def augmented_gram(w: np.ndarray) -> np.ndarray:
-            fitted = G @ w[:-1] + w[-1]
-            return np.concatenate([G.T @ fitted, [fitted.sum()]])
-
-        aug_norm = _spectral_norm(augmented_gram, p + 1)
-        curvature = 2.0 * self.C if smooth_hinge else self.C / mu
-        lipschitz = curvature * aug_norm * 1.05
-
-        coef = np.zeros(p)
-        bias = 0.0
-        z_coef, z_bias = coef, bias
-        t_prev = 1.0
-        best = (np.inf, coef, bias)
-        gm0: float | None = None
-        self.converged = False
-        for iteration in range(_MAX_ITER_PRIMAL):
-            deficit = 1.0 - y * (G @ z_coef + z_bias)
-            _, dloss = loss_grad(deficit)
-            weight = self.C * dloss * (-y)
-            grad_coef = G.T @ weight
-            grad_bias = float(weight.sum())
-
-            step = 1.0 / lipschitz
-            coef_next = z_coef - step * grad_coef
-            coef_next = np.sign(coef_next) * np.maximum(np.abs(coef_next) - step, 0.0)
-            bias_next = z_bias - step * grad_bias
-
-            move = np.sqrt(np.sum((coef_next - coef) ** 2) + (bias_next - bias) ** 2)
-            if move * lipschitz <= _TOL * (1.0 if gm0 is None else gm0) and iteration > 0:
-                coef, bias = coef_next, bias_next
-                self.converged = True
-                obj = true_objective(coef, bias)
-                if obj < best[0]:
-                    best = (obj, coef, bias)
-                break
-            if gm0 is None:
-                gm0 = max(move * lipschitz, 1.0)
-
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2))
-            z_coef = coef_next + ((t_prev - 1.0) / t_next) * (coef_next - coef)
-            z_bias = bias_next + ((t_prev - 1.0) / t_next) * (bias_next - bias)
-            t_prev = t_next
-            coef, bias = coef_next, bias_next
-
-            obj = true_objective(coef, bias)
-            if obj < best[0]:
-                best = (obj, coef, bias)
-
-        _, coef, bias = best
-        if self.kernel == "linear":
-            self.w = coef
-            self.b = float(bias)
-        else:
-            keep = coef != 0.0
-            if not keep.any():
-                keep = np.zeros(m, dtype=bool)
-                keep[0] = True
-            self.support_rows = X[keep]
-            self.dual_coef = coef[keep]
-            self.b = float(bias)
-
     def fit(self, X: np.ndarray, y: np.ndarray) -> "_BinarySVM":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self.gamma = _scale_gamma(X)
-        if self.penalty == "l2":
-            self._fit_dual(X, y)
-        else:
-            self._fit_primal_l1(X, y)
+        self._fit_dual(X, y)
         return self
 
     def decision(self, X: np.ndarray) -> np.ndarray:
@@ -239,18 +140,15 @@ class _BinarySVM:
         if self.w is not None:
             return X @ self.w + self.b
         K = _kernel_matrix(self.kernel, X, self.support_rows, self.gamma)
-        if self.penalty == "l2":
-            K = K + 1.0
-            return K @ self.dual_coef
-        return K @ self.dual_coef + self.b
+        K = K + 1.0
+        return K @ self.dual_coef
 
 
 class SupportVectorClassifier:
     """One-vs-rest wrapper; binary problems use a single machine."""
 
-    def __init__(self, kernel="linear", penalty="l2", loss="hinge", C=1.0):
+    def __init__(self, kernel="linear", loss="hinge", C=1.0):
         self.kernel = kernel
-        self.penalty = penalty
         self.loss = loss
         self.C = C
         self.machines: list[_BinarySVM] = []
@@ -261,12 +159,12 @@ class SupportVectorClassifier:
         self.machines = []
         if n_classes == 2:
             y = np.where(np.asarray(y_idx) == 1, 1.0, -1.0)
-            self.machines.append(_BinarySVM(self.kernel, self.penalty, self.loss, self.C).fit(X, y))
+            self.machines.append(_BinarySVM(self.kernel, self.loss, self.C).fit(X, y))
         else:
             for c in range(n_classes):
                 y = np.where(np.asarray(y_idx) == c, 1.0, -1.0)
                 self.machines.append(
-                    _BinarySVM(self.kernel, self.penalty, self.loss, self.C).fit(X, y)
+                    _BinarySVM(self.kernel, self.loss, self.C).fit(X, y)
                 )
         return self
 

@@ -276,9 +276,8 @@ class TestGridSearch:
 
     def _svm_grid(self):
         return [
-            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": c}
+            {"kernel": kernel, "loss": loss, "C": c}
             for kernel in ("linear", "rbf")
-            for penalty in ("l1", "l2")
             for loss in ("hinge", "squared_hinge")
             for c in (0.1, 10.0)
         ]
@@ -307,11 +306,12 @@ class TestGridSearch:
 
     def test_svm_invalid_config_fails_only_its_folds(self):
         matrix = self._classification_matrix(n=45)
-        good = {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}
-        grid = [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"}]
+        good = {"kernel": "linear", "loss": "hinge", "C": 1.0}
+        grid = [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"},
+                {**good, "C": float("nan")}]
         result = grid_search("svm", grid, matrix, k=3, seed=0)
-        assert [s.n_failed for s in result.scores] == [0, 3, 3, 0]
-        assert [len(s.fold_scores) for s in result.scores] == [3, 0, 0, 3]
+        assert [s.n_failed for s in result.scores] == [0, 3, 3, 0, 3]
+        assert [len(s.fold_scores) for s in result.scores] == [3, 0, 0, 3, 0]
         for i in (0, 3):
             alone = grid_search("svm", [grid[i]], matrix, k=3, seed=0)
             assert result.scores[i].fold_scores == alone.scores[0].fold_scores
@@ -328,7 +328,7 @@ class TestGridSearch:
 
     def test_svm_non_value_errors_propagate(self, monkeypatch):
         matrix = self._classification_matrix(n=30)
-        good = {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}
+        good = {"kernel": "linear", "loss": "hinge", "C": 1.0}
         with pytest.raises(TypeError):
             grid_search("svm", [good, {**good, "C": None}], matrix, k=3, seed=0)
 
@@ -375,7 +375,7 @@ class TestRunPipeline:
             run_pipeline(tiny, "counting", "features", PipelineConfig(families=("linear",), k=3))
 
     def test_detection_end_to_end(self, small_dataset):
-        grids = {"svm": [{"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}]}
+        grids = {"svm": [{"kernel": "linear", "loss": "hinge", "C": 1.0}]}
         config = PipelineConfig(families=("svm",), k=3, seed=7, grids=grids)
         report = run_pipeline(small_dataset, "detection", "features", config)
         result = report.family_results[0]

@@ -53,6 +53,10 @@ class TestSpec:
         with pytest.raises(ModelError, match="unknown hyperparameters"):
             ModelSpec("knn", {"n_trees": 3})
 
+    def test_svm_penalty_is_not_a_hyperparameter(self):
+        with pytest.raises(ModelError, match=r"allowed: \['C', 'kernel', 'loss'\]"):
+            ModelSpec("svm", {"penalty": "l2"})
+
     def test_family_tasks(self):
         for family in CLASSIFIER_FAMILIES:
             assert family_task(family) == "classification"
@@ -62,7 +66,7 @@ class TestSpec:
 
 class TestDefaultGrids:
     def test_documented_sizes(self):
-        assert len(default_grid("svm")) == 48
+        assert len(default_grid("svm")) == 24
         assert len(default_grid("knn")) == 4
         assert len(default_grid("wknn")) == 4
         assert len(default_grid("random_forest")) == 6
@@ -149,16 +153,15 @@ class TestDiscriminant:
 class TestSvm:
     def test_linear_hinge_separable(self, blobs):
         X, y = blobs
-        model = fit(ModelSpec("svm", {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0}), X, y)
+        model = fit(ModelSpec("svm", {"kernel": "linear", "loss": "hinge", "C": 1.0}), X, y)
         assert np.mean(model.predict(X) == y) == 1.0
         assert model.inner.machines[0].converged
 
     @pytest.mark.parametrize("kernel", ("linear", "poly", "sigmoid", "rbf"))
-    @pytest.mark.parametrize("penalty", ("l1", "l2"))
     @pytest.mark.parametrize("loss", ("hinge", "squared_hinge"))
-    def test_all_grid_combos_fit_separable_data(self, blobs, kernel, penalty, loss):
+    def test_all_grid_combos_fit_separable_data(self, blobs, kernel, loss):
         X, y = blobs
-        spec = ModelSpec("svm", {"kernel": kernel, "penalty": penalty, "loss": loss, "C": 1.0})
+        spec = ModelSpec("svm", {"kernel": kernel, "loss": loss, "C": 1.0})
         model = fit(spec, X, y)
         assert np.mean(model.predict(X) == y) >= 0.95
 
@@ -168,8 +171,8 @@ class TestSvm:
         perm = rng.permutation(X.shape[0])
         probe = rng.normal(size=(60, 3)) * 4
         for params in (
-            {"kernel": "linear", "penalty": "l2", "loss": "hinge", "C": 1.0},
-            {"kernel": "rbf", "penalty": "l2", "loss": "squared_hinge", "C": 10.0},
+            {"kernel": "linear", "loss": "hinge", "C": 1.0},
+            {"kernel": "rbf", "loss": "squared_hinge", "C": 10.0},
         ):
             base = fit(ModelSpec("svm", params), X, y).predict(probe)
             shuffled = fit(ModelSpec("svm", params), X[perm], y[perm]).predict(probe)
@@ -180,7 +183,7 @@ class TestSvm:
         centers = np.array([[-6.0, 0.0], [6.0, 0.0], [0.0, 8.0]])
         X = np.vstack([rng.normal(size=(50, 2)) + c for c in centers])
         y = np.repeat([0, 1, 2], 50)
-        model = fit(ModelSpec("svm", {"kernel": "linear", "penalty": "l2", "loss": "squared_hinge", "C": 1.0}), X, y)
+        model = fit(ModelSpec("svm", {"kernel": "linear", "loss": "squared_hinge", "C": 1.0}), X, y)
         assert np.mean(model.predict(X) == y) > 0.95
 
 
@@ -226,46 +229,39 @@ class TestLockstepSvmMatchesReference:
         flags = {}
         for params, model in zip(grid, models):
             converged = assert_svm_matches_reference(model, params, X, y, probe)
-            flags.setdefault((params["kernel"], params["penalty"]), set()).update(converged)
+            flags.setdefault(params["kernel"], set()).update(converged)
         # both outcomes occur, and some batches hold both
         assert set().union(*flags.values()) == {False, True}
         assert any(len(f) == 2 for f in flags.values())
 
     def test_single_fit_is_the_batch_of_one(self, overlapping):
         X, y, probe = overlapping
-        for params in ({"kernel": "rbf", "penalty": "l1", "loss": "hinge", "C": 10.0},
-                       {"kernel": "sigmoid", "penalty": "l2", "loss": "squared_hinge", "C": 1.0}):
+        for params in ({"kernel": "rbf", "loss": "hinge", "C": 10.0},
+                       {"kernel": "sigmoid", "loss": "squared_hinge", "C": 1.0}):
             assert_svm_matches_reference(fit(ModelSpec("svm", params), X, y), params, X, y, probe)
 
-    @pytest.mark.parametrize(
-        "kernel, penalty, expected",
-        [
-            # smoothed hinge stops at the 2,000-iteration cap, squared hinge certifies
-            ("linear", "l1", [False] * 3 + [True] * 3),
-            # dual: hinge and C = 0.1 squared hinge certify, squared hinge at C >= 1 runs to the cap
-            ("sigmoid", "l2", [True] * 4 + [False] * 2),
-        ],
-    )
-    def test_converged_problem_leaves_beside_capped_ones(
-        self, overlapping, kernel, penalty, expected
-    ):
+    @pytest.mark.parametrize("capped_first", (False, True))
+    def test_converged_problem_leaves_beside_capped_ones(self, overlapping, capped_first):
         # the stored iterate of a problem that left the batch is its iterate at convergence
         X, y, probe = overlapping
         grid = [
-            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": c}
+            {"kernel": "sigmoid", "loss": loss, "C": c}
             for loss in ("hinge", "squared_hinge")
             for c in (0.1, 1.0, 10.0)
         ]
+        # hinge and C = 0.1 squared hinge certify, squared hinge at C >= 1 runs to the cap
+        expected = [True] * 4 + [False] * 2
+        if capped_first:  # the capped rows lead the batch, and rows behind them leave it
+            grid, expected = grid[::-1], expected[::-1]
         models = fit_svm_batch(_svm_specs(grid), X, y)
         flags = [assert_svm_matches_reference(m, p, X, y, probe)[0] for p, m in zip(grid, models)]
         assert flags == expected
 
-    @pytest.mark.parametrize("penalty", ("l1", "l2"))
-    def test_interleaved_losses_and_repeated_C(self, overlapping, penalty):
+    def test_interleaved_losses_and_repeated_C(self, overlapping):
         X, y, probe = overlapping
         order = [("squared_hinge", 1.0), ("hinge", 1.0), ("squared_hinge", 10.0),
                  ("hinge", 0.1), ("squared_hinge", 1.0)]
-        grid = [{"kernel": "rbf", "penalty": penalty, "loss": loss, "C": c} for loss, c in order]
+        grid = [{"kernel": "rbf", "loss": loss, "C": c} for loss, c in order]
         for params, model in zip(grid, fit_svm_batch(_svm_specs(grid), X, y)):
             assert_svm_matches_reference(model, params, X, y, probe)
 
@@ -276,9 +272,8 @@ class TestLockstepSvmMatchesReference:
         y = np.repeat([0, 1, 2], 15)
         probe = rng.normal(size=(30, 2)) * 2.0
         grid = [
-            {"kernel": kernel, "penalty": penalty, "loss": loss, "C": 1.0}
+            {"kernel": kernel, "loss": loss, "C": 1.0}
             for kernel in ("linear", "rbf")
-            for penalty in ("l1", "l2")
             for loss in ("hinge", "squared_hinge")
         ]
         models = fit_svm_batch(_svm_specs(grid), X, y)
@@ -308,10 +303,12 @@ class TestLockstepSvmMatchesReference:
 
     def test_invalid_config_is_returned_not_raised(self, overlapping):
         X, y, probe = overlapping
-        good = {"kernel": "rbf", "penalty": "l2", "loss": "hinge", "C": 1.0}
-        bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "C": "ten"}]
+        good = {"kernel": "rbf", "loss": "hinge", "C": 1.0}
+        bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "C": "ten"},
+               {**good, "C": float("nan")}]
         results = fit_svm_batch(_svm_specs([bad[0], good, *bad[1:]]), X, y)
-        assert [isinstance(r, ValueError) for r in results] == [True, False, True, True]
+        assert [isinstance(r, ValueError) for r in results] == [True, False, True, True, True]
+        assert "C must be positive" in str(results[-1])
         assert_svm_matches_reference(results[1], good, X, y, probe)
         with pytest.raises(TypeError):
             fit_svm_batch(_svm_specs([{**good, "C": None}]), X, y)
