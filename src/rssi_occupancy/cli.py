@@ -17,22 +17,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import (
-    DatasetError,
-    parse_dataset,
-    parse_sidecar,
-    serialize_dataset,
-    serialize_sidecar,
-)
+from .dataset import parse_dataset, parse_sidecar, serialize_dataset, serialize_sidecar
 from .evaluation import (
     KFOLD_CHOICES,
-    EvaluationError,
+    REPRESENTATIONS,
+    TASKS,
     PipelineConfig,
     PipelineStageError,
     run_pipeline,
 )
 from .features import build_feature_matrix, segment
-from .simulator import ScenarioError, load_scenario, simulate
+from .simulator import load_scenario, simulate
 
 
 class _ArtifactWriter:
@@ -133,12 +128,6 @@ def _cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.task == "detection" and args.representation == "raw":
-        print(
-            "error: --task detection only supports --representation features",
-            file=sys.stderr,
-        )
-        return 2
     dataset = _load_dataset(args.dataset, args.sidecar)
     seed = _effective_seed(args.seed)
     families = tuple(f.strip() for f in args.models.split(",") if f.strip()) if args.models else ()
@@ -205,10 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="train, grid-search and score models")
     p_eval.add_argument("dataset", help="dataset CSV")
     p_eval.add_argument("--sidecar", default=None)
-    p_eval.add_argument("--task", choices=("detection", "counting"), required=True)
-    p_eval.add_argument(
-        "--representation", choices=("features", "raw"), default="features"
-    )
+    p_eval.add_argument("--task", choices=TASKS, required=True)
+    p_eval.add_argument("--representation", choices=REPRESENTATIONS, default="features")
     p_eval.add_argument("--models", default="", help="comma-separated family list")
     p_eval.add_argument("--k", type=int, choices=KFOLD_CHOICES, default=5)
     p_eval.add_argument("--seed", type=int, default=None)
@@ -231,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, ScenarioError, EvaluationError, ValueError) as exc:
+    except ValueError as exc:  # DatasetError, ScenarioError and EvaluationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

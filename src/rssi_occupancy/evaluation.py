@@ -7,8 +7,7 @@ grid search per model family under k-fold cross-validation -> final test
 evaluation of every family's best configuration.
 
 Selection metrics: accuracy for detection, negated RMSE for counting.
-Regression test metrics are computed on the unrounded estimates; the rounded
-occupant view is presentation-only.
+Regression test metrics are computed on the unrounded estimates.
 """
 
 from __future__ import annotations
@@ -22,10 +21,19 @@ import numpy as np
 from . import __version__
 from .dataset import RssiDataset, deduplicate
 from .features import FeatureMatrix, build_feature_matrix, build_raw_matrix, segment
-from .models import ModelSpec, default_grid, family_task, fit, fit_svm_batch
+from .models import (
+    CLASSIFIER_FAMILIES,
+    REGRESSOR_FAMILIES,
+    ModelSpec,
+    default_grid,
+    family_task,
+    fit,
+    fit_svm_batch,
+)
 from .preprocess import apply_mask, apply_scaler, fit_scaler, select_features
 
 KFOLD_CHOICES = (3, 5, 10)
+HOLDOUT_RATIO = 0.75
 
 TASKS = ("detection", "counting")
 REPRESENTATIONS = ("features", "raw")
@@ -151,64 +159,47 @@ def regression_metrics(pred: np.ndarray, truth: np.ndarray) -> RegressionMetrics
 def holdout_split(
     matrix: FeatureMatrix,
     task: str = "classification",
-    ratio: float = 0.75,
     seed: int = 0,
     mode: str = "random",
 ) -> tuple[FeatureMatrix, FeatureMatrix]:
-    """Disjoint covering train/test split; |train| = round(ratio * N).
+    """Disjoint covering train/test split; |train| = round(HOLDOUT_RATIO * N).
 
-    Classification splits are stratified on the occupancy label (per-class
-    train share within one sample of the global ratio); regression splits are
-    plain random. ``mode="chronological"`` takes the first rows as training
-    data instead, for callers worried about temporal leakage.
+    Classification splits are stratified on the occupancy label: each class
+    gets the floor of its share, and leftover rows go to the largest
+    remainders, ties to the earlier class. Regression splits are plain random.
+    ``mode="chronological"`` takes the first rows as training data instead,
+    for callers worried about temporal leakage.
     """
     n = matrix.n_rows
     if n < 4:
         raise EvaluationError(f"need at least 4 rows to split, got {n}")
-    if not 0 < ratio < 1:
-        raise EvaluationError(f"ratio must be in (0, 1), got {ratio}")
-    n_train = round(ratio * n)
-    n_train = min(max(n_train, 1), n - 1)
+    n_train = round(HOLDOUT_RATIO * n)  # in [3, n - 1] for every n >= 4
 
     if mode == "chronological":
         train_idx = np.arange(n_train)
-        test_idx = np.arange(n_train, n)
     elif mode == "random":
         rng = np.random.default_rng(seed)
         if task == "classification":
             labels = matrix.labels_occupancy
-            classes = np.unique(labels)
-            allocations: dict = {}
-            fractions = []
-            total_base = 0
-            for c in classes:
-                members = np.flatnonzero(labels == c)
-                if members.size < 2:
+            members = {c: np.flatnonzero(labels == c) for c in np.unique(labels)}
+            for c, rows in members.items():
+                if rows.size < 2:
                     raise EvaluationError(
-                        f"stratified split impossible: class {c} has {members.size} member(s)"
+                        f"stratified split impossible: class {c} has {rows.size} member(s)"
                     )
-                exact = ratio * members.size
-                base = int(np.floor(exact))
-                allocations[bool(c)] = [members, base]
-                fractions.append((exact - base, bool(c)))
-                total_base += base
-            remainder = max(0, n_train - total_base)
-            for _, c in sorted(fractions, key=lambda item: -item[0])[:remainder]:
-                allocations[c][1] += 1
-            train_parts = []
-            for c in classes:
-                members, take = allocations[bool(c)]
-                shuffled = rng.permutation(members)
-                train_parts.append(shuffled[:take])
-            train_idx = np.sort(np.concatenate(train_parts))
-            test_idx = np.setdiff1d(np.arange(n), train_idx)
+            exact = HOLDOUT_RATIO * np.array([rows.size for rows in members.values()])
+            take = np.floor(exact).astype(np.int64)
+            take[np.argsort(take - exact, kind="stable")[: n_train - take.sum()]] += 1
+            train_idx = np.concatenate(
+                [rng.permutation(rows)[:t] for rows, t in zip(members.values(), take)]
+            )
         else:
-            perm = rng.permutation(n)
-            train_idx = np.sort(perm[:n_train])
-            test_idx = np.sort(perm[n_train:])
+            train_idx = rng.permutation(n)[:n_train]
     else:
         raise EvaluationError(f"unknown split mode {mode!r}")
-    return matrix.take_rows(train_idx), matrix.take_rows(test_idx)
+    in_train = np.zeros(n, dtype=bool)
+    in_train[train_idx] = True
+    return matrix.take_rows(np.flatnonzero(in_train)), matrix.take_rows(np.flatnonzero(~in_train))
 
 
 def kfold_split(n_rows: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -337,7 +328,6 @@ def grid_search(
 class PipelineConfig:
     families: tuple[str, ...] = ()
     window_s: float = 1.0
-    holdout_ratio: float = 0.75
     k: int = 5
     seed: int = 0
     split_mode: str = "random"
@@ -390,7 +380,7 @@ class EvalReport:
             "task": self.task,
             "representation": self.representation,
             "window_s": self.config.window_s,
-            "holdout_ratio": self.config.holdout_ratio,
+            "holdout_ratio": HOLDOUT_RATIO,
             "k": self.config.k,
             "seed": self.config.seed,
             "split_mode": self.config.split_mode,
@@ -462,9 +452,7 @@ def run_pipeline(
             "cannot consume unsegmented raw samples"
         )
     families = config.families or (
-        ("knn", "wknn", "lda", "qlda", "svm")
-        if task == "detection"
-        else ("gradient_boosting", "random_forest", "linear", "ridge", "ransac", "bayesian", "theil_sen")
+        CLASSIFIER_FAMILIES if task == "detection" else REGRESSOR_FAMILIES
     )
     model_task = "classification" if task == "detection" else "regression"
     for family in families:
@@ -494,7 +482,6 @@ def run_pipeline(
         holdout_split,
         matrix,
         model_task,
-        config.holdout_ratio,
         config.seed,
         config.split_mode,
     )

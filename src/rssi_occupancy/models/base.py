@@ -1,11 +1,9 @@
 """Uniform fit/predict contract over the classifier and regressor families.
 
-Classifier families: knn, wknn, lda, qlda, svm.
-Regressor families: gradient_boosting, random_forest, linear, ridge, ransac,
-bayesian, theil_sen.
-
-``ModelSpec`` names a family, a hyperparameter mapping (keys restricted to
-the family's documented grid dimensions) and a seed; ``fit`` returns an
+``_FAMILIES`` is the one place a family is defined: its task
+(classification or regression), default hyperparameters, documented grid
+and constructor. ``ModelSpec`` names a family, a hyperparameter mapping
+(keys restricted to the family's defaults) and a seed; ``fit`` returns an
 immutable ``TrainedModel`` whose predictions are deterministic given
 (spec, seed, data). Fitted models live in memory only: the pipeline scores
 them on held-out data and nothing reloads them, so there is no model file
@@ -15,7 +13,8 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,59 +25,100 @@ from .neighbors import NearestNeighbors
 from .robust import RansacRegression, TheilSenRegression
 from .svm import SupportVectorClassifier, fit_lockstep
 
-CLASSIFIER_FAMILIES = ("knn", "wknn", "lda", "qlda", "svm")
-REGRESSOR_FAMILIES = (
-    "gradient_boosting",
-    "random_forest",
-    "linear",
-    "ridge",
-    "ransac",
-    "bayesian",
-    "theil_sen",
-)
-FAMILIES = CLASSIFIER_FAMILIES + REGRESSOR_FAMILIES
 
-_PARAM_KEYS: dict[str, frozenset[str]] = {
-    "knn": frozenset({"k"}),
-    "wknn": frozenset({"k"}),
-    "lda": frozenset(),
-    "qlda": frozenset(),
-    "svm": frozenset({"kernel", "loss", "C"}),
-    "gradient_boosting": frozenset({"n_trees", "depth"}),
-    "random_forest": frozenset({"n_trees", "depth"}),
-    "linear": frozenset(),
-    "ridge": frozenset({"lam"}),
-    "ransac": frozenset({"residual_quantile"}),
-    "bayesian": frozenset({"lam"}),
-    "theil_sen": frozenset({"n_subsets"}),
+@dataclass(frozen=True)
+class _Family:
+    task: str
+    defaults: Mapping[str, object]
+    grid: tuple[Mapping[str, object], ...]
+    build: Callable[[dict, int], object]  # (resolved params, seed) -> unfitted model
+
+
+def _grid(**axes: Sequence) -> tuple[dict, ...]:
+    """Every combination of the axes; the last axis varies fastest."""
+    return tuple(dict(zip(axes, values)) for values in product(*axes.values()))
+
+
+_FAMILIES: dict[str, _Family] = {
+    "knn": _Family(
+        "classification", {"k": 5}, _grid(k=(1, 3, 5, 11)),
+        lambda p, seed: NearestNeighbors(k=int(p["k"]), weighted=False),
+    ),
+    "wknn": _Family(
+        "classification", {"k": 5}, _grid(k=(1, 3, 5, 11)),
+        lambda p, seed: NearestNeighbors(k=int(p["k"]), weighted=True),
+    ),
+    "lda": _Family(
+        "classification", {}, _grid(), lambda p, seed: LinearDiscriminant(quadratic=False)
+    ),
+    "qlda": _Family(
+        "classification", {}, _grid(), lambda p, seed: LinearDiscriminant(quadratic=True)
+    ),
+    "svm": _Family(
+        "classification",
+        {"kernel": "linear", "loss": "hinge", "C": 1.0},
+        _grid(
+            kernel=("linear", "poly", "sigmoid", "rbf"),
+            loss=("hinge", "squared_hinge"),
+            C=(0.1, 1.0, 10.0),
+        ),
+        lambda p, seed: SupportVectorClassifier(
+            kernel=p["kernel"], loss=p["loss"], C=float(p["C"])
+        ),
+    ),
+    "gradient_boosting": _Family(
+        "regression",
+        {"n_trees": 100, "depth": 4},
+        _grid(n_trees=(50, 200), depth=(4, 8, None)),
+        lambda p, seed: GradientBoosting(n_trees=int(p["n_trees"]), max_depth=p["depth"]),
+    ),
+    "random_forest": _Family(
+        "regression",
+        {"n_trees": 100, "depth": None},
+        _grid(n_trees=(50, 200), depth=(4, 8, None)),
+        lambda p, seed: RandomForest(
+            task="regression", n_trees=int(p["n_trees"]), max_depth=p["depth"], seed=seed
+        ),
+    ),
+    "linear": _Family("regression", {}, _grid(), lambda p, seed: LeastSquares()),
+    "ridge": _Family(
+        "regression", {"lam": 1.0}, _grid(lam=(1e-3, 1e-1, 1.0)),
+        lambda p, seed: RidgeRegression(lam=float(p["lam"])),
+    ),
+    "ransac": _Family(
+        "regression", {"residual_quantile": 0.5}, _grid(residual_quantile=(0.5,)),
+        lambda p, seed: RansacRegression(
+            residual_quantile=float(p["residual_quantile"]), seed=seed
+        ),
+    ),
+    "bayesian": _Family(
+        "regression", {"lam": 1.0}, _grid(lam=(1e-3, 1e-1, 1.0)),
+        lambda p, seed: BayesianRidge(lam=float(p["lam"])),
+    ),
+    "theil_sen": _Family(
+        "regression", {"n_subsets": 200}, _grid(n_subsets=(200, 500)),
+        lambda p, seed: TheilSenRegression(n_subsets=int(p["n_subsets"]), seed=seed),
+    ),
 }
 
-_DEFAULTS: dict[str, dict] = {
-    "knn": {"k": 5},
-    "wknn": {"k": 5},
-    "lda": {},
-    "qlda": {},
-    "svm": {"kernel": "linear", "loss": "hinge", "C": 1.0},
-    "gradient_boosting": {"n_trees": 100, "depth": 4},
-    "random_forest": {"n_trees": 100, "depth": None},
-    "linear": {},
-    "ridge": {"lam": 1.0},
-    "ransac": {"residual_quantile": 0.5},
-    "bayesian": {"lam": 1.0},
-    "theil_sen": {"n_subsets": 200},
-}
+FAMILIES = tuple(_FAMILIES)
+CLASSIFIER_FAMILIES = tuple(f for f in FAMILIES if _FAMILIES[f].task == "classification")
+REGRESSOR_FAMILIES = tuple(f for f in FAMILIES if _FAMILIES[f].task == "regression")
 
 
 class ModelError(ValueError):
     """Unknown family, bad hyperparameters, or degenerate training input."""
 
 
+def _family(family: str) -> _Family:
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise ModelError(f"unknown model family {family!r}") from None
+
+
 def family_task(family: str) -> str:
-    if family in CLASSIFIER_FAMILIES:
-        return "classification"
-    if family in REGRESSOR_FAMILIES:
-        return "regression"
-    raise ModelError(f"unknown model family {family!r}")
+    return _family(family).task
 
 
 @dataclass(frozen=True)
@@ -90,9 +130,7 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        allowed = _PARAM_KEYS.get(self.family)
-        if allowed is None:
-            raise ModelError(f"unknown model family {self.family!r}")
+        allowed = set(_family(self.family).defaults)
         unknown = set(self.params) - allowed
         if unknown:
             raise ModelError(
@@ -101,35 +139,14 @@ class ModelSpec:
             )
 
     def resolved_params(self) -> dict:
-        merged = dict(_DEFAULTS[self.family])
+        merged = dict(_FAMILIES[self.family].defaults)
         merged.update(self.params)
         return merged
 
 
 def default_grid(family: str) -> list[dict]:
     """The documented hyperparameter grid, in deterministic order."""
-    if family in ("knn", "wknn"):
-        return [{"k": k} for k in (1, 3, 5, 11)]
-    if family in ("lda", "qlda", "linear"):
-        return [{}]
-    if family == "svm":
-        return [
-            {"kernel": kernel, "loss": loss, "C": c}
-            for kernel in ("linear", "poly", "sigmoid", "rbf")
-            for loss in ("hinge", "squared_hinge")
-            for c in (0.1, 1.0, 10.0)
-        ]
-    if family in ("random_forest", "gradient_boosting"):
-        return [
-            {"n_trees": n, "depth": depth} for n in (50, 200) for depth in (4, 8, None)
-        ]
-    if family in ("ridge", "bayesian"):
-        return [{"lam": lam} for lam in (1e-3, 1e-1, 1.0)]
-    if family == "theil_sen":
-        return [{"n_subsets": n} for n in (200, 500)]
-    if family == "ransac":
-        return [{"residual_quantile": 0.5}]
-    raise ModelError(f"unknown model family {family!r}")
+    return [dict(params) for params in _family(family).grid]
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,48 +172,9 @@ class TrainedModel:
             return self.classes[np.asarray(raw, dtype=np.int64)]
         return np.asarray(raw, dtype=np.float64)
 
-    def predict_count(self, X: np.ndarray) -> np.ndarray:
-        """Integer occupant view: round half away from zero, clamp at 0."""
-        if self.task != "regression":
-            raise ModelError("predict_count is defined for regression models only")
-        estimates = self.predict(X)
-        return np.maximum(np.floor(estimates + 0.5), 0.0).astype(np.int64)
 
-
-def _build_inner(spec: ModelSpec, params: dict):
-    family = spec.family
-    if family in ("knn", "wknn"):
-        return NearestNeighbors(k=int(params["k"]), weighted=family == "wknn")
-    if family in ("lda", "qlda"):
-        return LinearDiscriminant(quadratic=family == "qlda")
-    if family == "svm":
-        return SupportVectorClassifier(
-            kernel=params["kernel"],
-            loss=params["loss"],
-            C=float(params["C"]),
-        )
-    if family == "random_forest":
-        return RandomForest(
-            task="regression",
-            n_trees=int(params["n_trees"]),
-            max_depth=params["depth"],
-            seed=spec.seed,
-        )
-    if family == "gradient_boosting":
-        return GradientBoosting(n_trees=int(params["n_trees"]), max_depth=params["depth"])
-    if family == "linear":
-        return LeastSquares()
-    if family == "ridge":
-        return RidgeRegression(lam=float(params["lam"]))
-    if family == "bayesian":
-        return BayesianRidge(lam=float(params["lam"]))
-    if family == "ransac":
-        return RansacRegression(
-            residual_quantile=float(params["residual_quantile"]), seed=spec.seed
-        )
-    if family == "theil_sen":
-        return TheilSenRegression(n_subsets=int(params["n_subsets"]), seed=spec.seed)
-    raise ModelError(f"unknown model family {family!r}")
+def _build_inner(spec: ModelSpec):
+    return _FAMILIES[spec.family].build(spec.resolved_params(), spec.seed)
 
 
 def _checked_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,27 +200,23 @@ def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     """Fit ``spec`` on (X, y); deterministic given the spec's seed."""
     X, y = _checked_input(X, y)
     task = family_task(spec.family)
-    params = spec.resolved_params()
-    inner = _build_inner(spec, params)
-
+    inner = _build_inner(spec)
+    classes = None
     if task == "classification":
         classes, y_idx = _class_indices(y)
-        try:
-            inner.fit(X, y_idx, classes.size)
-        except np.linalg.LinAlgError as exc:
-            raise ModelError(f"{spec.family}: degenerate training data ({exc})") from exc
-        return TrainedModel(
-            spec=spec, task=task, n_features=X.shape[1], inner=inner, classes=classes
-        )
-
-    y_float = y.astype(np.float64)
-    if np.unique(y_float).size < 2:
-        raise ModelError("regression needs at least 2 distinct target values")
+        targets = (y_idx, classes.size)
+    else:
+        y_float = y.astype(np.float64)
+        if np.unique(y_float).size < 2:
+            raise ModelError("regression needs at least 2 distinct target values")
+        targets = (y_float,)
     try:
-        inner.fit(X, y_float)
+        inner.fit(X, *targets)
     except np.linalg.LinAlgError as exc:
         raise ModelError(f"{spec.family}: degenerate training data ({exc})") from exc
-    return TrainedModel(spec=spec, task=task, n_features=X.shape[1], inner=inner)
+    return TrainedModel(
+        spec=spec, task=task, n_features=X.shape[1], inner=inner, classes=classes
+    )
 
 
 def fit_svm_batch(
@@ -263,7 +237,7 @@ def fit_svm_batch(
         if spec.family != "svm":
             raise ModelError(f"fit_svm_batch fits svm specs only, got {spec.family!r}")
         try:
-            inner = _build_inner(spec, spec.resolved_params())
+            inner = _build_inner(spec)
         except ValueError as exc:
             results.append(exc)
             continue

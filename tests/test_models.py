@@ -78,6 +78,30 @@ class TestDefaultGrids:
         assert default_grid("lda") == [{}]
         assert default_grid("linear") == [{}]
 
+    def test_documented_order(self):
+        # Grid order sets a report's config_index and the ties that pick best_params.
+        assert default_grid("svm") == [
+            {"kernel": kernel, "loss": loss, "C": c}
+            for kernel in ("linear", "poly", "sigmoid", "rbf")
+            for loss in ("hinge", "squared_hinge")
+            for c in (0.1, 1.0, 10.0)
+        ]
+        # key order too: the summary line prints best_params as a dict
+        assert {tuple(p) for p in default_grid("svm")} == {("kernel", "loss", "C")}
+        for family in ("random_forest", "gradient_boosting"):
+            assert {tuple(p) for p in default_grid(family)} == {("n_trees", "depth")}
+            assert default_grid(family) == [
+                {"n_trees": 50, "depth": 4},
+                {"n_trees": 50, "depth": 8},
+                {"n_trees": 50, "depth": None},
+                {"n_trees": 200, "depth": 4},
+                {"n_trees": 200, "depth": 8},
+                {"n_trees": 200, "depth": None},
+            ]
+        for family in ("ridge", "bayesian"):
+            assert default_grid(family) == [{"lam": 1e-3}, {"lam": 1e-1}, {"lam": 1.0}]
+        assert default_grid("theil_sen") == [{"n_subsets": 200}, {"n_subsets": 500}]
+
     def test_every_config_validates(self):
         for family in CLASSIFIER_FAMILIES + REGRESSOR_FAMILIES:
             for params in default_grid(family):
@@ -352,16 +376,6 @@ class TestLinearModels:
         assert model.inner.n_iter_ <= 300
         assert np.max(np.abs(model.predict(X) - y)) < 0.2
         assert model.inner.alpha_ > 0 and model.inner.lambda_ > 0
-
-    def test_predict_count_rounds_and_clamps(self, linear_data):
-        X, y = linear_data
-        model = fit(ModelSpec("linear"), X, y)
-        probe = np.array([[0.0, 3.0 - 0.6], [0.0, 3.0 - 2.4], [0.0, 13.0]])
-        # exact predictions: 3 - (-0.6)... y = 2*x0 - x1 + 3 -> [0.6 + 3 ... ]
-        estimates = model.predict(probe)
-        counts = model.predict_count(probe)
-        assert counts.tolist() == [round(estimates[0]), round(estimates[1]), 0]
-        assert counts.min() >= 0
 
 
 class TestRobustModels:
