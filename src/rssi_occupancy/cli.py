@@ -26,7 +26,7 @@ from .evaluation import (
     PipelineStageError,
     run_pipeline,
 )
-from .features import build_feature_matrix, segment
+from .features import build_feature_matrix, check_featurizable, segment, window_length
 from .simulator import load_scenario, simulate
 
 
@@ -129,6 +129,10 @@ def _cmd_featurize(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, args.sidecar)
+    # a window too short for the representation is a usage error, as in featurize
+    length = window_length(args.window_s, dataset.sampling_hz)
+    if args.representation == "features":
+        check_featurizable(length, dataset.sampling_hz)
     seed = _effective_seed(args.seed)
     families = tuple(f.strip() for f in args.models.split(",") if f.strip()) if args.models else ()
     config = PipelineConfig(

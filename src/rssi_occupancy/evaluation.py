@@ -494,7 +494,7 @@ def run_pipeline(
     n_kept = n_features_total
     if representation == "features":
         mask = stage("select-features", select_features, train, train.labels_for(model_task),
-                     config.seed, model_task)
+                     config.seed)
         train = stage("apply-selection", apply_mask, train, mask)
         test = stage("apply-selection", apply_mask, test, mask)
         n_kept = int(mask.kept.size)

@@ -193,20 +193,33 @@ def _majority_labels(counts: np.ndarray) -> tuple[bool, int]:
     return occupancy, best
 
 
+def window_length(window_s: float, sampling_hz: float) -> int:
+    """``round(window_s * sampling_hz)`` samples; FeatureError below 2."""
+    if window_s <= 0:
+        raise FeatureError(f"window_s must be positive, got {window_s}")
+    length = int(round(window_s * sampling_hz))
+    if length < 2:
+        raise FeatureError(f"window of {window_s}s at {sampling_hz}Hz holds {length} < 2 samples")
+    return length
+
+
+def check_featurizable(length: int, sampling_hz: float) -> None:
+    """FeatureError unless windows of ``length`` samples are long enough to featurize."""
+    if length < MIN_FEATURE_LENGTH:
+        raise FeatureError(
+            f"windows of {length} samples at {sampling_hz:g} Hz are too short to "
+            f"featurize: the frequency features need >= {MIN_FEATURE_LENGTH} samples"
+        )
+
+
 def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
     """Chop the dataset into consecutive non-overlapping fixed-length windows.
 
-    Window length is ``round(window_s * sampling_hz)`` samples; a trailing
-    partial window is dropped. Labels are majority votes over the contained
-    records.
+    Window length is ``window_length(window_s, sampling_hz)`` samples; a
+    trailing partial window is dropped. Labels are majority votes over the
+    contained records.
     """
-    if window_s <= 0:
-        raise FeatureError(f"window_s must be positive, got {window_s}")
-    length = int(round(window_s * dataset.sampling_hz))
-    if length < 2:
-        raise FeatureError(
-            f"window of {window_s}s at {dataset.sampling_hz}Hz holds {length} < 2 samples"
-        )
+    length = window_length(window_s, dataset.sampling_hz)
     n_records = len(dataset)
     n_windows = n_records // length
     if n_windows == 0:
@@ -463,11 +476,7 @@ def build_feature_matrix(windows: list[Window]) -> FeatureMatrix:
     if len(lengths) > 1:
         raise FeatureError(f"windows differ in length: {sorted(lengths)} samples")
     (length,) = lengths
-    if length < MIN_FEATURE_LENGTH:
-        raise FeatureError(
-            f"windows of {length} samples at {first.sampling_hz:g} Hz are too short to "
-            f"featurize: the frequency features need >= {MIN_FEATURE_LENGTH} samples"
-        )
+    check_featurizable(length, first.sampling_hz)
     # one C-contiguous (windows x transmitters, L) block, one row per sample vector
     block = np.ascontiguousarray(
         np.stack([w.samples for w in windows]).reshape(-1, length), dtype=np.float64

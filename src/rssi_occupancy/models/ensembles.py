@@ -8,8 +8,9 @@ and each step scores the next depth-first node of every tree in one batched
 search whose temporaries are capped by one module constant. Each tree keeps
 its own generator and depth-first order, so every draw is the one a
 tree-by-tree fit would make, and on integer-valued targets (head counts,
-class indices) the forest is bit-identical to one. Every tree votes over the
-forest's classes, including classes its bootstrap sample missed.
+the 0/1 occupancy indicator) the forest is bit-identical to one. The forest
+predicts the mean of its trees; the selector ranks splits on the indicator by
+variance reduction, half the two-class Gini decrease.
 
 Gradient boosting fits regression trees on all features to residuals under
 squared loss with shrinkage 0.1; the recorded training loss per round is
@@ -28,37 +29,25 @@ LEARNING_RATE = 0.1
 
 
 class RandomForest:
-    """Bagging ensemble; task is "regression" (variance) or "classification" (gini)."""
+    """Bagging ensemble of variance-criterion trees; predicts their mean."""
 
-    def __init__(
-        self,
-        task: str = "regression",
-        n_trees: int = 100,
-        max_depth: int | None = None,
-        seed: int = 0,
-    ):
-        self.task = task
+    def __init__(self, n_trees: int = 100, max_depth: int | None = None, seed: int = 0):
         self.n_trees = int(n_trees)
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.max_depth = max_depth
         self.seed = int(seed)
         self.trees: list[DecisionTree] = []
-        self.n_classes = 0
         self.importances_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         d = X.shape[1]
-        criterion = "gini" if self.task == "classification" else "variance"
-        if self.task == "classification":
-            y = np.asarray(y, dtype=np.int64)
-            self.n_classes = int(y.max()) + 1
-        else:
-            y = np.asarray(y, dtype=np.float64)
         k = max(1, int(np.sqrt(d)))
 
         children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
         rngs = [np.random.default_rng(child) for child in children]
-        self.trees = grow_forest(X, y, rngs, criterion, self.max_depth, k, self.n_classes)
+        self.trees = grow_forest(X, y, rngs, self.max_depth, k)
         raw_importance = np.zeros(d)
         for tree in self.trees:
             raw_importance += tree.importances_
@@ -68,12 +57,6 @@ class RandomForest:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if self.task == "classification":
-            votes = np.zeros((X.shape[0], self.n_classes))
-            for tree in self.trees:
-                counts = tree.predict(X)
-                votes += counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
-            return np.argmax(votes, axis=1)
         acc = np.zeros(X.shape[0])
         for tree in self.trees:
             acc += tree.predict(X)
@@ -99,7 +82,7 @@ class GradientBoosting:
         self.train_losses_ = [float(np.mean((y - current) ** 2))]
         for _ in range(self.n_trees):
             residual = y - current
-            tree = DecisionTree(criterion="variance", max_depth=self.max_depth).fit(X, residual)
+            tree = DecisionTree(max_depth=self.max_depth).fit(X, residual)
             current = current + LEARNING_RATE * tree.predict(X)
             self.trees.append(tree)
             self.train_losses_.append(float(np.mean((y - current) ** 2)))

@@ -1,12 +1,13 @@
 """CART-style decision trees shared by the forests, boosting and the selector.
 
 A node is split whenever it has two or more rows, lies above the depth cap
-and some split reduces impurity, so a leaf may hold a single row.
-Regression splits maximize the sum-of-squares reduction, classification
-splits the Gini impurity reduction; both are equivalent to maximizing
-sum(left_stat)/n_left + sum(right_stat)/n_right. Thresholds are stored as
-the largest value routed left and compared with ``<=``, which avoids the
-floating-point pitfalls of midpoints.
+and some split reduces impurity, so a leaf may hold a single row. Trees
+have one criterion: a split maximizes the variance reduction, i.e.
+sum(left)**2/n_left + sum(right)**2/n_right, and a leaf holds the mean
+target. On the 0/1 occupancy indicator that is half the two-class Gini
+decrease (Breiman et al., CART, 1984). Thresholds are stored as the largest
+value routed left and compared with ``<=``, which avoids the floating-point
+pitfalls of midpoints.
 
 Feature importance: when several candidate features tie exactly for the best
 split (e.g. duplicated columns), the impurity decrease is credited equally to
@@ -15,10 +16,10 @@ importances symmetric under feature duplication while staying deterministic.
 
 Trees grow in one of two ways, with the same rules:
 
-* ``DecisionTree.fit`` grows one regression tree depth first on all
-  features. Per node, the columns are gathered into an (n, d) block,
-  column-sorted, and every boundary is scored from prefix sums over the
-  sorted rows. Gradient boosting fits its trees this way.
+* ``DecisionTree.fit`` grows one tree depth first on all features. Per
+  node, the columns are gathered into an (n, d) block, column-sorted, and
+  every boundary is scored from prefix sums over the sorted rows. Gradient
+  boosting fits its trees this way.
 * ``grow_forest`` grows all trees of a random forest in lockstep. Each
   column gets rank codes once per fit: a row's code is the rank of its value
   among the column's distinct values, so every distinct value keeps its own
@@ -28,20 +29,21 @@ Trees grow in one of two ways, with the same rules:
   of every unfinished tree, draws that node's candidate features from the
   tree's own generator, and scores all popped nodes at once: one
   ``np.bincount`` over (node, feature, code) keys counts the rows per bin,
-  one weighted ``np.bincount`` sums their targets (per class for Gini), and
-  a cumsum along the codes gives every boundary's score. Since each tree
-  still visits its nodes depth first, every generator draw is the one that
-  growing the trees one by one would make. A step's search is cut into
-  chunks so that neither their rows x features nor their
-  nodes x features x codes (x classes) exceed ``_CHUNK_CELLS``, which keeps
-  each temporary array within 256 KiB; a chunk holds at least one node, so
-  only a single node larger than the bound exceeds it. A node's cost is
-  linear in its rows plus the codes of its widest candidate column.
+  one weighted ``np.bincount`` sums their targets, and a cumsum along the
+  codes gives every boundary's score. Since each tree still visits its
+  nodes depth first, every generator draw is the one that growing the trees
+  one by one would make. A step's search is cut into chunks so that neither
+  their rows x features nor their nodes x features x codes exceed
+  ``_CHUNK_CELLS``, which keeps each temporary array within 256 KiB; a
+  chunk holds at least one node, so only a single node larger than the
+  bound exceeds it. A node's cost is linear in its rows plus the codes of
+  its widest candidate column.
 
-Exactness: on integer-valued targets (head counts, class indices) every bin
-sum and prefix sum is an exact integer, so the lockstep forest equals the
-depth-first, sort-based growth bit for bit: features, thresholds, children,
-leaf values and importances (this holds while the sums stay below 2**53).
+Exactness: on integer-valued targets (head counts, the 0/1 occupancy
+indicator) every bin sum and prefix sum is an exact integer, so the
+lockstep forest equals the depth-first, sort-based growth bit for bit:
+features, thresholds, children, leaf values and importances (this holds
+while the sums stay below 2**53).
 On fractional targets the bin sums re-associate the additions and a
 near-tie may break the other way. That is why boosting, whose residuals are
 fractional, keeps the sorted search: grown on bin sums, its 45 Hz
@@ -61,31 +63,22 @@ _CHUNK_CELLS = 1 << 15
 
 
 class DecisionTree:
-    """One fitted tree; criterion is "variance" (regression) or "gini"."""
+    """One fitted tree: variance-reduction splits, leaf means."""
 
-    def __init__(self, criterion: str = "variance", max_depth: int | None = None):
-        if criterion not in ("variance", "gini"):
-            raise ValueError(f"unknown criterion {criterion!r}")
-        self.criterion = criterion
+    def __init__(self, max_depth: int | None = None):
         self.max_depth = max_depth
         # Parallel node arrays, filled during fit.
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
         self.right: list[int] = []
-        self.value: list[np.ndarray | float] = []
+        self.value: list[float] = []
         self.importances_: np.ndarray | None = None
-        self.n_classes: int = 0
 
     # -- fitting ------------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        """Grow a regression tree depth first, searching every feature at every node.
-
-        Gini trees are grown only in forests, by ``grow_forest``.
-        """
-        if self.criterion != "variance":
-            raise ValueError("DecisionTree.fit grows variance trees; grow_forest grows Gini trees")
+        """Grow the tree depth first, searching every feature at every node."""
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         self.importances_ = np.zeros(d)
@@ -164,15 +157,12 @@ class DecisionTree:
         self._thr = np.array(self.threshold, dtype=np.float64)
         self._left = np.array(self.left, dtype=np.int64)
         self._right = np.array(self.right, dtype=np.int64)
-        if self.criterion == "gini":
-            self._val = np.vstack([v for v in self.value]) if self.value else np.empty((0, 0))
-        else:
-            self._val = np.array(self.value, dtype=np.float64)
+        self._val = np.array(self.value, dtype=np.float64)
 
     # -- prediction ----------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Regression: leaf means. Classification: per-class count vectors.
+        """The leaf mean of each row.
 
         All rows descend together, one level per pass: each pass moves every
         row that sits at an inner node to the child its value selects.
@@ -194,29 +184,24 @@ def grow_forest(
     X: np.ndarray,
     y: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    criterion: str,
     max_depth: int | None,
     max_features: int,
-    n_classes: int,
 ) -> list[DecisionTree]:
     """Grow one tree per generator, all in lockstep (see the module docstring).
 
     Generator i first draws tree i's bootstrap sample of the rows of ``X``,
-    then ``max_features`` candidate features per split. Gini trees vote over
-    ``n_classes`` classes.
+    then ``max_features`` candidate features per split.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    y = np.asarray(y, dtype=np.int64 if criterion == "gini" else np.float64)
-    search = _LockstepSearch(X, y, criterion, n_classes, len(rngs))
+    search = _LockstepSearch(X, np.asarray(y, dtype=np.float64), len(rngs))
     draw = max_features < d
     k = max_features if draw else d
     depth_cap = max_depth if max_depth is not None else np.inf
 
     trees, stacks = [], []
     for t, rng in enumerate(rngs):
-        tree = DecisionTree(criterion, max_depth)
-        tree.n_classes = n_classes
+        tree = DecisionTree(max_depth)
         tree.importances_ = search.importances[t]
         trees.append(tree)
         stacks.append([(rng.integers(0, n, size=n).astype(np.int32), 0, -1, False)])
@@ -256,7 +241,7 @@ class _Node(NamedTuple):
 class _LockstepSearch:
     """The rank codes of one forest fit and the batched search over them."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, criterion: str, n_classes: int, n_trees: int):
+    def __init__(self, X: np.ndarray, y: np.ndarray, n_trees: int):
         self.values = [np.unique(column) for column in X.T]
         self.widths = np.array([v.size for v in self.values])
         # codes[j * n + i]: rank of X[i, j] among the distinct values of column j
@@ -267,8 +252,6 @@ class _LockstepSearch:
         self.real_codes = np.array([np.searchsorted(v, np.nan) for v in self.values])
         self.n = X.shape[0]
         self.y = y
-        self.gini = criterion == "gini"
-        self.n_classes = n_classes if self.gini else 1
         self.importances = np.zeros((n_trees, X.shape[1]))  # row t: tree t's importances_
 
     def leaf_values(self, trees: list[DecisionTree], leaves: list[_Node]) -> None:
@@ -281,12 +264,8 @@ class _LockstepSearch:
 
     def _set_values(self, trees, nodes, nid, y) -> None:
         n_nodes = len(nodes)
-        if self.gini:
-            counts = np.bincount(nid * self.n_classes + y, minlength=n_nodes * self.n_classes)
-            values = list(counts.reshape(n_nodes, self.n_classes).astype(np.float64))
-        else:
-            sums = np.bincount(nid, weights=y, minlength=n_nodes)
-            values = (sums / np.maximum(np.bincount(nid, minlength=n_nodes), 1)).tolist()
+        sums = np.bincount(nid, weights=y, minlength=n_nodes)
+        values = (sums / np.maximum(np.bincount(nid, minlength=n_nodes), 1)).tolist()
         for node, value in zip(nodes, values):
             trees[node.tree].value[node.node_id] = value
 
@@ -299,7 +278,7 @@ class _LockstepSearch:
         once its children hold them.
         """
         k = feats.shape[1]
-        widest = self.widths[feats].max(axis=1) * (k * self.n_classes)
+        widest = self.widths[feats].max(axis=1) * k
         sizes = [node.rows.size * k for node in nodes]
         found = []
         for start, stop in _chunks(sizes, widest.tolist()):
@@ -353,46 +332,35 @@ class _LockstepSearch:
     def _boundary_scores(self, nid, rows, y, feats, width):
         """Score every boundary of every node's candidate features.
 
-        Bins are (class, candidate slot, node, code). Returns the flat
-        (slot, node, code) index of each boundary, its score, and each
-        node's parent score.
+        Bins are (candidate slot, node, code). Returns the flat index of
+        each boundary's bin, its score, and each node's parent score.
         """
         n_nodes, k = feats.shape
         slot_bins = n_nodes * width
         # keys[s]: each row's bin for its node's candidate feature in slot s
         offsets = feats * self.n
         base = nid * width
-        if self.gini:
-            base += y * (k * slot_bins)
         keys = np.empty((k, rows.size), dtype=np.intp)
         for s in range(k):
             np.add(base, self.codes[offsets[nid, s] + rows], out=keys[s])
             keys[s] += s * slot_bins
-        binned = np.bincount(keys.ravel(), minlength=self.n_classes * k * slot_bins)
-        binned = binned.reshape(self.n_classes, k, n_nodes, width)
-        if self.gini:
-            cum = np.cumsum(binned, axis=3)
-            counts = binned.sum(axis=0)
-        else:
-            sums = np.bincount(keys.ravel(), weights=np.tile(y, k), minlength=k * slot_bins)
-            cum = np.cumsum(sums.reshape(k, n_nodes, width), axis=2)[None]
-            counts = binned[0]
-        left_n = np.cumsum(counts, axis=2)
+        keys = keys.ravel()
+        counts = np.bincount(keys, minlength=k * slot_bins).reshape(k, n_nodes, width)
+        cum = np.bincount(keys, weights=np.tile(y, k), minlength=counts.size).reshape(counts.shape)
+        present = counts > 0
+        left_n = np.cumsum(counts, axis=2, out=counts)  # in place: bins dominate memory
+        np.cumsum(cum, axis=2, out=cum)
         n = left_n[0, :, -1]
         # a boundary follows a code present in the node and precedes a larger real value
         n_real = np.take_along_axis(left_n, self.real_codes[feats].T[..., None] - 1, axis=2)
-        at = np.flatnonzero((counts > 0) & (left_n < n_real))
+        at = np.flatnonzero(present & (left_n < n_real))
         at_node = at // width % n_nodes
         left = left_n.ravel()[at].astype(np.float64)
         right = n[at_node] - left
-        score = np.zeros(at.size)
-        parent_score = np.zeros(n_nodes)
-        for cum_c in cum:
-            n_c = cum_c[0, :, -1]
-            left_c = cum_c.ravel()[at].astype(np.float64)
-            score += left_c**2 / left + (n_c[at_node] - left_c) ** 2 / right
-            parent_score += n_c**2 / n
-        return at, score, parent_score
+        total = cum[0, :, -1]
+        left_sum = cum.ravel()[at]
+        score = left_sum**2 / left + (total[at_node] - left_sum) ** 2 / right
+        return at, score, total**2 / n
 
 
 def _lay_out(nodes: list[_Node]) -> tuple[np.ndarray, np.ndarray]:

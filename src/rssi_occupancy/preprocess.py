@@ -8,12 +8,13 @@ linearly between closest ranks; zero-IQR columns are centered only
 (divisor 1).
 
 Selection: a random forest of 50 fully grown trees is fitted on the training
-matrix (Gini impurity for classification, variance for regression) and
-columns whose normalized total impurity decrease reaches the mean importance
-are kept. Exact duplicate columns are fitted once and share their importance
-equally, which keeps the ranking symmetric under feature duplication. The
-mask is never empty: if no column reaches the threshold the single top column
-is kept.
+matrix against the 0/1 occupancy indicator (detection) or the head counts
+(counting), and columns whose normalized total variance reduction reaches
+the mean importance are kept; on the indicator, that reduction is half the
+two-class Gini decrease. Exact duplicate columns are fitted once and share
+their importance equally, which keeps the ranking symmetric under feature
+duplication. The mask is never empty: if no column reaches the threshold
+the single top column is kept.
 """
 
 from __future__ import annotations
@@ -87,29 +88,16 @@ def _duplicate_groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return representatives, [np.array(m, dtype=np.int64) for m in groups.values()]
 
 
-def select_features(
-    train: FeatureMatrix,
-    labels: np.ndarray,
-    seed: int = 0,
-    task: str = "classification",
-) -> SelectionMask:
+def select_features(train: FeatureMatrix, labels: np.ndarray, seed: int = 0) -> SelectionMask:
     """Forest-importance selection; deterministic under ``seed``."""
-    labels = np.asarray(labels)
-    if task == "classification":
-        classes, y = np.unique(labels, return_inverse=True)
-        if classes.size < 2:
-            raise PreprocessError("selection needs at least 2 distinct labels")
-    elif task == "regression":
-        y = labels.astype(np.float64)
-        if np.unique(y).size < 2:
-            raise PreprocessError("selection needs at least 2 distinct targets")
-    else:
-        raise PreprocessError(f"unknown task {task!r}")
+    y = np.asarray(labels).astype(np.float64)
+    if np.unique(y).size < 2:
+        raise PreprocessError("selection needs at least 2 distinct labels")
     if train.n_rows < 2:
         raise PreprocessError("selection needs at least 2 rows")
 
     representatives, groups = _duplicate_groups(train.rows)
-    forest = RandomForest(task=task, n_trees=SELECTION_TREES, seed=seed)
+    forest = RandomForest(n_trees=SELECTION_TREES, seed=seed)
     forest.fit(train.rows[:, representatives], y)
 
     importances = np.zeros(train.n_features)

@@ -52,6 +52,17 @@ def dataset_files(tmp_path_factory):
     return csv_path
 
 
+@pytest.fixture(scope="module")
+def dataset_files_20hz(tmp_path_factory):
+    """The shared small scenario rendered at 20 Hz."""
+    directory = tmp_path_factory.mktemp("data20")
+    dataset = simulate(small_scenario(sampling_hz=20.0, duration_s=60.0))
+    csv_path = directory / "d.csv"
+    csv_path.write_text(serialize_dataset(dataset))
+    (directory / "d.sidecar").write_text(serialize_sidecar(dataset))
+    return csv_path
+
+
 class TestSimulate:
     def test_writes_csv_and_sidecar_deterministically(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "d.csv"
@@ -225,6 +236,30 @@ class TestEvaluate:
         )
         assert code == 0
         assert "seed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window_s, message",
+        [
+            ("0", "window_s must be positive"),
+            ("0.05", "holds 1 < 2 samples"),
+            ("0.15", "windows of 3 samples at 20 Hz are too short"),
+        ],
+        ids=["0", "0.05", "0.15"],
+    )
+    def test_bad_window_is_a_usage_error_as_in_featurize(
+        self, tmp_path, dataset_files_20hz, capsys, window_s, message
+    ):
+        data, window = str(dataset_files_20hz), ["--window-s", window_s]
+        assert cli.main(["featurize", data, *window, "--out", str(tmp_path / "f.csv")]) == 2
+        featurize_err = capsys.readouterr().err
+        code = cli.main(
+            ["evaluate", data, "--task", "detection", "--models", "lda", "--k", "3", "--seed", "7",
+             *window, "--out", str(tmp_path / "r.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == featurize_err
+        assert message in featurize_err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_family_fails_cleanly(self, tmp_path, dataset_files, capsys):
         code = cli.main(

@@ -358,6 +358,19 @@ class TestGridSearch:
         assert result.metric == "neg_rmse"
         assert result.scores[0].mean <= 0.0
 
+    def test_zero_tree_forest_fails_only_its_folds(self):
+        # a forest without trees would predict NaN, and a NaN CV mean must not win the search
+        rng = np.random.default_rng(77)
+        counts = rng.integers(0, 4, 60)
+        rows = rng.normal(size=(60, 3))
+        rows[:, 0] += counts
+        grid = [{"n_trees": 0, "depth": 4}, {"n_trees": 10, "depth": 4}]
+        result = grid_search("random_forest", grid, make_matrix(rows, counts=counts), k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == [3, 0]
+        assert result.scores[0].fold_scores == []
+        assert result.best_index == 1
+        assert np.isfinite(result.best_score)
+
 
 class TestRunPipeline:
     def test_detection_with_raw_representation_rejected(self, small_dataset):

@@ -494,9 +494,9 @@ def assert_same_trees(new_trees, old_trees, probe):
         assert np.array_equal(new.predict(probe), old.predict(probe))
 
 
-def assert_forest_matches_reference(X, y, task, n_trees=5, depth=None, seed=0):
+def assert_forest_matches_reference(X, y, n_trees=5, depth=None, seed=0):
     probe = np.vstack([X, np.random.default_rng(seed).uniform(-6, 6, size=(20, X.shape[1]))])
-    params = dict(task=task, n_trees=n_trees, max_depth=depth, seed=seed)
+    params = dict(n_trees=n_trees, max_depth=depth, seed=seed)
     new = RandomForest(**params).fit(X, y)
     old = trees_reference.RandomForest(**params).fit(X, y)
     assert_same_trees(new.trees, old.trees, probe)
@@ -505,94 +505,98 @@ def assert_forest_matches_reference(X, y, task, n_trees=5, depth=None, seed=0):
     return new
 
 
-def integer_problem(seed, n=60, d=6, task="regression"):
+def integer_problem(seed, n=60, d=6, target="regression"):
+    """Integer features; head-count-like targets in 0..3, or their 0/1 occupancy indicator."""
     rng = np.random.default_rng(seed)
     X = rng.integers(-4, 5, size=(n, d)).astype(np.float64)
     y = (X[:, 0] > 0).astype(np.int64) + (X[:, 1] > 1) + rng.integers(0, 2, size=n)
-    return X, (y if task == "classification" else y.astype(np.float64))
+    return X, (y > 0 if target == "occupancy" else y).astype(np.float64)
+
+
+# The two kinds of target a forest is grown on: head counts (the counting
+# models and selector) and the 0/1 occupancy indicator (the detection selector).
+TARGETS = ["regression", "occupancy"]
 
 
 class TestLockstepForestMatchesReference:
     """On integer-valued targets the lockstep forest is the depth-first, sort-based one."""
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("depth", [1, 3, 8, None])
-    def test_depths(self, task, depth):
-        X, y = integer_problem(60, task=task)
-        assert_forest_matches_reference(X, y, task, n_trees=8, depth=depth, seed=61)
+    def test_depths(self, target, depth):
+        X, y = integer_problem(60, target=target)
+        assert_forest_matches_reference(X, y, n_trees=8, depth=depth, seed=61)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_two_rows(self, task):
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_two_rows(self, target):
         X = np.array([[1.0, 5.0], [2.0, 5.0]])
-        assert_forest_matches_reference(X, np.array([0, 1]), task, n_trees=10, seed=62)
+        y = np.array([1.0, 0.0]) if target == "occupancy" else np.array([0.0, 1.0])
+        assert_forest_matches_reference(X, y, n_trees=10, seed=62)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_constant_and_duplicated_columns(self, task):
-        X, y = integer_problem(63, n=80, d=3, task=task)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_constant_and_duplicated_columns(self, target):
+        X, y = integer_problem(63, n=80, d=3, target=target)
         X = np.column_stack([X, X[:, 0], np.full(80, 7.0), X[:, 0]])
-        forest = assert_forest_matches_reference(X, y, task, n_trees=20, seed=63)
+        forest = assert_forest_matches_reference(X, y, n_trees=20, seed=63)
         assert forest.importances_[4] == 0
 
-    @pytest.mark.parametrize("criterion", ["variance", "gini"])
-    def test_tied_columns_share_importance_without_sampling(self, criterion):
+    def test_tied_columns_share_importance_without_sampling(self):
         X, y = integer_problem(69, n=80, d=3)
         X = np.column_stack([X, X[:, 0], np.full(80, 7.0), X[:, 0]])
-        y = y.astype(np.int64)
         grown = trees_module.grow_forest(
-            X, y, [np.random.default_rng(s) for s in range(4)], criterion, None, X.shape[1], 4
+            X, y, [np.random.default_rng(s) for s in range(4)], None, X.shape[1]
         )
         wanted = []
         for s in range(4):
             rows = np.random.default_rng(s).integers(0, 80, size=80)
-            tree = trees_reference.DecisionTree(criterion)
-            tree.n_classes = 4
-            wanted.append(tree.fit(X[rows], y[rows]))
+            wanted.append(trees_reference.DecisionTree().fit(X[rows], y[rows]))
         assert_same_trees(grown, wanted, X)
         for tree in grown:
             assert tree.importances_[0] == tree.importances_[3] == tree.importances_[5] > 0
             assert tree.importances_[4] == 0
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_many_equal_values(self, task):
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_many_equal_values(self, target):
         rng = np.random.default_rng(64)
         X = rng.integers(0, 2, size=(200, 5)).astype(np.float64)
-        y = rng.integers(0, 3, size=200)
-        assert_forest_matches_reference(X, y, task, n_trees=10, seed=64)
+        y = rng.integers(0, 2 if target == "occupancy" else 3, size=200).astype(np.float64)
+        assert_forest_matches_reference(X, y, n_trees=10, seed=64)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_nan_values_never_split_from_real_ones(self, task):
-        X, y = integer_problem(65, task=task)
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_nan_values_never_split_from_real_ones(self, target):
+        X, y = integer_problem(65, target=target)
         X[::3, 1] = np.nan
         X[:, 2] = np.nan
-        assert_forest_matches_reference(X, y, task, n_trees=10, seed=65)
+        assert_forest_matches_reference(X, y, n_trees=10, seed=65)
 
     def test_rounding_noise_on_large_targets_is_no_gain(self):
         X, _ = integer_problem(70)
         y = np.full(X.shape[0], 123456789.0)  # squared sums above 2**53 round
-        forest = assert_forest_matches_reference(X, y, "regression", n_trees=10, seed=70)
+        forest = assert_forest_matches_reference(X, y, n_trees=10, seed=70)
         assert all(len(tree.feature) == 1 for tree in forest.trees)
 
     @pytest.mark.parametrize("cells", [1, 40, 300])
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    def test_chunk_boundaries(self, monkeypatch, task, cells):
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_chunk_boundaries(self, monkeypatch, target, cells):
         # one node per chunk, then chunks that cut a step's nodes into several runs
         monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
-        X, y = integer_problem(66, n=90, task=task)
-        assert_forest_matches_reference(X, y, task, n_trees=12, depth=None, seed=66)
+        X, y = integer_problem(66, n=90, target=target)
+        assert_forest_matches_reference(X, y, n_trees=12, depth=None, seed=66)
 
     @settings(max_examples=60, deadline=None)
     @given(
         X=hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=25),
                      elements=st.integers(-3, 3)),
         targets=st.lists(st.integers(0, 3), min_size=25, max_size=25),
-        task=st.sampled_from(["regression", "classification"]),
+        target=st.sampled_from(TARGETS),
         depth=st.sampled_from([1, 2, 4, None]),
         n_trees=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
-    def test_small_integer_matrices(self, X, targets, task, depth, n_trees, seed):
+    def test_small_integer_matrices(self, X, targets, target, depth, n_trees, seed):
         y = np.array(targets[: X.shape[0]])
-        assert_forest_matches_reference(X.astype(np.float64), y, task, n_trees, depth, seed)
+        y = (y > 0 if target == "occupancy" else y).astype(np.float64)
+        assert_forest_matches_reference(X.astype(np.float64), y, n_trees, depth, seed)
 
     def test_boosting_matches_reference_on_fractional_targets(self):
         rng = np.random.default_rng(67)
@@ -606,19 +610,22 @@ class TestLockstepForestMatchesReference:
         assert np.array_equal(new.predict(probe), old.predict(probe))
 
 
-class TestForestClasses:
-    def test_gini_trees_grow_only_in_forests(self):
-        with pytest.raises(ValueError, match="grow_forest grows Gini trees"):
-            trees_module.DecisionTree("gini").fit(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
+class TestVarianceOnOccupancyIsGini:
+    """On a 0/1 target the variance reduction is half the two-class Gini decrease."""
 
-    def test_every_tree_votes_over_the_forest_classes(self):
-        # class 2 is rare: some bootstrap samples miss it, or hold one class only
-        X = np.arange(8, dtype=np.float64)[:, None]
-        y = np.array([0, 0, 0, 0, 1, 1, 1, 2])
-        forest = RandomForest(task="classification", n_trees=30, seed=68).fit(X, y)
-        for tree in forest.trees:
-            assert tree.n_classes == 3
-            assert tree.predict(X).shape == (8, 3)
-        votes = forest.predict(X)
-        assert votes.shape == (8,)
-        assert np.array_equal(votes[:4], [0, 0, 0, 0])
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_forest_grows_the_reference_gini_trees(self, depth):
+        # continuous features: no two candidate boundaries tie in exact arithmetic
+        rng = np.random.default_rng(75)
+        X = rng.normal(size=(150, 9))
+        occupied = X[:, 0] + 0.5 * X[:, 3] + rng.normal(0, 0.7, 150) > 0
+        variance = RandomForest(n_trees=20, max_depth=depth, seed=76).fit(X, occupied)
+        gini = trees_reference.RandomForest(
+            task="classification", n_trees=20, max_depth=depth, seed=76
+        ).fit(X, occupied.astype(np.int64))
+        for new, old in zip(variance.trees, gini.trees, strict=True):
+            assert new.feature == old.feature
+            assert new.threshold == old.threshold
+            assert new.left == old.left
+            assert new.right == old.right
+        assert np.allclose(variance.importances_, gini.importances_, rtol=1e-12, atol=0)

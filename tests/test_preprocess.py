@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from rssi_occupancy.features import FeatureDiagnostics, FeatureMatrix
+from rssi_occupancy import preprocess
+from rssi_occupancy.dataset import deduplicate
+from rssi_occupancy.evaluation import holdout_split
+from rssi_occupancy.features import FeatureDiagnostics, FeatureMatrix, build_feature_matrix, segment
 from rssi_occupancy.preprocess import (
     PreprocessError,
     ScalerParams,
@@ -12,6 +15,8 @@ from rssi_occupancy.preprocess import (
     fit_scaler,
     select_features,
 )
+
+import trees_reference
 
 
 def matrix_from(rows, occupancy=None, counts=None):
@@ -92,7 +97,7 @@ class TestSelection:
         labels = rng.integers(0, 2, 120).astype(bool)
         rows = rng.normal(size=(120, 10))
         rows[:, 4] = labels.astype(float)
-        mask = select_features(matrix_from(rows), labels, 0, "classification")
+        mask = select_features(matrix_from(rows), labels, 0)
         assert int(np.argmax(mask.importances)) == 4
         assert 4 in mask.kept
 
@@ -101,7 +106,7 @@ class TestSelection:
         column = rng.normal(size=60)
         labels = column > 0
         rows = np.tile(column[:, None], (1, 6))
-        mask = select_features(matrix_from(rows), labels, 1, "classification")
+        mask = select_features(matrix_from(rows), labels, 1)
         assert np.allclose(mask.importances, 1.0 / 6.0)
         assert np.array_equal(mask.kept, np.arange(6))
 
@@ -110,7 +115,7 @@ class TestSelection:
         labels = rng.normal(size=80)
         rows = rng.normal(size=(80, 12))
         rows[:, 2] += labels
-        mask = select_features(matrix_from(rows), labels, 2, "regression")
+        mask = select_features(matrix_from(rows), labels, 2)
         assert mask.importances.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(mask.importances >= 0)
         assert np.all(np.diff(mask.kept) > 0)
@@ -122,17 +127,17 @@ class TestSelection:
         rows = rng.normal(size=(100, 15))
         rows[:, 0] += labels * 2
         matrix = matrix_from(rows)
-        first = select_features(matrix, labels, 7, "classification")
-        second = select_features(matrix, labels, 7, "classification")
+        first = select_features(matrix, labels, 7)
+        second = select_features(matrix, labels, 7)
         assert np.array_equal(first.kept, second.kept)
         assert np.array_equal(first.importances, second.importances)
 
     def test_degenerate_labels_rejected(self):
         rows = np.random.default_rng(27).normal(size=(30, 3))
         with pytest.raises(PreprocessError, match="distinct"):
-            select_features(matrix_from(rows), np.zeros(30, dtype=bool), task="classification")
+            select_features(matrix_from(rows), np.zeros(30, dtype=bool))
         with pytest.raises(PreprocessError, match="distinct"):
-            select_features(matrix_from(rows), np.ones(30), task="regression")
+            select_features(matrix_from(rows), np.ones(30))
 
     def test_apply_mask_subsets_columns(self):
         rng = np.random.default_rng(28)
@@ -140,7 +145,23 @@ class TestSelection:
         rows = rng.normal(size=(60, 8))
         rows[:, 3] += labels * 3
         matrix = matrix_from(rows)
-        mask = select_features(matrix, labels, 3, "classification")
+        mask = select_features(matrix, labels, 3)
         reduced = apply_mask(matrix, mask)
         assert reduced.n_features == mask.kept.size
         assert reduced.feature_names == tuple(matrix.feature_names[i] for i in mask.kept)
+
+    def test_detection_mask_is_the_reference_gini_selectors(self, small_dataset, monkeypatch):
+        # a short simulated detection training split, scaled as the pipeline scales it
+        windows = segment(deduplicate(small_dataset), 1.0)
+        train, _ = holdout_split(build_feature_matrix(windows), "classification", seed=3)
+        train = apply_scaler(train, fit_scaler(train))
+        labels = train.labels_occupancy
+        mask = select_features(train, labels, 5)
+
+        def gini_forest(n_trees, seed):
+            return trees_reference.RandomForest(task="classification", n_trees=n_trees, seed=seed)
+
+        monkeypatch.setattr(preprocess, "RandomForest", gini_forest)
+        reference = select_features(train, labels, 5)
+        assert np.array_equal(mask.kept, reference.kept)
+        assert np.allclose(mask.importances, reference.importances, rtol=1e-12, atol=0)

@@ -6,7 +6,9 @@ lockstep: per node, the candidate columns are gathered, column-sorted and
 scored by prefix sums, and a node's rows are copied out of ``X[rows]``.
 The tests compare the lockstep forest against them, exactly on
 integer-valued targets, and boosting, which still grows its trees this way,
-exactly on any targets.
+exactly on any targets. The Gini criterion, which the package no longer
+has, is the oracle for the variance criterion on the 0/1 occupancy
+indicator: it grows the same trees with twice the impurity decrease.
 
 One change from the former code: a forest's trees keep the forest's class
 count. The former ``DecisionTree.fit`` replaced it with ``y.max() + 1`` of
