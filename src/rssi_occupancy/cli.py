@@ -26,7 +26,7 @@ from .evaluation import (
     PipelineStageError,
     run_pipeline,
 )
-from .features import build_feature_matrix, check_featurizable, segment, window_length
+from .features import build_feature_matrix, segment
 from .simulator import load_scenario, simulate
 
 
@@ -56,8 +56,8 @@ class _ArtifactWriter:
         self.written.clear()
 
 
-class _UsageError(Exception):
-    """Bad invocation (missing input file); maps to exit code 2."""
+class _UsageError(ValueError):
+    """Bad invocation (missing input file); a ValueError, so exit code 2."""
 
 
 def _default_sidecar(dataset_path: str) -> str:
@@ -129,10 +129,6 @@ def _cmd_featurize(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, args.sidecar)
-    # a window too short for the representation is a usage error, as in featurize
-    length = window_length(args.window_s, dataset.sampling_hz)
-    if args.representation == "features":
-        check_featurizable(length, dataset.sampling_hz)
     seed = _effective_seed(args.seed)
     families = tuple(f.strip() for f in args.models.split(",") if f.strip()) if args.models else ()
     config = PipelineConfig(
@@ -219,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     except PipelineStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # DatasetError, ScenarioError and EvaluationError among them
+    except ValueError as exc:  # usage, dataset, scenario, feature and evaluation errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

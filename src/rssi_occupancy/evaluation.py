@@ -20,7 +20,9 @@ import numpy as np
 
 from . import __version__
 from .dataset import RssiDataset, deduplicate
-from .features import FeatureMatrix, build_feature_matrix, build_raw_matrix, segment
+from .features import (
+    FeatureMatrix, build_feature_matrix, build_raw_matrix, check_featurizable, segment, window_length
+)
 from .models import (
     CLASSIFIER_FAMILIES,
     REGRESSOR_FAMILIES,
@@ -440,7 +442,8 @@ def run_pipeline(
     """Execute the full offline workflow and score each family on the test set.
 
     ``best_family`` has the highest best CV score (accuracy, or negated RMSE
-    for counting); ties go to the earlier family, as in ``grid_search``.
+    for counting); ties go to the earlier family, as in ``grid_search``. A
+    window too short for the representation raises ``FeatureError`` first.
     """
     if task not in TASKS:
         raise EvaluationError(f"unknown task {task!r}; expected one of {TASKS}")
@@ -458,6 +461,9 @@ def run_pipeline(
     for family in families:
         if family_task(family) != model_task:
             raise EvaluationError(f"family {family!r} does not solve task {task!r}")
+    length = window_length(config.window_s, dataset.sampling_hz)
+    if representation == "features":
+        check_featurizable(length, dataset.sampling_hz)
 
     def stage(name, function, *args, **kwargs):
         try:

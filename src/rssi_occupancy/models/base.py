@@ -58,7 +58,7 @@ _FAMILIES: dict[str, _Family] = {
         "classification",
         {"kernel": "linear", "loss": "hinge", "C": 1.0},
         _grid(
-            kernel=("linear", "poly", "sigmoid", "rbf"),
+            kernel=("linear", "poly", "rbf"),
             loss=("hinge", "squared_hinge"),
             C=(0.1, 1.0, 10.0),
         ),

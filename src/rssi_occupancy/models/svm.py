@@ -8,8 +8,8 @@ constraint. Squared hinge uses the standard diagonal shift I/(2C) with an
 unbounded box. Convergence is certified by the projected-gradient norm
 dropping below 1e-4 (relative).
 
-Kernels: linear, polynomial (degree 3, coef0 1), sigmoid (coef0 1), and RBF;
-gamma follows the "scale" convention 1/(n_features * var(X)).
+Kernels: linear, polynomial (degree 3, coef0 1), and RBF; gamma follows the
+"scale" convention 1/(n_features * var(X)).
 
 Multiclass inputs are reduced one-vs-rest; occupancy detection itself is
 binary.
@@ -46,11 +46,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-KERNELS = ("linear", "poly", "sigmoid", "rbf")
+KERNELS = ("linear", "poly", "rbf")
 LOSSES = ("hinge", "squared_hinge")
 
 _TOL = 1e-4
-_MAX_ITER = 2000
+_MAX_ITER = 8000
 _DEGREE = 3
 _COEF0 = 1.0
 
@@ -60,8 +60,6 @@ def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.
         return A @ B.T
     if kind == "poly":
         return (gamma * (A @ B.T) + _COEF0) ** _DEGREE
-    if kind == "sigmoid":
-        return np.tanh(gamma * (A @ B.T) + _COEF0)
     if kind == "rbf":
         sq = (
             np.sum(A**2, axis=1)[:, None]

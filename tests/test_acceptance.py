@@ -37,6 +37,7 @@ from rssi_occupancy.models import (
     ModelSpec,
     fit,
 )
+from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.preprocess import ScalerParams, apply_scaler, fit_scaler
 from rssi_occupancy.simulator import (
     BodyEffectParams,
@@ -86,6 +87,30 @@ def acceptance_scenario(sampling_hz: float) -> ScenarioConfig:
         ),
         seed=7,
     )
+
+
+@pytest.fixture
+def svm_machines(monkeypatch):
+    """Every binary SVM machine solved while the test runs, in solve order."""
+    machines = []
+    solve = svm_module._solve_dual
+
+    def recording(*args, **kwargs):
+        fitted = solve(*args, **kwargs)
+        machines.extend(fitted)
+        return fitted
+
+    monkeypatch.setattr(svm_module, "_solve_dual", recording)
+    return machines
+
+
+def certified(machines) -> tuple[int, int]:
+    """(fits, fits that certified convergence) over binary SVM machines."""
+    return len(machines), sum(m.converged for m in machines)
+
+
+# the 18-config SVM grid on 3 folds, then the final fit
+SVM_PIPELINE_FITS = 18 * 3 + 1
 
 
 @pytest.fixture(scope="module")
@@ -255,12 +280,15 @@ def test_criterion_4_model_sanity_suite():
             assert np.array_equal(a, b), family
 
 
-def test_criterion_5_end_to_end_detection(dataset_45hz):
+def test_criterion_5_end_to_end_detection(dataset_45hz, svm_machines):
     with criterion(5, "end-to-end detection, SVM grid", 180.0):
         config = PipelineConfig(families=("svm",), k=3, seed=7)
         report = run_pipeline(dataset_45hz, "detection", "features", config)
         accuracy = report.family_results[0].test_metrics.accuracy
         assert accuracy >= 0.95, f"SVM test accuracy {accuracy:.4f} < 0.95"
+        # every fit is a solution: fits and certified fits agree
+        fits = certified(svm_machines)
+        assert fits == (SVM_PIPELINE_FITS, SVM_PIPELINE_FITS), f"(fits, certified) {fits}"
 
 
 def test_criterion_6_end_to_end_counting(dataset_45hz):
@@ -272,14 +300,17 @@ def test_criterion_6_end_to_end_counting(dataset_45hz):
         assert metrics.rmse <= 0.8, f"RMSE {metrics.rmse:.4f} > 0.8"
 
 
-def test_criterion_7_frequency_degradation_trend(dataset_20hz, dataset_200hz):
+def test_criterion_7_frequency_degradation_trend(dataset_20hz, dataset_200hz, svm_machines):
     with criterion(7, "sampling-frequency degradation trend", 300.0):
         accuracy = {}
         rmse = {}
+        fits = {}
         for hz, data in ((20, dataset_20hz), (200, dataset_200hz)):
+            svm_machines.clear()
             detection = run_pipeline(
                 data, "detection", "features", PipelineConfig(families=("svm",), k=3, seed=7)
             )
+            fits[hz] = certified(svm_machines)
             counting = run_pipeline(
                 data, "counting", "features",
                 PipelineConfig(families=("random_forest",), k=3, seed=7),
@@ -288,6 +319,8 @@ def test_criterion_7_frequency_degradation_trend(dataset_20hz, dataset_200hz):
             rmse[hz] = counting.family_results[0].test_metrics.rmse
         assert accuracy[200] >= accuracy[20], f"accuracy {accuracy}"
         assert rmse[200] <= rmse[20], f"rmse {rmse}"
+        every = (SVM_PIPELINE_FITS, SVM_PIPELINE_FITS)
+        assert fits == {20: every, 200: every}, f"(fits, certified) per rate {fits}"
 
 
 def test_criterion_8_features_beat_raw_for_counting(dataset_45hz):

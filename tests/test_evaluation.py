@@ -15,7 +15,7 @@ from rssi_occupancy.evaluation import (
     regression_metrics,
     run_pipeline,
 )
-from rssi_occupancy.features import FeatureDiagnostics, FeatureMatrix
+from rssi_occupancy.features import FeatureDiagnostics, FeatureError, FeatureMatrix
 from rssi_occupancy.simulator import simulate
 
 import svm_reference
@@ -386,6 +386,22 @@ class TestRunPipeline:
         tiny = simulate(small_scenario(duration_s=0.5))  # shorter than one window
         with pytest.raises(PipelineStageError, match="stage 'segment'"):
             run_pipeline(tiny, "counting", "features", PipelineConfig(families=("linear",), k=3))
+
+    @pytest.mark.parametrize(
+        "task, representation, family, window_s, message",
+        [
+            ("detection", "features", "lda", 0.05, "windows of 2 samples at 45 Hz are too short"),
+            ("counting", "raw", "linear", 0.02, "holds 1 < 2 samples"),
+        ],
+        ids=["features-0.05", "raw-0.02"],
+    )
+    def test_bad_window_is_a_value_error_before_any_stage(
+        self, small_dataset, task, representation, family, window_s, message
+    ):
+        # a FeatureError (a ValueError), not a PipelineStageError (a RuntimeError)
+        config = PipelineConfig(families=(family,), k=3, window_s=window_s)
+        with pytest.raises(FeatureError, match=message):
+            run_pipeline(small_dataset, task, representation, config)
 
     def test_detection_end_to_end(self, small_dataset):
         grids = {"svm": [{"kernel": "linear", "loss": "hinge", "C": 1.0}]}

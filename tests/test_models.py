@@ -66,7 +66,7 @@ class TestSpec:
 
 class TestDefaultGrids:
     def test_documented_sizes(self):
-        assert len(default_grid("svm")) == 24
+        assert len(default_grid("svm")) == 18
         assert len(default_grid("knn")) == 4
         assert len(default_grid("wknn")) == 4
         assert len(default_grid("random_forest")) == 6
@@ -82,7 +82,7 @@ class TestDefaultGrids:
         # Grid order sets a report's config_index and the ties that pick best_params.
         assert default_grid("svm") == [
             {"kernel": kernel, "loss": loss, "C": c}
-            for kernel in ("linear", "poly", "sigmoid", "rbf")
+            for kernel in ("linear", "poly", "rbf")
             for loss in ("hinge", "squared_hinge")
             for c in (0.1, 1.0, 10.0)
         ]
@@ -181,7 +181,7 @@ class TestSvm:
         assert np.mean(model.predict(X) == y) == 1.0
         assert model.inner.machines[0].converged
 
-    @pytest.mark.parametrize("kernel", ("linear", "poly", "sigmoid", "rbf"))
+    @pytest.mark.parametrize("kernel", ("linear", "poly", "rbf"))
     @pytest.mark.parametrize("loss", ("hinge", "squared_hinge"))
     def test_all_grid_combos_fit_separable_data(self, blobs, kernel, loss):
         X, y = blobs
@@ -250,18 +250,14 @@ class TestLockstepSvmMatchesReference:
         X, y, probe = overlapping
         grid = default_grid("svm")
         models = fit_svm_batch(_svm_specs(grid), X, y)
-        flags = {}
-        for params, model in zip(grid, models):
-            converged = assert_svm_matches_reference(model, params, X, y, probe)
-            flags.setdefault(params["kernel"], set()).update(converged)
-        # both outcomes occur, and some batches hold both
-        assert set().union(*flags.values()) == {False, True}
-        assert any(len(f) == 2 for f in flags.values())
+        flags = [assert_svm_matches_reference(m, p, X, y, probe) for p, m in zip(grid, models)]
+        # every default-grid machine certifies within the iteration cap
+        assert all(all(f) for f in flags)
 
     def test_single_fit_is_the_batch_of_one(self, overlapping):
         X, y, probe = overlapping
         for params in ({"kernel": "rbf", "loss": "hinge", "C": 10.0},
-                       {"kernel": "sigmoid", "loss": "squared_hinge", "C": 1.0}):
+                       {"kernel": "poly", "loss": "squared_hinge", "C": 1.0}):
             assert_svm_matches_reference(fit(ModelSpec("svm", params), X, y), params, X, y, probe)
 
     @pytest.mark.parametrize("capped_first", (False, True))
@@ -269,12 +265,12 @@ class TestLockstepSvmMatchesReference:
         # the stored iterate of a problem that left the batch is its iterate at convergence
         X, y, probe = overlapping
         grid = [
-            {"kernel": "sigmoid", "loss": loss, "C": c}
+            {"kernel": "linear", "loss": loss, "C": c}
             for loss in ("hinge", "squared_hinge")
-            for c in (0.1, 1.0, 10.0)
+            for c in (1e2, 1e3, 1e4)
         ]
-        # hinge and C = 0.1 squared hinge certify, squared hinge at C >= 1 runs to the cap
-        expected = [True] * 4 + [False] * 2
+        # past the default grid's C: hinge certifies at C = 100 only, squared hinge up to 1e3
+        expected = [True, False, False, True, True, False]
         if capped_first:  # the capped rows lead the batch, and rows behind them leave it
             grid, expected = grid[::-1], expected[::-1]
         models = fit_svm_batch(_svm_specs(grid), X, y)
@@ -328,10 +324,11 @@ class TestLockstepSvmMatchesReference:
     def test_invalid_config_is_returned_not_raised(self, overlapping):
         X, y, probe = overlapping
         good = {"kernel": "rbf", "loss": "hinge", "C": 1.0}
-        bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "C": "ten"},
-               {**good, "C": float("nan")}]
+        bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "kernel": "sigmoid"},
+               {**good, "C": "ten"}, {**good, "C": float("nan")}]
         results = fit_svm_batch(_svm_specs([bad[0], good, *bad[1:]]), X, y)
-        assert [isinstance(r, ValueError) for r in results] == [True, False, True, True, True]
+        assert [isinstance(r, ValueError) for r in results] == [True, False, True, True, True, True]
+        assert "unknown kernel 'sigmoid'" in str(results[3])
         assert "C must be positive" in str(results[-1])
         assert_svm_matches_reference(results[1], good, X, y, probe)
         with pytest.raises(TypeError):
