@@ -70,13 +70,13 @@ _FAMILIES: dict[str, _Family] = {
         "regression",
         {"n_trees": 100, "depth": 4},
         _grid(n_trees=(50, 200), depth=(4, 8, None)),
-        lambda p, seed: GradientBoosting(n_trees=int(p["n_trees"]), max_depth=p["depth"]),
+        lambda p, seed: GradientBoosting(n_trees=p["n_trees"], max_depth=p["depth"]),
     ),
     "random_forest": _Family(
         "regression",
         {"n_trees": 100, "depth": None},
         _grid(n_trees=(50, 200), depth=(4, 8, None)),
-        lambda p, seed: RandomForest(n_trees=int(p["n_trees"]), max_depth=p["depth"], seed=seed),
+        lambda p, seed: RandomForest(n_trees=p["n_trees"], max_depth=p["depth"], seed=seed),
     ),
     "linear": _Family("regression", {}, _grid(), lambda p, seed: LeastSquares()),
     "ridge": _Family(

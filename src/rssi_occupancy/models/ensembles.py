@@ -1,16 +1,17 @@
 """Bagged and boosted tree ensembles built on the CART core.
 
-Random forests bootstrap rows per tree and draw floor(sqrt(d)) candidate
+Random forests bootstrap rows per tree and search floor(sqrt(d)) candidate
 features per split; per-tree generators are spawned from one seed sequence,
-so results are seed-deterministic. ``trees.grow_forest`` grows all trees in
-lockstep: every bootstrap is drawn first, each column gets rank codes once,
-and each step scores the next depth-first node of every tree in one batched
-search whose temporaries are capped by one module constant. Each tree keeps
-its own generator and depth-first order, so every draw is the one a
-tree-by-tree fit would make, and on integer-valued targets (head counts,
-the 0/1 occupancy indicator) the forest is bit-identical to one. The forest
-predicts the mean of its trees; the selector ranks splits on the indicator by
-variance reduction, half the two-class Gini decrease.
+so results are seed-deterministic. ``trees.grow_forest`` grows all trees
+level by level. Each tree's generator draws its bootstrap and a root key,
+and a node's candidates come from keys derived from its path, so no draw
+depends on the order nodes are grown in: a forest capped at depth d is the
+deeper forest of the same seed cut at depth d, and on integer-valued
+targets (head counts, the 0/1 occupancy indicator) it equals the forest
+grown node by node. The forest predicts the mean of its trees, all trees
+descending together; the selector ranks splits on the indicator by variance
+reduction, half the two-class Gini decrease. Tree counts and depths must be
+integers >= 1 (a depth may be None: unbounded).
 
 Gradient boosting fits regression trees on all features to residuals under
 squared loss with shrinkage 0.1; the recorded training loss per round is
@@ -23,19 +24,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import DecisionTree, grow_forest
+from .trees import DecisionTree, forest_predict, grow_forest
 
 LEARNING_RATE = 0.1
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int if it is an integral number >= 1 (not a bool); else ValueError."""
+    integral = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, (bool, np.bool_)
+    )
+    if not integral or not float(value).is_integer() or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class RandomForest:
     """Bagging ensemble of variance-criterion trees; predicts their mean."""
 
     def __init__(self, n_trees: int = 100, max_depth: int | None = None, seed: int = 0):
-        self.n_trees = int(n_trees)
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-        self.max_depth = max_depth
+        self.n_trees = _positive_int("n_trees", n_trees)
+        self.max_depth = None if max_depth is None else _positive_int("max_depth", max_depth)
         self.seed = int(seed)
         self.trees: list[DecisionTree] = []
         self.importances_: np.ndarray | None = None
@@ -56,19 +65,15 @@ class RandomForest:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        return forest_predict(self.trees, X)
 
 
 class GradientBoosting:
     """Squared-loss boosting of regression trees with shrinkage."""
 
     def __init__(self, n_trees: int = 100, max_depth: int | None = 4):
-        self.n_trees = int(n_trees)
-        self.max_depth = max_depth
+        self.n_trees = _positive_int("n_trees", n_trees)
+        self.max_depth = None if max_depth is None else _positive_int("max_depth", max_depth)
         self.base_: float = 0.0
         self.trees: list[DecisionTree] = []
         self.train_losses_: list[float] = []

@@ -20,46 +20,60 @@ Trees grow in one of two ways, with the same rules:
   node, the columns are gathered into an (n, d) block, column-sorted, and
   every boundary is scored from prefix sums over the sorted rows. Gradient
   boosting fits its trees this way.
-* ``grow_forest`` grows all trees of a random forest in lockstep. Each
-  column gets rank codes once per fit: a row's code is the rank of its value
-  among the column's distinct values, so every distinct value keeps its own
-  bin and thresholds stay exact (the exact greedy search on sorted column
-  blocks of XGBoost, Chen & Guestrin, KDD 2016). Trees keep their rows as
-  row ids into the forest's ``X``. Each step pops the next depth-first node
-  of every unfinished tree, draws that node's candidate features from the
-  tree's own generator, and scores all popped nodes at once: one
-  ``np.bincount`` over (node, feature, code) keys counts the rows per bin,
-  one weighted ``np.bincount`` sums their targets, and a cumsum along the
-  codes gives every boundary's score. Since each tree still visits its
-  nodes depth first, every generator draw is the one that growing the trees
-  one by one would make. A step's search is cut into chunks so that neither
-  their rows x features nor their nodes x features x codes exceed
-  ``_CHUNK_CELLS``, which keeps each temporary array within 256 KiB; a
-  chunk holds at least one node, so only a single node larger than the
-  bound exceeds it. A node's cost is linear in its rows plus the codes of
-  its widest candidate column.
+* ``grow_forest`` grows all trees of a random forest together, level by
+  level. Each column gets rank codes once per fit: a row's code is the rank
+  of its value among the column's distinct values, so every distinct value
+  keeps its own bin and thresholds stay exact (the exact greedy search on
+  sorted column blocks of XGBoost, Chen & Guestrin, KDD 2016). A level's
+  open nodes (two or more rows, above the depth cap) keep their rows as row
+  ids into ``X``, end to end in one buffer. One search scores them all: an
+  ``np.bincount`` over (node, candidate, code) keys counts the rows per bin,
+  a weighted one sums their targets, and prefix sums along the codes score
+  every boundary. Then each split node's rows are reordered in place, left
+  child before right, and rows of children that cannot split are dropped.
+
+Keyed draws: a tree's generator draws its bootstrap sample, then a 64-bit
+root key. A node's key is a splitmix64 state (Steele, Lea & Flood, OOPSLA
+2014): its first output is the left child's key, its second the right
+child's, and the next d are the keys of the d features; the node's
+candidates are the ``max_features`` features with the smallest keys. Like
+Random123's counter-based generators (Salmon et al., SC 2011), a node's draw
+depends on its path from the root, not on the order nodes are visited. So
+the trees equal those grown node by node, depth first, from the same keys,
+and a forest capped at depth d is the deeper forest of its seed cut at d.
+A tree's nodes are numbered breadth first, each split node's children left
+then right in their parents' order; importances add shares in that order.
+
+A level's search is cut into chunks of consecutive nodes whose rows x
+candidates plus bins stay within ``_CHUNK_CELLS``, so that each temporary
+array stays within 256 KiB; a (node, candidate) pair has one bin per
+distinct value of its column. A chunk holds at least one node, so only a
+single node larger than the bound exceeds it.
 
 Exactness: on integer-valued targets (head counts, the 0/1 occupancy
-indicator) every bin sum and prefix sum is an exact integer, so the
-lockstep forest equals the depth-first, sort-based growth bit for bit:
-features, thresholds, children, leaf values and importances (this holds
-while the sums stay below 2**53).
-On fractional targets the bin sums re-associate the additions and a
-near-tie may break the other way. That is why boosting, whose residuals are
-fractional, keeps the sorted search: grown on bin sums, its 45 Hz
-counting-features CV RMSE moved from 0.1033 to 0.0841.
+indicator) every bin sum and prefix sum is an exact integer, so the forest
+equals the depth-first, sort-based growth bit for bit: features,
+thresholds, children, leaf values and importances (while a chunk's target
+sums stay below 2**53). On fractional targets the bin sums re-associate the
+additions, the prefix sums run across a chunk's (node, candidate) pairs,
+and a near-tie may break the other way. That is why boosting, whose
+residuals are fractional, keeps the sorted search: grown on bin sums, its
+45 Hz counting-features CV RMSE moved from 0.1033 to 0.0841.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
 _NO_GAIN = 1e-12
 # Bound on the cells of one chunk of a batched split search (see the module docstring).
 _CHUNK_CELLS = 1 << 15
+# splitmix64's state increment and output multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_CHILDREN = np.array([1, 2], dtype=np.uint64)  # output numbers of the left and right child keys
 
 
 class DecisionTree:
@@ -67,7 +81,7 @@ class DecisionTree:
 
     def __init__(self, max_depth: int | None = None):
         self.max_depth = max_depth
-        # Parallel node arrays, filled during fit.
+        # Node arrays: split feature (-1 at a leaf), threshold, children, value.
         self.feature: list[int] = []
         self.threshold: list[float] = []
         self.left: list[int] = []
@@ -83,6 +97,7 @@ class DecisionTree:
         n, d = X.shape
         self.importances_ = np.zeros(d)
         y = np.asarray(y, dtype=np.float64)
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
 
         depth_cap = self.max_depth if self.max_depth is not None else np.inf
         stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
@@ -153,31 +168,66 @@ class DecisionTree:
         return feat, threshold, float(decrease), tied
 
     def _finalize(self) -> None:
-        self._feat = np.array(self.feature, dtype=np.int64)
-        self._thr = np.array(self.threshold, dtype=np.float64)
-        self._left = np.array(self.left, dtype=np.int64)
-        self._right = np.array(self.right, dtype=np.int64)
-        self._val = np.array(self.value, dtype=np.float64)
+        self.feature = np.array(self.feature, dtype=np.int64)
+        self.threshold = np.array(self.threshold, dtype=np.float64)
+        self.left = np.array(self.left, dtype=np.int64)
+        self.right = np.array(self.right, dtype=np.int64)
+        self.value = np.array(self.value, dtype=np.float64)
 
     # -- prediction ----------------------------------------------------------
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """The leaf mean of each row.
-
-        All rows descend together, one level per pass: each pass moves every
-        row that sits at an inner node to the child its value selects.
-        """
+        """The leaf mean of each row."""
         X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.arange(X.shape[0])
-        while rows.size:
-            at = node[rows]
-            feat = self._feat[at]
-            inner = feat >= 0
-            rows, at, feat = rows[inner], at[inner], feat[inner]
-            goes_left = X[rows, feat] <= self._thr[at]
-            node[rows] = np.where(goes_left, self._left[at], self._right[at])
-        return self._val[node]
+        leaves = _leaves(X, np.zeros(1, dtype=np.int64), self.feature, self.threshold,
+                         self.left, self.right)
+        return self.value[leaves[0]]
+
+
+def forest_predict(trees: Sequence[DecisionTree], X: np.ndarray) -> np.ndarray:
+    """The mean of the trees' predictions for each row of ``X``, summed in tree order.
+
+    The trees' node arrays are laid end to end, and the (tree, row) pairs of
+    a chunk of rows descend together (``_leaves``); a chunk holds at most
+    ``_CHUNK_CELLS`` pairs, or one row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+    offset = np.repeat(roots, sizes)
+    left, right = (np.where(child >= 0, child + offset, -1) for child in (left, right))
+    total = np.zeros(X.shape[0])
+    step = max(1, _CHUNK_CELLS // len(trees))
+    for start in range(0, X.shape[0], step):
+        leaves = _leaves(X[start : start + step], roots, feature, threshold, left, right)
+        part = total[start : start + step]
+        for tree_values in value[leaves]:
+            part += tree_values
+    return total / len(trees)
+
+
+def _leaves(X, roots, feature, threshold, left, right) -> np.ndarray:
+    """The leaf each row of ``X`` reaches from each root: shape (len(roots), n).
+
+    All (root, row) pairs descend together, one level per pass: each pass
+    moves every pair that sits at an inner node to the child its row's value
+    selects.
+    """
+    n = X.shape[0]
+    node = np.repeat(roots, n)
+    pairs = np.arange(node.size)
+    while pairs.size:
+        at = node[pairs]
+        feat = feature[at]
+        inner = feat >= 0
+        pairs, at, feat = pairs[inner], at[inner], feat[inner]
+        goes_left = X[pairs % n, feat] <= threshold[at]
+        node[pairs] = np.where(goes_left, left[at], right[at])
+    return node.reshape(len(roots), n)
 
 
 def grow_forest(
@@ -187,199 +237,237 @@ def grow_forest(
     max_depth: int | None,
     max_features: int,
 ) -> list[DecisionTree]:
-    """Grow one tree per generator, all in lockstep (see the module docstring).
+    """Grow one tree per generator, all level by level (see the module docstring).
 
-    Generator i first draws tree i's bootstrap sample of the rows of ``X``,
-    then ``max_features`` candidate features per split.
+    Generator i draws tree i's bootstrap sample of the rows of ``X``, then
+    the tree's root key; each split node searches ``max_features`` candidate
+    features drawn from its key.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
-    search = _LockstepSearch(X, np.asarray(y, dtype=np.float64), len(rngs))
-    draw = max_features < d
-    k = max_features if draw else d
+    n_trees = len(rngs)
+    search = _LevelSearch(X, np.asarray(y, dtype=np.float64), n_trees)
+    k = min(max_features, d)
     depth_cap = max_depth if max_depth is not None else np.inf
 
-    trees, stacks = [], []
+    rows = np.empty(n_trees * n, dtype=np.int32)  # the open nodes' rows, end to end
+    keys = np.empty(n_trees, dtype=np.uint64)
     for t, rng in enumerate(rngs):
-        tree = DecisionTree(max_depth)
-        tree.importances_ = search.importances[t]
-        trees.append(tree)
-        stacks.append([(rng.integers(0, n, size=n).astype(np.int32), 0, -1, False)])
+        rows[t * n : (t + 1) * n] = rng.integers(0, n, size=n)
+        keys[t] = rng.integers(2**64, dtype=np.uint64)
+    tree = np.arange(n_trees)
+    value = np.array([search.y[rows[t * n : (t + 1) * n]].mean() for t in range(n_trees)])
+    sizes = np.full(n_trees, n)
 
-    growing = list(range(len(trees)))
-    while growing:
-        leaves, nodes, feats = [], [], []
-        for t in growing:
-            rows, depth, parent, is_right = stacks[t].pop()
-            node = _Node(t, trees[t]._add_node(parent, is_right), rows, depth)
-            if depth >= depth_cap or rows.size < 2:
-                leaves.append(node)
-                continue
-            nodes.append(node)
-            feats.append(rngs[t].choice(d, size=k, replace=False) if draw else np.arange(d))
-        search.leaf_values(trees, leaves)
-        if nodes:
-            sorted_feats = np.sort(feats, axis=1)
-            for t, node_id, depth, left, right in search.splits(trees, nodes, sorted_feats):
-                stacks[t].append((right, depth + 1, node_id, True))
-                stacks[t].append((left, depth + 1, node_id, False))
-        growing = [t for t in growing if stacks[t]]
-    for tree in trees:
-        tree._finalize()
+    levels = []  # per level and node: tree index, value, split feature, threshold
+    depth = 0
+    while tree.size:
+        feature, threshold = np.full(tree.size, -1), np.zeros(tree.size)
+        levels.append((tree, value, feature, threshold))
+        open_nodes = np.flatnonzero((sizes >= 2) & (depth < depth_cap))
+        if not open_nodes.size:
+            break
+        keep = depth + 1 < depth_cap
+        found, value, sizes = search.split_level(
+            rows, sizes[open_nodes], tree[open_nodes], _candidates(keys[open_nodes], d, k), keep
+        )
+        feature[open_nodes], threshold[open_nodes] = found
+        split = open_nodes[feature[open_nodes] >= 0]
+        tree = np.repeat(tree[split], 2)
+        keys = _splitmix(keys[split, None], _CHILDREN).ravel()
+        rows = rows[: sizes[sizes >= 2].sum() if keep else 0]
+        depth += 1
+    del rows  # the buffer is not needed to assemble the trees
+    return _trees(levels, max_depth, search.importances.reshape(n_trees, d))
+
+
+def _splitmix(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Output number ``counters`` (1 is the first) of splitmix64 from state ``keys``.
+
+    Both are uint64 arrays and broadcast; the arithmetic wraps modulo 2**64.
+    """
+    z = keys + counters * _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+    return z ^ (z >> np.uint64(31))
+
+
+def _candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Per node key, the k features with the smallest feature keys, ascending."""
+    if k >= d:
+        return np.broadcast_to(np.arange(d), (keys.size, d))
+    counters = np.arange(3, d + 3, dtype=np.uint64)
+    feats = np.empty((keys.size, k), dtype=np.intp)
+    step = max(1, _CHUNK_CELLS // d)
+    for start in range(0, keys.size, step):
+        feature_keys = _splitmix(keys[start : start + step, None], counters)
+        feats[start : start + step] = np.argpartition(feature_keys, k - 1, axis=1)[:, :k]
+    feats.sort(axis=1)
+    return feats
+
+
+def _trees(levels: list, max_depth: int | None, importances: np.ndarray) -> list[DecisionTree]:
+    """Each tree's node arrays, numbered breadth first, from the per-level node arrays."""
+    tree, value, feature, threshold = (np.concatenate(column) for column in zip(*levels))
+    # the q-th split node of a level has children 2q and 2q + 1 of the next level
+    starts = np.cumsum([0] + [level[0].size for level in levels])
+    left = np.full(tree.size, -1)
+    for start, stop, (_, _, level_feature, _) in zip(starts, starts[1:], levels):
+        split = np.flatnonzero(level_feature >= 0)
+        left[start + split] = stop + 2 * np.arange(split.size)
+
+    order = np.argsort(tree, kind="stable")  # tree by tree, each breadth first
+    position = np.argsort(order)
+    trees = []
+    for t, nodes in enumerate(np.split(order, np.cumsum(np.bincount(tree))[:-1])):
+        fitted = DecisionTree(max_depth)
+        fitted.feature, fitted.threshold = feature[nodes], threshold[nodes]
+        fitted.value = value[nodes]
+        fitted.left = np.where(left[nodes] >= 0, position[left[nodes]] - position[nodes[0]], -1)
+        fitted.right = np.where(fitted.left >= 0, fitted.left + 1, -1)
+        fitted.importances_ = importances[t]
+        trees.append(fitted)
     return trees
 
 
-class _Node(NamedTuple):
-    """A node popped in this step: its tree's index, its id in that tree, its rows."""
-
-    tree: int
-    node_id: int
-    rows: np.ndarray
-    depth: int
-
-
-class _LockstepSearch:
+class _LevelSearch:
     """The rank codes of one forest fit and the batched search over them."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray, n_trees: int):
-        self.values = [np.unique(column) for column in X.T]
-        self.widths = np.array([v.size for v in self.values])
+        values = [np.unique(column) for column in X.T]
+        self.widths = np.array([v.size for v in values])
+        # column j's distinct values, ascending, start at value_start[j]
+        self.values = np.concatenate(values)
+        self.value_start = np.cumsum(self.widths) - self.widths
         # codes[j * n + i]: rank of X[i, j] among the distinct values of column j
         self.codes = np.empty(X.size, dtype=np.min_scalar_type(max(self.widths, default=0)))
-        for j, values in enumerate(self.values):
-            self.codes[j * X.shape[0] : (j + 1) * X.shape[0]] = np.searchsorted(values, X[:, j])
+        for j, column in enumerate(values):
+            self.codes[j * X.shape[0] : (j + 1) * X.shape[0]] = np.searchsorted(column, X[:, j])
         # np.unique sorts NaN last; no boundary may fall between a real value and NaN.
-        self.real_codes = np.array([np.searchsorted(v, np.nan) for v in self.values])
+        self.real_codes = np.array([np.searchsorted(v, np.nan) for v in values])
         self.n = X.shape[0]
         self.y = y
-        self.importances = np.zeros((n_trees, X.shape[1]))  # row t: tree t's importances_
+        self.importances = np.zeros(n_trees * X.shape[1])  # [t * d + j]: tree t, feature j
 
-    def leaf_values(self, trees: list[DecisionTree], leaves: list[_Node]) -> None:
-        """Set the value of each node in ``leaves``."""
-        sizes = [leaf.rows.size for leaf in leaves]
-        for start, stop in _chunks(sizes, [0] * len(sizes)):
-            batch = leaves[start:stop]
-            nid, rows = _lay_out(batch)
-            self._set_values(trees, batch, nid, self.y[rows])
+    def split_level(self, rows, sizes, tree, feats, keep: bool):
+        """Search and split a level's open nodes, whose rows lie end to end in ``rows``.
 
-    def _set_values(self, trees, nodes, nid, y) -> None:
-        n_nodes = len(nodes)
-        sums = np.bincount(nid, weights=y, minlength=n_nodes)
-        values = (sums / np.maximum(np.bincount(nid, minlength=n_nodes), 1)).tolist()
-        for node, value in zip(nodes, values):
-            trees[node.tree].value[node.node_id] = value
-
-    def splits(self, trees: list[DecisionTree], nodes: list, feats: np.ndarray) -> list:
-        """Value, search and split each node in ``nodes``.
-
-        ``feats[i]`` holds node i's candidate features in ascending order.
-        Returns (tree index, node id, depth, left rows, right rows) per split.
-        ``nodes`` is emptied chunk by chunk, so that a node's rows are freed
-        once its children hold them.
+        ``feats[i]`` holds node i's candidate features in ascending order and
+        ``tree[i]`` its tree. Returns each node's split feature (-1 where no
+        split gains) and threshold, then each split node's left and right
+        child's value and size, interleaved. If ``keep``, ``rows`` is
+        rewritten in place to hold the rows of the children with two or more
+        rows, in child order.
         """
         k = feats.shape[1]
-        widest = self.widths[feats].max(axis=1) * k
-        sizes = [node.rows.size * k for node in nodes]
-        found = []
-        for start, stop in _chunks(sizes, widest.tolist()):
-            batch = nodes[start:stop]
-            nodes[start:stop] = [None] * len(batch)
-            found += self._search(trees, batch, feats[start:stop])
-        return found
+        feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
+        child_values, child_sizes = [], []
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        written = 0
+        for a, b in _chunks(sizes * k + self.widths[feats].sum(axis=1)):
+            node_rows = rows[starts[a] : starts[b]]
+            nid = np.repeat(np.arange(b - a), sizes[a:b])
+            y = self.y[node_rows]
+            split, split_feat, split_code = self._search(
+                nid, node_rows, y, feats[a:b], tree[a:b], sizes[a:b]
+            )
+            feature[a:b][split] = split_feat
+            threshold[a:b][split] = self.values[self.value_start[split_feat] + split_code]
 
-    def _search(self, trees: list[DecisionTree], nodes: list[_Node], feats: np.ndarray) -> list:
-        n_nodes, k = feats.shape
-        nid, rows = _lay_out(nodes)
-        y = self.y[rows]
-        self._set_values(trees, nodes, nid, y)
+            # a row of the q-th split node goes to child 2q (left) or 2q + 1 (right)
+            moved = split[nid]
+            q, node_rows, y = (np.cumsum(split) - 1)[nid[moved]], node_rows[moved], y[moved]
+            child = 2 * q + (self.codes[split_feat[q] * self.n + node_rows] > split_code[q])
+            n_children = 2 * split_feat.size
+            counts = np.bincount(child, minlength=n_children)
+            child_sizes.append(counts)
+            child_values.append(np.bincount(child, weights=y, minlength=n_children) / counts)
+            if keep:
+                stays = counts[child] >= 2
+                kept = node_rows[stays][np.argsort(child[stays], kind="stable")]
+                rows[written : written + kept.size] = kept  # never past this chunk's rows
+                written += kept.size
+        return (feature, threshold), np.concatenate(child_values), np.concatenate(child_sizes)
 
-        width = int(self.widths[feats].max())
-        at, boundary_score, parent_score = self._boundary_scores(nid, rows, y, feats, width)
-        score = np.full((k, n_nodes, width), -np.inf)
-        score.ravel()[at] = boundary_score
-        # first maxima: the lowest threshold code, then the lowest feature index
-        col_best_pos = np.argmax(score, axis=2)
-        col_best = np.take_along_axis(score, col_best_pos[..., None], axis=2)[..., 0]
-        best = col_best.max(axis=0)
-        decrease = best - parent_score
-        gains = np.isfinite(best) & (decrease > _NO_GAIN * np.maximum(1.0, np.abs(parent_score)))
-        tied = col_best == best
-        chosen = np.argmax(tied, axis=0)
-        node_range = np.arange(n_nodes)
-        split_feat = feats[node_range, chosen]
-        split_code = col_best_pos[chosen, node_range]
-        goes_left = self.codes[(split_feat * self.n)[nid] + rows] <= split_code[nid]
+    def _search(self, nid, rows, y, feats, tree, sizes):
+        """The best split of each node of a chunk, and the importance of its decrease.
 
-        # Each tree has one node per step, so no (tree, feature) pair repeats.
-        split_nodes = np.flatnonzero(gains)
-        slot, at_split = np.nonzero(tied[:, split_nodes])
-        shares = decrease[split_nodes] / tied[:, split_nodes].sum(axis=0)
-        tree_ids = np.array([node.tree for node in nodes])[split_nodes]
-        self.importances[tree_ids[at_split], feats[split_nodes[at_split], slot]] += shares[at_split]
-
-        found = []
-        ends = np.cumsum([node.rows.size for node in nodes]).tolist()
-        for i, feat, code in zip(split_nodes.tolist(), split_feat[split_nodes].tolist(),
-                                 split_code[split_nodes].tolist()):
-            node = nodes[i]
-            trees[node.tree].feature[node.node_id] = feat
-            trees[node.tree].threshold[node.node_id] = float(self.values[feat][code])
-            start = ends[i - 1] if i else 0
-            node_rows, mask = rows[start : ends[i]], goes_left[start : ends[i]]
-            found.append((node.tree, node.node_id, node.depth, node_rows[mask], node_rows[~mask]))
-        return found
-
-    def _boundary_scores(self, nid, rows, y, feats, width):
-        """Score every boundary of every node's candidate features.
-
-        Bins are (candidate slot, node, code). Returns the flat index of
-        each boundary's bin, its score, and each node's parent score.
+        Returns which nodes split, and the feature and threshold code of each
+        split, in node order.
         """
         n_nodes, k = feats.shape
-        slot_bins = n_nodes * width
+        sums = np.bincount(nid, weights=y, minlength=n_nodes)
+        col_best, col_code = self._boundary_scores(nid, rows, y, feats, sums, sizes)
+        # first maxima: the lowest threshold code, then the lowest feature index
+        best = col_best.max(axis=1)
+        parent_score = sums**2 / sizes
+        decrease = best - parent_score
+        gains = np.isfinite(best) & (decrease > _NO_GAIN * np.maximum(1.0, np.abs(parent_score)))
+        split = np.flatnonzero(gains)
+        tied = col_best[split] == best[split, None]
+        chosen = np.argmax(tied, axis=1)
+
+        at_split, slot = np.nonzero(tied)  # node by node, so each tree's shares add in node order
+        shares = decrease[split] / tied.sum(axis=1)
+        flat = tree[split[at_split]] * self.widths.size + feats[split[at_split], slot]
+        np.add.at(self.importances, flat, shares[at_split])
+        return gains, feats[split, chosen], col_code[split, chosen]
+
+    def _boundary_scores(self, nid, rows, y, feats, sums, sizes):
+        """Score every boundary of every node's candidate features.
+
+        Bins are (node, candidate slot, code), each pair with its column's
+        width. Returns, per node and slot, the best boundary's score (-inf
+        where the column has none) and its code, the lowest among equal
+        scores.
+        """
+        n_nodes, k = feats.shape
+        widths = self.widths[feats].ravel()  # pair p = node * k + slot
+        pair_start = np.cumsum(widths) - widths
+        n_bins = int(widths.sum())
         # keys[s]: each row's bin for its node's candidate feature in slot s
         offsets = feats * self.n
-        base = nid * width
+        base = pair_start.reshape(n_nodes, k)
         keys = np.empty((k, rows.size), dtype=np.intp)
         for s in range(k):
-            np.add(base, self.codes[offsets[nid, s] + rows], out=keys[s])
-            keys[s] += s * slot_bins
+            np.add(base[nid, s], self.codes[offsets[nid, s] + rows], out=keys[s])
         keys = keys.ravel()
-        counts = np.bincount(keys, minlength=k * slot_bins).reshape(k, n_nodes, width)
-        cum = np.bincount(keys, weights=np.tile(y, k), minlength=counts.size).reshape(counts.shape)
-        present = counts > 0
-        left_n = np.cumsum(counts, axis=2, out=counts)  # in place: bins dominate memory
-        np.cumsum(cum, axis=2, out=cum)
-        n = left_n[0, :, -1]
+        # running row counts and target sums over the bins, from 0
+        cum_n = np.zeros(n_bins + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=n_bins), out=cum_n[1:])
+        cum_y = np.zeros(n_bins + 1)
+        np.cumsum(np.bincount(keys, weights=np.tile(y, k), minlength=n_bins), out=cum_y[1:])
+        del keys
+
         # a boundary follows a code present in the node and precedes a larger real value
-        n_real = np.take_along_axis(left_n, self.real_codes[feats].T[..., None] - 1, axis=2)
-        at = np.flatnonzero(present & (left_n < n_real))
-        at_node = at // width % n_nodes
-        left = left_n.ravel()[at].astype(np.float64)
-        right = n[at_node] - left
-        total = cum[0, :, -1]
-        left_sum = cum.ravel()[at]
-        score = left_sum**2 / left + (total[at_node] - left_sum) ** 2 / right
-        return at, score, total**2 / n
+        at = np.flatnonzero(cum_n[1:] > cum_n[:-1])
+        pair = np.searchsorted(pair_start, at, side="right") - 1
+        left = cum_n[at + 1] - cum_n[pair_start[pair]]
+        n_real = cum_n[pair_start + self.real_codes[feats].ravel()] - cum_n[pair_start]
+        boundary = left < n_real[pair]
+        at, pair, left = at[boundary], pair[boundary], left[boundary]
+        node = pair // k
+        left_sum = cum_y[at + 1] - cum_y[pair_start[pair]]
+        score = left_sum**2 / left + (sums[node] - left_sum) ** 2 / (sizes[node] - left)
+
+        col_best = np.full(n_nodes * k, -np.inf)
+        np.maximum.at(col_best, pair, score)
+        first = np.flatnonzero(score == col_best[pair])
+        first = first[np.diff(pair[first], prepend=-1) != 0]  # bins ascend within a pair
+        col_code = np.zeros(n_nodes * k, dtype=np.intp)
+        col_code[pair[first]] = at[first] - pair_start[pair[first]]
+        return col_best.reshape(n_nodes, k), col_code.reshape(n_nodes, k)
 
 
-def _lay_out(nodes: list[_Node]) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of the nodes laid end to end, the index of its node, and the rows."""
-    sizes = [node.rows.size for node in nodes]
-    return np.repeat(np.arange(len(nodes)), sizes), np.concatenate([node.rows for node in nodes])
+def _chunks(cells: np.ndarray):
+    """Cut consecutive nodes into runs (start, stop) of at most ``_CHUNK_CELLS`` cells.
 
-
-def _chunks(row_cells: list[int], node_cells: list[int]):
-    """Cut consecutive nodes into runs (start, stop) under ``_CHUNK_CELLS``.
-
-    A run costs the sum of its row cells and, for its bins, its node count
-    times its largest node cells. A run holds at least one node.
+    A run holds at least one node.
     """
-    start, rows, widest = 0, 0, 0
-    for i, (r, w) in enumerate(zip(row_cells, node_cells)):
-        rows, widest = rows + r, max(widest, w)
-        if i > start and (rows > _CHUNK_CELLS or (i - start + 1) * widest > _CHUNK_CELLS):
-            yield start, i
-            start, rows, widest = i, r, w
-    if row_cells:
-        yield start, len(row_cells)
+    ends = np.cumsum(cells)
+    start = 0
+    while start < ends.size:
+        bound = (ends[start - 1] if start else 0) + _CHUNK_CELLS
+        stop = max(int(np.searchsorted(ends, bound, side="right")), start + 1)
+        yield start, stop
+        start = stop

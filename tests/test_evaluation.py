@@ -371,6 +371,18 @@ class TestGridSearch:
         assert result.best_index == 1
         assert np.isfinite(result.best_score)
 
+    @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
+    def test_string_tree_depth_fails_only_its_folds(self, family):
+        # a depth of "4" used to escape as a TypeError and end the pipeline
+        rng = np.random.default_rng(78)
+        counts = rng.integers(0, 4, 60)
+        rows = rng.normal(size=(60, 3))
+        rows[:, 0] += counts
+        grid = [{"n_trees": 5, "depth": "4"}, {"n_trees": 5, "depth": 4}]
+        result = grid_search(family, grid, make_matrix(rows, counts=counts), k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == [3, 0]
+        assert result.best_index == 1
+
 
 class TestRunPipeline:
     def test_detection_with_raw_representation_rejected(self, small_dataset):

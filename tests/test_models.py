@@ -1,6 +1,7 @@
 """Model family sanity suite: exact-recovery oracles, invariances, determinism,
-the lockstep forest checked bit for bit against `trees_reference`, and the
-lockstep SVM solver checked bit for bit against `svm_reference`."""
+the level-wise forest checked bit for bit against the node-by-node keyed
+grower of `trees_reference`, and the lockstep SVM solver checked bit for bit
+against `svm_reference`."""
 
 import numpy as np
 import pytest
@@ -482,11 +483,11 @@ def assert_same_trees(new_trees, old_trees, probe):
     """Node arrays, node values, importances and predictions are equal, bit for bit."""
     assert len(new_trees) == len(old_trees)
     for new, old in zip(new_trees, old_trees):
-        assert new.feature == old.feature
-        assert new.threshold == old.threshold
-        assert new.left == old.left
-        assert new.right == old.right
-        assert np.array_equal(new._val, old._val)
+        assert np.array_equal(new.feature, old.feature)
+        assert np.array_equal(new.threshold, old.threshold)
+        assert np.array_equal(new.left, old.left)
+        assert np.array_equal(new.right, old.right)
+        assert np.array_equal(new.value, old.value)
         assert np.array_equal(new.importances_, old.importances_)
         assert np.array_equal(new.predict(probe), old.predict(probe))
 
@@ -516,7 +517,7 @@ TARGETS = ["regression", "occupancy"]
 
 
 class TestLockstepForestMatchesReference:
-    """On integer-valued targets the lockstep forest is the depth-first, sort-based one."""
+    """On integer-valued targets the level-wise forest is the depth-first, sort-based one."""
 
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("depth", [1, 3, 8, None])
@@ -545,8 +546,10 @@ class TestLockstepForestMatchesReference:
         )
         wanted = []
         for s in range(4):
-            rows = np.random.default_rng(s).integers(0, 80, size=80)
-            wanted.append(trees_reference.DecisionTree().fit(X[rows], y[rows]))
+            rng = np.random.default_rng(s)
+            rows = rng.integers(0, 80, size=80)
+            key = int(rng.integers(2**64, dtype=np.uint64))
+            wanted.append(trees_reference.KeyedTree().fit(X[rows], y[rows], key))
         assert_same_trees(grown, wanted, X)
         for tree in grown:
             assert tree.importances_[0] == tree.importances_[3] == tree.importances_[5] > 0
@@ -575,7 +578,7 @@ class TestLockstepForestMatchesReference:
     @pytest.mark.parametrize("cells", [1, 40, 300])
     @pytest.mark.parametrize("target", TARGETS)
     def test_chunk_boundaries(self, monkeypatch, target, cells):
-        # one node per chunk, then chunks that cut a step's nodes into several runs
+        # one node per chunk, then chunks that cut a level's nodes into several runs
         monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
         X, y = integer_problem(66, n=90, target=target)
         assert_forest_matches_reference(X, y, n_trees=12, depth=None, seed=66)
@@ -621,8 +624,110 @@ class TestVarianceOnOccupancyIsGini:
             task="classification", n_trees=20, max_depth=depth, seed=76
         ).fit(X, occupied.astype(np.int64))
         for new, old in zip(variance.trees, gini.trees, strict=True):
-            assert new.feature == old.feature
-            assert new.threshold == old.threshold
-            assert new.left == old.left
-            assert new.right == old.right
+            assert np.array_equal(new.feature, old.feature)
+            assert np.array_equal(new.threshold, old.threshold)
+            assert np.array_equal(new.left, old.left)
+            assert np.array_equal(new.right, old.right)
         assert np.allclose(variance.importances_, gini.importances_, rtol=1e-12, atol=0)
+
+
+def node_depths(tree):
+    """The depth of each node of a fitted tree."""
+    depth = np.zeros(len(tree.feature), dtype=np.int64)
+    for node in range(len(tree.feature)):
+        if tree.feature[node] >= 0:
+            depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+    return depth
+
+
+class TestKeyedDraws:
+    """A node's draw depends on its path alone, so growth order and batching do not matter."""
+
+    @pytest.mark.parametrize("target", TARGETS + ["fractional"])
+    def test_shallow_forest_is_the_deep_forest_cut(self, target):
+        X, y = integer_problem(80, n=120, d=7, target=target if target in TARGETS else "regression")
+        if target == "fractional":
+            y = y + np.random.default_rng(80).normal(0, 0.3, y.size)
+        shallow = RandomForest(n_trees=12, max_depth=4, seed=81).fit(X, y)
+        deep = RandomForest(n_trees=12, max_depth=8, seed=81).fit(X, y)
+        for cut, full in zip(shallow.trees, deep.trees, strict=True):
+            m = len(cut.feature)
+            # breadth first: the nodes down to depth 4 come first
+            assert m == np.sum(node_depths(full) <= 4)
+            inner = cut.feature >= 0
+            # a leaf above the cap is a leaf of the deep tree too
+            assert np.all(full.feature[:m][~inner & (node_depths(cut) < 4)] < 0)
+            assert np.array_equal(cut.feature[inner], full.feature[:m][inner])
+            assert np.array_equal(cut.threshold[inner], full.threshold[:m][inner])
+            assert np.array_equal(cut.left[inner], full.left[:m][inner])
+            assert np.array_equal(cut.value, full.value[:m])
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_chunk_size_does_not_change_the_forest(self, monkeypatch, target):
+        X, y = integer_problem(82, n=150, d=9, target=target)
+        default = RandomForest(n_trees=10, seed=83).fit(X, y)
+        for cells in (1, 1 << 40):
+            monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+            assert_same_trees(RandomForest(n_trees=10, seed=83).fit(X, y).trees, default.trees, X)
+
+    def test_one_seed_grows_one_forest(self):
+        rng = np.random.default_rng(84)
+        X = rng.normal(size=(200, 6))
+        y = X[:, 0] + rng.normal(0, 0.5, 200)
+        first = RandomForest(n_trees=15, seed=85).fit(X, y)
+        second = RandomForest(n_trees=15, seed=85).fit(X, y)
+        assert_same_trees(first.trees, second.trees, X)
+        assert np.array_equal(first.importances_, second.importances_)
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 15])
+    def test_forest_predict_is_the_per_tree_sum(self, monkeypatch, cells):
+        rng = np.random.default_rng(86)
+        X = rng.normal(size=(150, 4))
+        y = X[:, 0] ** 2 + rng.normal(0, 0.3, 150)
+        forest = RandomForest(n_trees=30, max_depth=6, seed=87).fit(X, y)
+        probe = rng.normal(size=(70, 4)) * 2
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)  # rows per predict chunk
+        want = np.zeros(probe.shape[0])
+        for tree in forest.trees:
+            want += tree.predict(probe)
+        assert np.array_equal(forest.predict(probe), want / len(forest.trees))
+
+
+class TestTreeHyperparameters:
+    """Tree counts and depths are checked when a forest or booster is built."""
+
+    FAMILIES = [RandomForest, GradientBoosting]
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_negative_depth_rejected(self, family):
+        # it used to fit a constant: every tree a single leaf
+        with pytest.raises(ValueError, match="max_depth"):
+            family(n_trees=5, max_depth=-3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fractional_depth_rejected(self, family):
+        with pytest.raises(ValueError, match="max_depth"):
+            family(n_trees=5, max_depth=2.5)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bool_depth_rejected(self, family):
+        with pytest.raises(ValueError, match="max_depth"):
+            family(n_trees=5, max_depth=True)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_string_depth_rejected(self, family):
+        with pytest.raises(ValueError, match="max_depth"):
+            family(n_trees=5, max_depth="4")
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fractional_tree_count_rejected(self, family):
+        with pytest.raises(ValueError, match="n_trees"):
+            family(n_trees=2.7, max_depth=3)
+
+    @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
+    def test_integral_values_accepted(self, family):
+        X = np.random.default_rng(88).normal(size=(30, 2))
+        y = X[:, 0] * 2
+        model = fit(ModelSpec(family, {"n_trees": np.int64(3), "depth": 2.0}), X, y)
+        assert len(model.inner.trees) == 3
+        assert model.inner.max_depth == 2

@@ -1,32 +1,53 @@
 """Reference trees and forests, grown one tree and one node at a time.
 
-These are the ``DecisionTree``, ``RandomForest`` and ``GradientBoosting``
-that ``rssi_occupancy.models`` used before a forest grew its trees in
-lockstep: per node, the candidate columns are gathered, column-sorted and
-scored by prefix sums, and a node's rows are copied out of ``X[rows]``.
-The tests compare the lockstep forest against them, exactly on
-integer-valued targets, and boosting, which still grows its trees this way,
-exactly on any targets. The Gini criterion, which the package no longer
-has, is the oracle for the variance criterion on the 0/1 occupancy
-indicator: it grows the same trees with twice the impurity decrease.
+Per node, the candidate columns are gathered, column-sorted and scored by
+prefix sums, and a node's rows are copied out of ``X[rows]``.
 
-One change from the former code: a forest's trees keep the forest's class
-count. The former ``DecisionTree.fit`` replaced it with ``y.max() + 1`` of
-the tree's bootstrap sample, which made ``RandomForest.predict`` add vote
-vectors of different lengths.
+* ``DecisionTree`` grows one tree depth first on all features; it is the
+  former package code. Boosting, which still grows its trees this way, is
+  compared against it exactly on any targets.
+* ``KeyedTree`` is a forest's tree: a recursion grows it node by node,
+  depth first, and draws each node's candidate features from the node's
+  key, with splitmix64 written out in Python integers. The tree is then
+  numbered breadth first, and importances add each split's shares in that
+  order. ``RandomForest`` grows one per tree. The tests compare the
+  package's level-wise forest against it exactly on integer-valued
+  targets: a depth-first reference that matches level-wise growth shows
+  that the draws do not depend on the order in which nodes are visited.
+
+The Gini criterion, which the package no longer has, is the oracle for the
+variance criterion on the 0/1 occupancy indicator: it grows the same trees
+with twice the impurity decrease. A forest's trees keep the forest's class
+count, so that ``RandomForest.predict`` adds vote vectors of one length.
 """
 
 import numpy as np
 
 _NO_GAIN = 1e-12
 LEARNING_RATE = 0.1
+_MASK = (1 << 64) - 1
+
+
+def splitmix64(state, number):
+    """Output ``number`` (1 is the first) of splitmix64 started at ``state``."""
+    z = (state + number * 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def keyed_candidates(key, d, k):
+    """Outputs 3 .. d + 2 of a node key are its features' keys; the k smallest win."""
+    if k >= d:
+        return np.arange(d)
+    ranked = sorted(range(d), key=lambda j: splitmix64(key, j + 3))
+    return np.array(sorted(ranked[:k]))
 
 
 class DecisionTree:
-    def __init__(self, criterion="variance", max_depth=None, max_features=None):
+    def __init__(self, criterion="variance", max_depth=None):
         self.criterion = criterion
         self.max_depth = max_depth
-        self.max_features = max_features
         self.feature = []
         self.threshold = []
         self.left = []
@@ -35,62 +56,64 @@ class DecisionTree:
         self.importances_ = None
         self.n_classes = 0
 
-    def fit(self, X, y, rng=None):
+    def _prepare(self, X, y):
         X = np.asarray(X, dtype=np.float64)
-        n, d = X.shape
-        self.importances_ = np.zeros(d)
+        self.importances_ = np.zeros(X.shape[1])
         if self.criterion == "gini":
             y = np.asarray(y, dtype=np.int64)
             self.n_classes = max(self.n_classes, int(y.max()) + 1 if y.size else 0)
         else:
             y = np.asarray(y, dtype=np.float64)
-
         depth_cap = self.max_depth if self.max_depth is not None else np.inf
-        stack = [(np.arange(n), 0, -1, False)]
+        return X, y, depth_cap
+
+    def fit(self, X, y):
+        X, y, depth_cap = self._prepare(X, y)
+        stack = [(np.arange(X.shape[0]), 0, -1, False)]
         while stack:
             rows, depth, parent, is_right = stack.pop()
-            node_id = len(self.feature)
-            if parent >= 0:
-                if is_right:
-                    self.right[parent] = node_id
-                else:
-                    self.left[parent] = node_id
-            self.feature.append(-1)
-            self.threshold.append(0.0)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.value.append(self._leaf_value(y[rows]))
-
+            node_id = self._add_node(parent, is_right, self._leaf_value(y[rows]))
             if depth >= depth_cap or rows.size < 2:
                 continue
-            split = self._best_split(X, y, rows, rng)
+            split = self._best_split(X, y, rows, np.arange(X.shape[1]))
             if split is None:
                 continue
             feat, thr, decrease, tied = split
-            share = decrease / len(tied)
-            for t in tied:
-                self.importances_[t] += share
-            self.feature[node_id] = feat
-            self.threshold[node_id] = thr
+            self._set_split(node_id, feat, thr, decrease, tied)
             mask = X[rows, feat] <= thr
             stack.append((rows[~mask], depth + 1, node_id, True))
             stack.append((rows[mask], depth + 1, node_id, False))
         self._finalize()
         return self
 
+    def _add_node(self, parent, is_right, value):
+        node_id = len(self.feature)
+        if parent >= 0:
+            if is_right:
+                self.right[parent] = node_id
+            else:
+                self.left[parent] = node_id
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        return node_id
+
+    def _set_split(self, node_id, feat, thr, decrease, tied):
+        share = decrease / len(tied)
+        for t in tied:
+            self.importances_[t] += share
+        self.feature[node_id] = feat
+        self.threshold[node_id] = thr
+
     def _leaf_value(self, y_node):
         if self.criterion == "gini":
             return np.bincount(y_node, minlength=self.n_classes).astype(np.float64)
         return float(y_node.mean()) if y_node.size else 0.0
 
-    def _candidate_features(self, d, rng):
-        if self.max_features is None or self.max_features >= d:
-            return np.arange(d)
-        return np.sort(rng.choice(d, size=self.max_features, replace=False))
-
-    def _best_split(self, X, y, rows, rng):
+    def _best_split(self, X, y, rows, feats):
         n = rows.size
-        feats = self._candidate_features(X.shape[1], rng)
         block = X[np.ix_(rows, feats)]
         order = np.argsort(block, axis=0, kind="stable")
         xs = np.take_along_axis(block, order, axis=0)
@@ -164,6 +187,52 @@ class DecisionTree:
         return out
 
 
+class _Node:
+    def __init__(self, value):
+        self.value = value
+        self.split = None  # (feature, threshold, decrease, tied features)
+        self.children = ()
+
+
+class KeyedTree(DecisionTree):
+    def __init__(self, criterion="variance", max_depth=None, max_features=None):
+        super().__init__(criterion, max_depth)
+        self.max_features = max_features
+
+    def fit(self, X, y, key):
+        X, y, depth_cap = self._prepare(X, y)
+        k = X.shape[1] if self.max_features is None else self.max_features
+        level = [self._grow(X, y, np.arange(X.shape[0]), 0, key, depth_cap, k)]
+        while level:  # breadth first: a node's id is its place in this order
+            for node in level:
+                node_id = self._add_node(-1, False, node.value)
+                if node.split is not None:
+                    self._set_split(node_id, *node.split)
+            level = [child for node in level for child in node.children]
+        # so the split nodes' children are nodes 1, 2, 3, ... in their parents' order
+        next_child = 1
+        for node_id, feat in enumerate(self.feature):
+            if feat >= 0:
+                self.left[node_id], self.right[node_id] = next_child, next_child + 1
+                next_child += 2
+        self._finalize()
+        return self
+
+    def _grow(self, X, y, rows, depth, key, depth_cap, k):
+        node = _Node(self._leaf_value(y[rows]))
+        if depth >= depth_cap or rows.size < 2:
+            return node
+        node.split = self._best_split(X, y, rows, keyed_candidates(key, X.shape[1], k))
+        if node.split is not None:
+            feat, thr = node.split[:2]
+            mask = X[rows, feat] <= thr
+            node.children = (
+                self._grow(X, y, rows[mask], depth + 1, splitmix64(key, 1), depth_cap, k),
+                self._grow(X, y, rows[~mask], depth + 1, splitmix64(key, 2), depth_cap, k),
+            )
+        return node
+
+
 class RandomForest:
     def __init__(self, task="regression", n_trees=100, max_depth=None, seed=0):
         self.task = task
@@ -191,10 +260,11 @@ class RandomForest:
         for child in children:
             rng = np.random.default_rng(child)
             rows = rng.integers(0, n, size=n)
-            tree = DecisionTree(criterion=criterion, max_depth=self.max_depth, max_features=k)
+            key = int(rng.integers(2**64, dtype=np.uint64))
+            tree = KeyedTree(criterion=criterion, max_depth=self.max_depth, max_features=k)
             if self.task == "classification":
                 tree.n_classes = self.n_classes
-            tree.fit(X[rows], y[rows], rng)
+            tree.fit(X[rows], y[rows], key)
             raw_importance += tree.importances_
             self.trees.append(tree)
         total = raw_importance.sum()
