@@ -1,30 +1,30 @@
-"""Bagged and boosted tree ensembles built on the CART core.
+"""Bagged and boosted tree ensembles, both grown by ``trees.grow_trees``.
 
 Random forests bootstrap rows per tree and search floor(sqrt(d)) candidate
 features per split; per-tree generators are spawned from one seed sequence,
-so results are seed-deterministic. ``trees.grow_forest`` grows all trees
-level by level. Each tree's generator draws its bootstrap and a root key,
-and a node's candidates come from keys derived from its path, so no draw
-depends on the order nodes are grown in: a forest capped at depth d is the
-deeper forest of the same seed cut at depth d, and on integer-valued
-targets (head counts, the 0/1 occupancy indicator) it equals the forest
-grown node by node. The forest predicts the mean of its trees, all trees
-descending together; the selector ranks splits on the indicator by variance
-reduction, half the two-class Gini decrease. Tree counts and depths must be
-integers >= 1 (a depth may be None: unbounded).
+so results are seed-deterministic. Each tree's generator draws its
+bootstrap and a root key, and a node's candidates come from keys derived
+from its path, so no draw depends on the order nodes are grown in: a forest
+capped at depth d is the deeper forest of the same seed cut at depth d, and
+on integer-valued targets (head counts, the 0/1 occupancy indicator) it
+equals the forest grown node by node. The forest predicts the mean of its
+trees, all trees descending together; the selector ranks splits on the
+indicator by variance reduction, half the two-class Gini decrease. Tree
+counts and depths must be integers >= 1 (a depth may be None: unbounded).
 
-Gradient boosting fits regression trees on all features to residuals under
-squared loss with shrinkage 0.1; the recorded training loss per round is
-non-increasing. Its trees keep ``DecisionTree.fit``'s per-node sorted
-search: the residuals are fractional, and binned sums would re-associate
-their additions and change the fitted trees.
+Gradient boosting (Friedman, 2001) fits one regression tree per round to
+the residuals under squared loss, with shrinkage 0.1; the recorded training
+loss per round is non-increasing. Its trees grow on all rows, with no
+bootstrap, and with every feature a candidate at every node; the rank codes
+of ``X`` are built once per fit. The residuals are fractional, so a near-tie
+between splits depends on float rounding (see ``trees``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .trees import DecisionTree, forest_predict, grow_forest
+from .trees import DecisionTree, _LevelSearch, forest_predict, grow_forest, grow_trees
 
 LEARNING_RATE = 0.1
 
@@ -61,7 +61,7 @@ class RandomForest:
         for tree in self.trees:
             raw_importance += tree.importances_
         total = raw_importance.sum()
-        self.importances_ = raw_importance / total if total > 0 else np.full(d, 1.0 / d)
+        self.importances_ = raw_importance / total if total > 0 else np.full(d, 1.0 / max(d, 1))
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -81,13 +81,16 @@ class GradientBoosting:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GradientBoosting":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
+        search = _LevelSearch(X)
+        key = np.zeros(1, dtype=np.uint64)  # every feature is a candidate: the key draws nothing
         self.base_ = float(y.mean())
         current = np.full(y.shape, self.base_)
         self.trees = []
         self.train_losses_ = [float(np.mean((y - current) ** 2))]
         for _ in range(self.n_trees):
             residual = y - current
-            tree = DecisionTree(max_depth=self.max_depth).fit(X, residual)
+            rows = np.arange(X.shape[0], dtype=np.int32)
+            (tree,) = grow_trees(search, residual, rows, key, self.max_depth, X.shape[1])
             current = current + LEARNING_RATE * tree.predict(X)
             self.trees.append(tree)
             self.train_losses_.append(float(np.mean((y - current) ** 2)))

@@ -5,6 +5,11 @@ keeps the model with the largest inlier set; the inlier threshold is a
 quantile of |y - median(y)| (quantile 0.5 gives the classic MAD threshold).
 The Theil-Sen estimator aggregates least-squares fits on random subsets with
 the spatial median (Weiszfeld iteration).
+
+Both skip a degenerate subset: one whose design (features and intercept)
+has a lower rank than the whole training design. An exactly dependent
+feature column, such as an interquartile range kept beside both quartiles,
+lowers both ranks alike, so it does not make every subset degenerate.
 """
 
 from __future__ import annotations
@@ -18,13 +23,11 @@ _WEISZFELD_MAX_ITER = 500
 _WEISZFELD_TOL = 1e-10
 
 
-def _fit_full_rank(X: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Least-squares coefficients [w..., b], or None when the subset is degenerate."""
+def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares coefficients [w..., b] of y on X and an intercept, and the design's rank."""
     design = np.column_stack([X, np.ones(X.shape[0])])
     solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        return None
-    return solution
+    return solution, int(rank)
 
 
 class RansacRegression:
@@ -50,13 +53,14 @@ class RansacRegression:
         if threshold <= 0:
             threshold = 1e-12
 
+        full_rank = _least_squares(X, y)[1]
         rng = np.random.default_rng(self.seed)
         best: tuple[int, float] | None = None
         best_mask: np.ndarray | None = None
         for _ in range(RANSAC_TRIALS):
             subset = rng.choice(n, size=min_samples, replace=False)
-            solution = _fit_full_rank(X[subset], y[subset])
-            if solution is None:
+            solution, rank = _least_squares(X[subset], y[subset])
+            if rank < full_rank:
                 continue
             residuals = np.abs(X @ solution[:-1] + solution[-1] - y)
             mask = residuals <= threshold
@@ -113,14 +117,15 @@ class TheilSenRegression:
         if n < subset_size:
             raise ValueError(f"need at least {subset_size} rows, got {n}")
 
+        full_rank = _least_squares(X, y)[1]
         rng = np.random.default_rng(self.seed)
         solutions = []
         attempts = 0
         while len(solutions) < self.n_subsets and attempts < 10 * self.n_subsets:
             attempts += 1
             subset = rng.choice(n, size=subset_size, replace=False)
-            solution = _fit_full_rank(X[subset], y[subset])
-            if solution is not None:
+            solution, rank = _least_squares(X[subset], y[subset])
+            if rank >= full_rank:
                 solutions.append(solution)
         if not solutions:
             raise ValueError("every sampled subset was rank-deficient")

@@ -1,4 +1,4 @@
-"""CART-style decision trees shared by the forests, boosting and the selector.
+"""CART-style regression trees shared by the forests, boosting and the selector.
 
 A node is split whenever it has two or more rows, lies above the depth cap
 and some split reduces impurity, so a leaf may hold a single row. Trees
@@ -14,35 +14,34 @@ split (e.g. duplicated columns), the impurity decrease is credited equally to
 all of them and the split uses the lowest feature index. This keeps
 importances symmetric under feature duplication while staying deterministic.
 
-Trees grow in one of two ways, with the same rules:
+One grower, ``grow_trees``, grows every tree: a batch of trees together,
+level by level, each on its own rows of one matrix. ``_LevelSearch`` gives
+each column of the matrix rank codes once: a row's code is the rank of its
+value among the column's distinct values, so every distinct value keeps its
+own bin and thresholds stay exact (the exact greedy search on sorted column
+blocks of XGBoost, Chen & Guestrin, KDD 2016). A level's open nodes (two or
+more rows, above the depth cap) keep their rows as row ids into the matrix,
+end to end in one buffer. One search scores them all: an ``np.bincount``
+over (node, candidate, code) keys counts the rows per bin, a weighted one
+sums their targets, and prefix sums along the codes score every boundary.
+Then each split node's rows are reordered in place, left child before
+right, and rows of children that cannot split are dropped. A matrix with no
+columns has no candidates, so each tree is one leaf.
 
-* ``DecisionTree.fit`` grows one tree depth first on all features. Per
-  node, the columns are gathered into an (n, d) block, column-sorted, and
-  every boundary is scored from prefix sums over the sorted rows. Gradient
-  boosting fits its trees this way.
-* ``grow_forest`` grows all trees of a random forest together, level by
-  level. Each column gets rank codes once per fit: a row's code is the rank
-  of its value among the column's distinct values, so every distinct value
-  keeps its own bin and thresholds stay exact (the exact greedy search on
-  sorted column blocks of XGBoost, Chen & Guestrin, KDD 2016). A level's
-  open nodes (two or more rows, above the depth cap) keep their rows as row
-  ids into ``X``, end to end in one buffer. One search scores them all: an
-  ``np.bincount`` over (node, candidate, code) keys counts the rows per bin,
-  a weighted one sums their targets, and prefix sums along the codes score
-  every boundary. Then each split node's rows are reordered in place, left
-  child before right, and rows of children that cannot split are dropped.
-
-Keyed draws: a tree's generator draws its bootstrap sample, then a 64-bit
-root key. A node's key is a splitmix64 state (Steele, Lea & Flood, OOPSLA
-2014): its first output is the left child's key, its second the right
-child's, and the next d are the keys of the d features; the node's
-candidates are the ``max_features`` features with the smallest keys. Like
-Random123's counter-based generators (Salmon et al., SC 2011), a node's draw
-depends on its path from the root, not on the order nodes are visited. So
-the trees equal those grown node by node, depth first, from the same keys,
-and a forest capped at depth d is the deeper forest of its seed cut at d.
-A tree's nodes are numbered breadth first, each split node's children left
-then right in their parents' order; importances add shares in that order.
+Keyed draws: a tree starts from a 64-bit root key. A node's key is a
+splitmix64 state (Steele, Lea & Flood, OOPSLA 2014): its first output is the
+left child's key, its second the right child's, and the next d are the keys
+of the d features; the node's candidates are the ``max_features`` features
+with the smallest keys. Like Random123's counter-based generators (Salmon et
+al., SC 2011), a node's draw depends on its path from the root, not on the
+order nodes are visited. So the trees equal those grown node by node, depth
+first, from the same keys, and a tree capped at depth d is the deeper tree
+of its key cut at d. A random forest (``grow_forest``) grows each tree on a
+bootstrap sample, drawn by the tree's generator before its root key.
+Gradient boosting grows one tree per round on all rows, with every feature
+a candidate, so its key draws nothing. A tree's nodes are numbered breadth
+first, each split node's children left then right in their parents' order;
+importances add shares in that order.
 
 A level's search is cut into chunks of consecutive nodes whose rows x
 candidates plus bins stay within ``_CHUNK_CELLS``, so that each temporary
@@ -51,14 +50,17 @@ distinct value of its column. A chunk holds at least one node, so only a
 single node larger than the bound exceeds it.
 
 Exactness: on integer-valued targets (head counts, the 0/1 occupancy
-indicator) every bin sum and prefix sum is an exact integer, so the forest
+indicator) every bin sum and prefix sum is an exact integer, so a forest
 equals the depth-first, sort-based growth bit for bit: features,
 thresholds, children, leaf values and importances (while a chunk's target
-sums stay below 2**53). On fractional targets the bin sums re-associate the
-additions, the prefix sums run across a chunk's (node, candidate) pairs,
-and a near-tie may break the other way. That is why boosting, whose
-residuals are fractional, keeps the sorted search: grown on bin sums, its
-45 Hz counting-features CV RMSE moved from 0.1033 to 0.0841.
+sums stay below 2**53). On fractional targets, such as boosting's
+residuals, the bin sums re-associate the additions and the prefix sums run
+across a chunk's (node, candidate) pairs. Each split is still a greedy
+optimum up to that rounding, but a near-tie between candidate splits may
+break the other way than in a sorted search, and which way depends on how
+the nodes fall into chunks. So a change to ``_CHUNK_CELLS`` may move
+boosting's output: at 45 Hz, a bound of 1 moves its counting-features CV
+RMSE from 0.0847 to 0.0794.
 """
 
 from __future__ import annotations
@@ -77,104 +79,13 @@ _CHILDREN = np.array([1, 2], dtype=np.uint64)  # output numbers of the left and 
 
 
 class DecisionTree:
-    """One fitted tree: variance-reduction splits, leaf means."""
+    """One fitted tree: per node, a split feature (-1 at a leaf), threshold, children, value."""
 
-    def __init__(self, max_depth: int | None = None):
-        self.max_depth = max_depth
-        # Node arrays: split feature (-1 at a leaf), threshold, children, value.
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.importances_: np.ndarray | None = None
-
-    # -- fitting ------------------------------------------------------------
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        """Grow the tree depth first, searching every feature at every node."""
-        X = np.asarray(X, dtype=np.float64)
-        n, d = X.shape
-        self.importances_ = np.zeros(d)
-        y = np.asarray(y, dtype=np.float64)
-        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
-
-        depth_cap = self.max_depth if self.max_depth is not None else np.inf
-        stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-        while stack:
-            rows, depth, parent, is_right = stack.pop()
-            node_id = self._add_node(parent, is_right)
-            self.value[node_id] = float(y[rows].mean()) if rows.size else 0.0
-
-            if depth >= depth_cap or rows.size < 2:
-                continue
-            split = self._best_split(X, y, rows)
-            if split is None:
-                continue
-            feat, thr, decrease, tied = split
-            share = decrease / len(tied)
-            for t in tied:
-                self.importances_[t] += share
-            self.feature[node_id] = feat
-            self.threshold[node_id] = thr
-            mask = X[rows, feat] <= thr
-            stack.append((rows[~mask], depth + 1, node_id, True))
-            stack.append((rows[mask], depth + 1, node_id, False))
-        self._finalize()
-        return self
-
-    def _add_node(self, parent: int, is_right: bool) -> int:
-        node_id = len(self.feature)
-        if parent >= 0:
-            if is_right:
-                self.right[parent] = node_id
-            else:
-                self.left[parent] = node_id
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return node_id
-
-    def _best_split(self, X, y, rows):
-        n = rows.size
-        block = X[rows]
-        order = np.argsort(block, axis=0, kind="stable")
-        xs = np.take_along_axis(block, order, axis=0)
-
-        # valid split positions: strictly increasing neighbours
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            return None
-
-        cum = np.cumsum(y[rows][order], axis=0)
-        total = cum[-1, 0]
-        score = cum[:-1] ** 2 / left_n[:, None] + (total - cum[:-1]) ** 2 / right_n[:, None]
-        parent_score = total**2 / n
-
-        score = np.where(valid, score, -np.inf)
-        col_best_pos = np.argmax(score, axis=0)
-        col_best = score[col_best_pos, np.arange(X.shape[1])]
-        best = col_best.max()
-        decrease = best - parent_score
-        if not np.isfinite(best) or decrease <= _NO_GAIN * max(1.0, abs(parent_score)):
-            return None
-        tied = np.flatnonzero(col_best == best)
-        feat = int(tied[0])
-        threshold = float(xs[col_best_pos[feat], feat])
-        return feat, threshold, float(decrease), tied
-
-    def _finalize(self) -> None:
-        self.feature = np.array(self.feature, dtype=np.int64)
-        self.threshold = np.array(self.threshold, dtype=np.float64)
-        self.left = np.array(self.left, dtype=np.int64)
-        self.right = np.array(self.right, dtype=np.int64)
-        self.value = np.array(self.value, dtype=np.float64)
-
-    # -- prediction ----------------------------------------------------------
+    def __init__(self, feature, threshold, left, right, value, importances):
+        self.feature, self.threshold = feature, threshold
+        self.left, self.right = left, right
+        self.value = value
+        self.importances_ = importances
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The leaf mean of each row."""
@@ -237,39 +148,60 @@ def grow_forest(
     max_depth: int | None,
     max_features: int,
 ) -> list[DecisionTree]:
-    """Grow one tree per generator, all level by level (see the module docstring).
+    """Grow one tree per generator on its bootstrap sample (see ``grow_trees``).
 
     Generator i draws tree i's bootstrap sample of the rows of ``X``, then
-    the tree's root key; each split node searches ``max_features`` candidate
-    features drawn from its key.
+    the tree's root key.
     """
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    n_trees = len(rngs)
-    search = _LevelSearch(X, np.asarray(y, dtype=np.float64), n_trees)
-    k = min(max_features, d)
-    depth_cap = max_depth if max_depth is not None else np.inf
-
-    rows = np.empty(n_trees * n, dtype=np.int32)  # the open nodes' rows, end to end
-    keys = np.empty(n_trees, dtype=np.uint64)
+    n = X.shape[0]
+    rows = np.empty(len(rngs) * n, dtype=np.int32)  # the trees' rows, end to end
+    keys = np.empty(len(rngs), dtype=np.uint64)
     for t, rng in enumerate(rngs):
         rows[t * n : (t + 1) * n] = rng.integers(0, n, size=n)
         keys[t] = rng.integers(2**64, dtype=np.uint64)
+    y = np.asarray(y, dtype=np.float64)
+    return grow_trees(_LevelSearch(X), y, rows, keys, max_depth, max_features)
+
+
+def grow_trees(
+    search: _LevelSearch,
+    y: np.ndarray,
+    rows: np.ndarray,
+    keys: np.ndarray,
+    max_depth: int | None,
+    max_features: int,
+) -> list[DecisionTree]:
+    """Grow one tree per root key, all level by level (see the module docstring).
+
+    ``rows`` holds each tree's rows of the searched matrix, tree by tree and
+    equally many per tree; it is overwritten. ``y`` is the target of every
+    row of the matrix. Each split node searches ``max_features`` candidate
+    features drawn from its key.
+    """
+    n_trees, d = keys.size, search.widths.size
+    k = min(max_features, d)
+    depth_cap = max_depth if max_depth is not None else np.inf
+    importances = np.zeros(n_trees * d)  # [t * d + j]: tree t, feature j
+
+    m = rows.size // n_trees
     tree = np.arange(n_trees)
-    value = np.array([search.y[rows[t * n : (t + 1) * n]].mean() for t in range(n_trees)])
-    sizes = np.full(n_trees, n)
+    value = np.array([y[rows[t * m : (t + 1) * m]].mean() for t in range(n_trees)])
+    sizes = np.full(n_trees, m)
 
     levels = []  # per level and node: tree index, value, split feature, threshold
     depth = 0
     while tree.size:
         feature, threshold = np.full(tree.size, -1), np.zeros(tree.size)
         levels.append((tree, value, feature, threshold))
-        open_nodes = np.flatnonzero((sizes >= 2) & (depth < depth_cap))
+        # with no columns there are no candidates, and every tree is one leaf
+        open_nodes = np.flatnonzero((sizes >= 2) & (depth < depth_cap) & (k > 0))
         if not open_nodes.size:
             break
         keep = depth + 1 < depth_cap
         found, value, sizes = search.split_level(
-            rows, sizes[open_nodes], tree[open_nodes], _candidates(keys[open_nodes], d, k), keep
+            y, importances, rows, sizes[open_nodes], tree[open_nodes],
+            _candidates(keys[open_nodes], d, k), keep,
         )
         feature[open_nodes], threshold[open_nodes] = found
         split = open_nodes[feature[open_nodes] >= 0]
@@ -277,8 +209,7 @@ def grow_forest(
         keys = _splitmix(keys[split, None], _CHILDREN).ravel()
         rows = rows[: sizes[sizes >= 2].sum() if keep else 0]
         depth += 1
-    del rows  # the buffer is not needed to assemble the trees
-    return _trees(levels, max_depth, search.importances.reshape(n_trees, d))
+    return _trees(levels, importances.reshape(n_trees, d))
 
 
 def _splitmix(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -306,7 +237,7 @@ def _candidates(keys: np.ndarray, d: int, k: int) -> np.ndarray:
     return feats
 
 
-def _trees(levels: list, max_depth: int | None, importances: np.ndarray) -> list[DecisionTree]:
+def _trees(levels: list, importances: np.ndarray) -> list[DecisionTree]:
     """Each tree's node arrays, numbered breadth first, from the per-level node arrays."""
     tree, value, feature, threshold = (np.concatenate(column) for column in zip(*levels))
     # the q-th split node of a level has children 2q and 2q + 1 of the next level
@@ -320,24 +251,21 @@ def _trees(levels: list, max_depth: int | None, importances: np.ndarray) -> list
     position = np.argsort(order)
     trees = []
     for t, nodes in enumerate(np.split(order, np.cumsum(np.bincount(tree))[:-1])):
-        fitted = DecisionTree(max_depth)
-        fitted.feature, fitted.threshold = feature[nodes], threshold[nodes]
-        fitted.value = value[nodes]
-        fitted.left = np.where(left[nodes] >= 0, position[left[nodes]] - position[nodes[0]], -1)
-        fitted.right = np.where(fitted.left >= 0, fitted.left + 1, -1)
-        fitted.importances_ = importances[t]
-        trees.append(fitted)
+        tree_left = np.where(left[nodes] >= 0, position[left[nodes]] - position[nodes[0]], -1)
+        tree_right = np.where(tree_left >= 0, tree_left + 1, -1)
+        trees.append(DecisionTree(feature[nodes], threshold[nodes], tree_left, tree_right,
+                                  value[nodes], importances[t]))
     return trees
 
 
 class _LevelSearch:
-    """The rank codes of one forest fit and the batched search over them."""
+    """The rank codes of a matrix ``X``, and the batched split search over them."""
 
-    def __init__(self, X: np.ndarray, y: np.ndarray, n_trees: int):
+    def __init__(self, X: np.ndarray):
         values = [np.unique(column) for column in X.T]
         self.widths = np.array([v.size for v in values])
         # column j's distinct values, ascending, start at value_start[j]
-        self.values = np.concatenate(values)
+        self.values = np.concatenate(values) if values else np.empty(0)
         self.value_start = np.cumsum(self.widths) - self.widths
         # codes[j * n + i]: rank of X[i, j] among the distinct values of column j
         self.codes = np.empty(X.size, dtype=np.min_scalar_type(max(self.widths, default=0)))
@@ -346,18 +274,17 @@ class _LevelSearch:
         # np.unique sorts NaN last; no boundary may fall between a real value and NaN.
         self.real_codes = np.array([np.searchsorted(v, np.nan) for v in values])
         self.n = X.shape[0]
-        self.y = y
-        self.importances = np.zeros(n_trees * X.shape[1])  # [t * d + j]: tree t, feature j
 
-    def split_level(self, rows, sizes, tree, feats, keep: bool):
+    def split_level(self, y, importances, rows, sizes, tree, feats, keep: bool):
         """Search and split a level's open nodes, whose rows lie end to end in ``rows``.
 
-        ``feats[i]`` holds node i's candidate features in ascending order and
-        ``tree[i]`` its tree. Returns each node's split feature (-1 where no
-        split gains) and threshold, then each split node's left and right
-        child's value and size, interleaved. If ``keep``, ``rows`` is
-        rewritten in place to hold the rows of the children with two or more
-        rows, in child order.
+        ``y`` is the target of every row, ``feats[i]`` holds node i's
+        candidate features in ascending order and ``tree[i]`` its tree; each
+        split adds its decrease to ``importances[tree * d + feature]``.
+        Returns each node's split feature (-1 where no split gains) and
+        threshold, then each split node's left and right child's value and
+        size, interleaved. If ``keep``, ``rows`` is rewritten in place to
+        hold the rows of the children with two or more rows, in child order.
         """
         k = feats.shape[1]
         feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
@@ -367,21 +294,22 @@ class _LevelSearch:
         for a, b in _chunks(sizes * k + self.widths[feats].sum(axis=1)):
             node_rows = rows[starts[a] : starts[b]]
             nid = np.repeat(np.arange(b - a), sizes[a:b])
-            y = self.y[node_rows]
+            node_y = y[node_rows]
             split, split_feat, split_code = self._search(
-                nid, node_rows, y, feats[a:b], tree[a:b], sizes[a:b]
+                importances, nid, node_rows, node_y, feats[a:b], tree[a:b], sizes[a:b]
             )
             feature[a:b][split] = split_feat
             threshold[a:b][split] = self.values[self.value_start[split_feat] + split_code]
 
             # a row of the q-th split node goes to child 2q (left) or 2q + 1 (right)
             moved = split[nid]
-            q, node_rows, y = (np.cumsum(split) - 1)[nid[moved]], node_rows[moved], y[moved]
+            q = (np.cumsum(split) - 1)[nid[moved]]
+            node_rows, node_y = node_rows[moved], node_y[moved]
             child = 2 * q + (self.codes[split_feat[q] * self.n + node_rows] > split_code[q])
             n_children = 2 * split_feat.size
             counts = np.bincount(child, minlength=n_children)
             child_sizes.append(counts)
-            child_values.append(np.bincount(child, weights=y, minlength=n_children) / counts)
+            child_values.append(np.bincount(child, weights=node_y, minlength=n_children) / counts)
             if keep:
                 stays = counts[child] >= 2
                 kept = node_rows[stays][np.argsort(child[stays], kind="stable")]
@@ -389,7 +317,7 @@ class _LevelSearch:
                 written += kept.size
         return (feature, threshold), np.concatenate(child_values), np.concatenate(child_sizes)
 
-    def _search(self, nid, rows, y, feats, tree, sizes):
+    def _search(self, importances, nid, rows, y, feats, tree, sizes):
         """The best split of each node of a chunk, and the importance of its decrease.
 
         Returns which nodes split, and the feature and threshold code of each
@@ -397,7 +325,7 @@ class _LevelSearch:
         """
         n_nodes, k = feats.shape
         sums = np.bincount(nid, weights=y, minlength=n_nodes)
-        col_best, col_code = self._boundary_scores(nid, rows, y, feats, sums, sizes)
+        col_best, col_code = self._boundary_scores(rows, y, feats, sums, sizes)
         # first maxima: the lowest threshold code, then the lowest feature index
         best = col_best.max(axis=1)
         parent_score = sums**2 / sizes
@@ -410,10 +338,10 @@ class _LevelSearch:
         at_split, slot = np.nonzero(tied)  # node by node, so each tree's shares add in node order
         shares = decrease[split] / tied.sum(axis=1)
         flat = tree[split[at_split]] * self.widths.size + feats[split[at_split], slot]
-        np.add.at(self.importances, flat, shares[at_split])
+        np.add.at(importances, flat, shares[at_split])
         return gains, feats[split, chosen], col_code[split, chosen]
 
-    def _boundary_scores(self, nid, rows, y, feats, sums, sizes):
+    def _boundary_scores(self, rows, y, feats, sums, sizes):
         """Score every boundary of every node's candidate features.
 
         Bins are (node, candidate slot, code), each pair with its column's
@@ -425,23 +353,21 @@ class _LevelSearch:
         widths = self.widths[feats].ravel()  # pair p = node * k + slot
         pair_start = np.cumsum(widths) - widths
         n_bins = int(widths.sum())
-        # keys[s]: each row's bin for its node's candidate feature in slot s
-        offsets = feats * self.n
-        base = pair_start.reshape(n_nodes, k)
-        keys = np.empty((k, rows.size), dtype=np.intp)
-        for s in range(k):
-            np.add(base[nid, s], self.codes[offsets[nid, s] + rows], out=keys[s])
+        # keys[s]: each row's bin for its node's candidate feature in slot s; rows lie node by node
+        keys = np.repeat(pair_start.reshape(n_nodes, k).T, sizes, axis=1)
+        keys += self.codes[np.repeat((feats * self.n).T, sizes, axis=1) + rows]
         keys = keys.ravel()
         # running row counts and target sums over the bins, from 0
+        counts = np.bincount(keys, minlength=n_bins)
         cum_n = np.zeros(n_bins + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys, minlength=n_bins), out=cum_n[1:])
+        np.cumsum(counts, out=cum_n[1:])
         cum_y = np.zeros(n_bins + 1)
         np.cumsum(np.bincount(keys, weights=np.tile(y, k), minlength=n_bins), out=cum_y[1:])
         del keys
 
         # a boundary follows a code present in the node and precedes a larger real value
-        at = np.flatnonzero(cum_n[1:] > cum_n[:-1])
-        pair = np.searchsorted(pair_start, at, side="right") - 1
+        at = np.flatnonzero(counts)
+        pair = np.repeat(np.arange(n_nodes * k), widths)[at]
         left = cum_n[at + 1] - cum_n[pair_start[pair]]
         n_real = cum_n[pair_start + self.real_codes[feats].ravel()] - cum_n[pair_start]
         boundary = left < n_real[pair]
@@ -450,12 +376,14 @@ class _LevelSearch:
         left_sum = cum_y[at + 1] - cum_y[pair_start[pair]]
         score = left_sum**2 / left + (sums[node] - left_sum) ** 2 / (sizes[node] - left)
 
+        # pair ascends, so each pair's boundaries form one run
+        runs = np.flatnonzero(np.diff(pair, prepend=-1))
         col_best = np.full(n_nodes * k, -np.inf)
-        np.maximum.at(col_best, pair, score)
-        first = np.flatnonzero(score == col_best[pair])
-        first = first[np.diff(pair[first], prepend=-1) != 0]  # bins ascend within a pair
+        col_best[pair[runs]] = np.maximum.reduceat(score, runs)
+        # the lowest code among each pair's best scores
+        code = np.where(score == col_best[pair], at - pair_start[pair], n_bins)
         col_code = np.zeros(n_nodes * k, dtype=np.intp)
-        col_code[pair[first]] = at[first] - pair_start[pair[first]]
+        col_code[pair[runs]] = np.minimum.reduceat(code, runs)
         return col_best.reshape(n_nodes, k), col_code.reshape(n_nodes, k)
 
 

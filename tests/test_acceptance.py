@@ -300,6 +300,15 @@ def test_criterion_6_end_to_end_counting(dataset_45hz):
         assert metrics.rmse <= 0.8, f"RMSE {metrics.rmse:.4f} > 0.8"
 
 
+def test_robust_regressors_fit_with_an_exactly_dependent_feature(dataset_45hz):
+    # the selector keeps p25, p75 and iqr = p75 - p25 of three transmitters, so
+    # the training design with its intercept is rank-deficient
+    config = PipelineConfig(families=("ransac", "theil_sen"), k=3, seed=7)
+    report = run_pipeline(dataset_45hz, "counting", "features", config)
+    for result in report.family_results:
+        assert all(score.n_failed == 0 for score in result.search.scores), result.family
+
+
 def test_criterion_7_frequency_degradation_trend(dataset_20hz, dataset_200hz, svm_machines):
     with criterion(7, "sampling-frequency degradation trend", 300.0):
         accuracy = {}

@@ -1,7 +1,8 @@
 """Model family sanity suite: exact-recovery oracles, invariances, determinism,
 the level-wise forest checked bit for bit against the node-by-node keyed
-grower of `trees_reference`, and the lockstep SVM solver checked bit for bit
-against `svm_reference`."""
+grower of `trees_reference`, boosting's level-wise trees checked against its
+sorted search, and the lockstep SVM solver checked bit for bit against
+`svm_reference`."""
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rssi_occupancy.models import (
 )
 from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.models import trees as trees_module
+from rssi_occupancy.models.ensembles import LEARNING_RATE
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +402,16 @@ class TestRobustModels:
         with pytest.raises(Exception):
             fit(ModelSpec("theil_sen"), np.zeros((2, 4)), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("family", ["ransac", "theil_sen"])
+    def test_exactly_dependent_column_still_fits(self, family):
+        # an interquartile range beside both quartiles: the design with its intercept has rank d
+        rng = np.random.default_rng(51)
+        quartiles = np.sort(rng.integers(-90, -40, size=(80, 2)), axis=1).astype(np.float64)
+        X = np.column_stack([quartiles, quartiles[:, 1] - quartiles[:, 0]])
+        y = 0.5 * X[:, 0] - 0.25 * X[:, 1] + 3.0
+        model = fit(ModelSpec(family, seed=3), X, y)
+        assert np.max(np.abs(model.predict(X) - y)) < 1e-8
+
     def test_theil_sen_resists_outliers(self):
         rng = np.random.default_rng(50)
         x = rng.uniform(0, 10, 150)
@@ -429,6 +441,14 @@ class TestEnsembles:
         assert np.mean(np.abs(shallow.predict(X) - y)) < 1.0
         deep = fit(ModelSpec("random_forest", {"n_trees": 50, "depth": None}), X, y)
         assert np.mean(np.abs(deep.predict(X) - y)) < 0.4
+
+    @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
+    def test_no_columns_fit_a_constant(self, family):
+        y = np.arange(20.0)
+        model = fit(ModelSpec(family, {"n_trees": 3, "depth": 2}), np.zeros((20, 0)), y)
+        assert all(len(tree.feature) == 1 for tree in model.inner.trees)
+        predictions = model.predict(np.zeros((5, 0)))
+        assert np.all(predictions == predictions[0])
 
     def test_boosting_training_loss_non_increasing(self):
         rng = np.random.default_rng(53)
@@ -598,16 +618,94 @@ class TestLockstepForestMatchesReference:
         y = (y > 0 if target == "occupancy" else y).astype(np.float64)
         assert_forest_matches_reference(X.astype(np.float64), y, n_trees, depth, seed)
 
-    def test_boosting_matches_reference_on_fractional_targets(self):
+
+def preorder(tree):
+    """Each node's (feature, threshold, value), a node before its left, then its right subtree."""
+    nodes, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        feature, threshold, value = tree.feature[node], tree.threshold[node], tree.value[node]
+        nodes.append((int(feature), float(threshold), float(value)))
+        if feature >= 0:
+            stack += [int(tree.right[node]), int(tree.left[node])]
+    return nodes
+
+
+def reached(tree, X):
+    """Per node of a fitted tree: the rows of ``X`` that reach it, and its depth."""
+    nodes, stack = {}, [(0, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        nodes[node] = (rows, depth)
+        if tree.feature[node] >= 0:
+            goes_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            stack.append((int(tree.left[node]), rows[goes_left], depth + 1))
+            stack.append((int(tree.right[node]), rows[~goes_left], depth + 1))
+    return nodes
+
+
+def assert_boosting_round_matches_reference(X, y, depth):
+    """One boosting round equals the sort-based reference's, node for node."""
+    new = GradientBoosting(n_trees=1, max_depth=depth).fit(X, y)
+    old = trees_reference.GradientBoosting(n_trees=1, max_depth=depth).fit(X, y)
+    assert len(new.trees[0].feature) == len(old.trees[0].feature)
+    assert preorder(new.trees[0]) == preorder(old.trees[0])
+    assert new.train_losses_ == old.train_losses_
+
+
+class TestBoostingTrees:
+    """Boosting grows its trees with the forests' level-wise search, on all rows and features."""
+
+    @pytest.mark.parametrize("targets", [2, 24])
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_exact_where_sums_are_exact(self, depth, targets):
+        # 2**6 rows and targets in multiples of 1/8: every sum and the residuals are
+        # exact; with two target values and four feature values, many splits tie
         rng = np.random.default_rng(67)
+        X = rng.integers(0, 4, size=(64, 5)).astype(np.float64)
+        X[::3, 1] = np.nan
+        X[:, 4] = np.nan
+        y = rng.integers(0, targets, size=64) / 8
+        assert_boosting_round_matches_reference(X, y, depth)
+
+    def test_nan_values_never_split_from_real_ones(self):
+        X, y = integer_problem(65, n=64)
+        X[::3, 1] = np.nan
+        X[:, 2] = np.nan
+        assert_boosting_round_matches_reference(X, y, None)
+
+    @pytest.mark.parametrize("depth", [3, None])
+    def test_every_split_is_an_exact_greedy_optimum(self, depth):
+        rng = np.random.default_rng(68)
+        X = np.round(rng.normal(size=(150, 5)), 1)  # repeated values in every column
+        X[::4, 2] = np.nan
+        y = X[:, 0] ** 2 + rng.normal(0, 0.2, 150)
+        model = GradientBoosting(n_trees=8, max_depth=depth).fit(X, y)
+        oracle = trees_reference.DecisionTree()
+        current = np.full(y.shape, model.base_)
+        for tree in model.trees:
+            residual = y - current
+            for node, (rows, level) in reached(tree, X).items():
+                best = oracle._best_split(X, residual, rows, np.arange(X.shape[1]))
+                if tree.feature[node] < 0:  # too few rows, at the cap, or no split gains
+                    assert rows.size < 2 or level == depth or best is None
+                    continue
+                goes_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+                parts = residual[rows][goes_left], residual[rows][~goes_left]
+                score = sum(part.sum() ** 2 / part.size for part in parts)
+                best_score = best[2] + residual[rows].sum() ** 2 / rows.size
+                assert score == pytest.approx(best_score, rel=1e-9)
+            current = current + LEARNING_RATE * tree.predict(X)
+
+    def test_one_fit_gives_one_booster(self):
+        rng = np.random.default_rng(69)
         X = rng.normal(size=(120, 4))
         y = X[:, 0] ** 2 + rng.normal(0, 0.2, 120)
-        new = GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
-        old = trees_reference.GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
-        probe = rng.normal(size=(50, 4)) * 2
-        assert_same_trees(new.trees, old.trees, probe)
-        assert new.train_losses_ == old.train_losses_
-        assert np.array_equal(new.predict(probe), old.predict(probe))
+        first = GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
+        second = GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
+        assert_same_trees(first.trees, second.trees, X)
+        assert first.train_losses_ == second.train_losses_
+        assert np.array_equal(first.predict(X), second.predict(X))
 
 
 class TestVarianceOnOccupancyIsGini:

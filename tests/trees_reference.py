@@ -3,9 +3,11 @@
 Per node, the candidate columns are gathered, column-sorted and scored by
 prefix sums, and a node's rows are copied out of ``X[rows]``.
 
-* ``DecisionTree`` grows one tree depth first on all features; it is the
-  former package code. Boosting, which still grows its trees this way, is
-  compared against it exactly on any targets.
+* ``DecisionTree`` grows one tree depth first on all features, numbered in
+  pre-order; it is the former package code. ``GradientBoosting`` grows its
+  trees this way. The tests compare the package's boosting against it node
+  for node where every sum is exact (dyadic targets), and check every split
+  of fractional-target boosting against its sorted search's best score.
 * ``KeyedTree`` is a forest's tree: a recursion grows it node by node,
   depth first, and draws each node's candidate features from the node's
   key, with splitmix64 written out in Python integers. The tree is then
