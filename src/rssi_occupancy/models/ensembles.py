@@ -3,21 +3,23 @@
 Random forests bootstrap rows per tree and search floor(sqrt(d)) candidate
 features per split; per-tree generators are spawned from one seed sequence,
 so results are seed-deterministic. Each tree's generator draws its
-bootstrap and a root key, and a node's candidates come from keys derived
-from its path, so no draw depends on the order nodes are grown in: a forest
-capped at depth d is the deeper forest of the same seed cut at depth d, and
-on integer-valued targets (head counts, the 0/1 occupancy indicator) it
-equals the forest grown node by node. The forest predicts the mean of its
-trees, all trees descending together; the selector ranks splits on the
-indicator by variance reduction, half the two-class Gini decrease. Tree
-counts and depths must be integers >= 1 (a depth may be None: unbounded).
+bootstrap and a root key, and the tree grows on the bootstrap's distinct
+rows, each weighted by its multiplicity, as on the sample with its copies.
+A node's candidates come from keys derived from its path, so no draw
+depends on the order nodes are grown in: a forest capped at depth d is the
+deeper forest of the same seed cut at depth d, and on integer-valued
+targets (head counts, the 0/1 occupancy indicator) it equals the forest
+grown node by node. The forest predicts the mean of its trees, all trees
+descending together; the selector ranks splits on the indicator by
+variance reduction, half the two-class Gini decrease. Tree counts and
+depths must be integers >= 1 (a depth may be None: unbounded).
 
 Gradient boosting (Friedman, 2001) fits one regression tree per round to
 the residuals under squared loss, with shrinkage 0.1; the recorded training
-loss per round is non-increasing. Its trees grow on all rows, with no
-bootstrap, and with every feature a candidate at every node; the rank codes
-of ``X`` are built once per fit. The residuals are fractional, so a near-tie
-between splits depends on float rounding (see ``trees``).
+loss per round is non-increasing. Its trees grow on all rows, each of
+weight 1 (no bootstrap), with every feature a candidate at every node; the
+rank codes of ``X`` are built once per fit. The residuals are fractional,
+so a near-tie between splits depends on float rounding (see ``trees``).
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ class GradientBoosting:
         current = np.full(y.shape, self.base_)
         self.trees = []
         self.train_losses_ = [float(np.mean((y - current) ** 2))]
+        n = X.shape[0]
         for _ in range(self.n_trees):
             residual = y - current
-            rows = np.arange(X.shape[0], dtype=np.int32)
-            (tree,) = grow_trees(search, residual, rows, key, self.max_depth, X.shape[1])
+            rows = np.arange(n, dtype=np.min_scalar_type(n))
+            (tree,) = grow_trees(search, residual, rows, np.ones_like(rows), np.array([n]), key,
+                                 self.max_depth, X.shape[1])
             current = current + LEARNING_RATE * tree.predict(X)
             self.trees.append(tree)
             self.train_losses_.append(float(np.mean((y - current) ** 2)))

@@ -1,8 +1,9 @@
 """CART-style regression trees shared by the forests, boosting and the selector.
 
-A node is split whenever it has two or more rows, lies above the depth cap
-and some split reduces impurity, so a leaf may hold a single row. Trees
-have one criterion: a split maximizes the variance reduction, i.e.
+A node is split whenever it has two or more distinct rows, lies above the
+depth cap and some split reduces impurity, so a leaf may hold a single row
+(copies of one row have no boundary between them). Trees have one
+criterion: a split maximizes the variance reduction, i.e.
 sum(left)**2/n_left + sum(right)**2/n_right, and a leaf holds the mean
 target. On the 0/1 occupancy indicator that is half the two-class Gini
 decrease (Breiman et al., CART, 1984). Thresholds are stored as the largest
@@ -15,18 +16,24 @@ all of them and the split uses the lowest feature index. This keeps
 importances symmetric under feature duplication while staying deterministic.
 
 One grower, ``grow_trees``, grows every tree: a batch of trees together,
-level by level, each on its own rows of one matrix. ``_LevelSearch`` gives
-each column of the matrix rank codes once: a row's code is the rank of its
-value among the column's distinct values, so every distinct value keeps its
-own bin and thresholds stay exact (the exact greedy search on sorted column
-blocks of XGBoost, Chen & Guestrin, KDD 2016). A level's open nodes (two or
-more rows, above the depth cap) keep their rows as row ids into the matrix,
-end to end in one buffer. One search scores them all: an ``np.bincount``
-over (node, candidate, code) keys counts the rows per bin, a weighted one
-sums their targets, and prefix sums along the codes score every boundary.
-Then each split node's rows are reordered in place, left child before
-right, and rows of children that cannot split are dropped. A matrix with no
-columns has no candidates, so each tree is one leaf.
+level by level, each on its own distinct rows of one matrix. Each row
+carries an integer weight, its multiplicity, and a tree grows on a row of
+weight w as on w copies of it: the sizes and sums above count and add rows
+by weight. ``_LevelSearch`` gives each column of the matrix rank codes
+once: a row's code is the rank of its value among the column's distinct
+values, so every distinct value keeps its own bin and thresholds stay exact
+(the exact greedy search on sorted column blocks of XGBoost, Chen &
+Guestrin, KDD 2016). A level's open nodes (two or more distinct rows, above
+the depth cap) keep their rows as row ids into the matrix, end to end in
+one buffer, and the rows' weights in a second; both take the smallest
+unsigned dtype that holds the matrix's row count. One search scores them
+all: a weighted ``np.bincount`` over (node, candidate, code) keys adds the
+row weights per bin, a second one their weighted targets, and prefix sums
+over the occupied bins score every boundary. Then each split node's rows
+are reordered in place, left child before right, by a stable sort of their
+child numbers in the smallest unsigned dtype (numpy radix-sorts keys of 16
+bits or fewer), and rows of children that cannot split are dropped. A
+matrix with no columns has no candidates, so each tree is one leaf.
 
 Keyed draws: a tree starts from a 64-bit root key. A node's key is a
 splitmix64 state (Steele, Lea & Flood, OOPSLA 2014): its first output is the
@@ -37,30 +44,32 @@ al., SC 2011), a node's draw depends on its path from the root, not on the
 order nodes are visited. So the trees equal those grown node by node, depth
 first, from the same keys, and a tree capped at depth d is the deeper tree
 of its key cut at d. A random forest (``grow_forest``) grows each tree on a
-bootstrap sample, drawn by the tree's generator before its root key.
-Gradient boosting grows one tree per round on all rows, with every feature
-a candidate, so its key draws nothing. A tree's nodes are numbered breadth
+bootstrap sample, drawn by the tree's generator before its root key, as the
+sample's distinct rows weighted by their multiplicities (Breiman, Random
+Forests, 2001); n draws hold about 63% distinct rows. Gradient boosting
+grows one tree per round on all rows, each of weight 1, with every feature a
+candidate, so its key draws nothing. A tree's nodes are numbered breadth
 first, each split node's children left then right in their parents' order;
 importances add shares in that order.
 
-A level's search is cut into chunks of consecutive nodes whose rows x
-candidates plus bins stay within ``_CHUNK_CELLS``, so that each temporary
+A level's search is cut into chunks of consecutive nodes whose distinct rows
+x candidates plus bins stay within ``_CHUNK_CELLS``, so that each temporary
 array stays within 256 KiB; a (node, candidate) pair has one bin per
 distinct value of its column. A chunk holds at least one node, so only a
 single node larger than the bound exceeds it.
 
 Exactness: on integer-valued targets (head counts, the 0/1 occupancy
-indicator) every bin sum and prefix sum is an exact integer, so a forest
-equals the depth-first, sort-based growth bit for bit: features,
-thresholds, children, leaf values and importances (while a chunk's target
-sums stay below 2**53). On fractional targets, such as boosting's
-residuals, the bin sums re-associate the additions and the prefix sums run
-across a chunk's (node, candidate) pairs. Each split is still a greedy
-optimum up to that rounding, but a near-tie between candidate splits may
-break the other way than in a sorted search, and which way depends on how
-the nodes fall into chunks. So a change to ``_CHUNK_CELLS`` may move
-boosting's output: at 45 Hz, a bound of 1 moves its counting-features CV
-RMSE from 0.0847 to 0.0794.
+indicator) every weight, bin sum and prefix sum is an exact integer, so a
+forest equals the depth-first, sort-based growth on its bootstrap samples,
+copies and all, bit for bit: features, thresholds, children, leaf values and
+importances (while a chunk's weighted target sums stay below 2**53). On
+fractional targets, such as boosting's residuals, the bin sums re-associate
+the additions and the prefix sums run across a chunk's (node, candidate)
+pairs. Each split is still a greedy optimum up to that rounding, but a
+near-tie between candidate splits may break the other way than in a sorted
+search, and which way depends on how the nodes fall into chunks. So a change
+to ``_CHUNK_CELLS`` may move boosting's output: at 45 Hz, a bound of 1 moves
+its counting-features CV RMSE from 0.0847 to 0.0794.
 """
 
 from __future__ import annotations
@@ -151,31 +160,41 @@ def grow_forest(
     """Grow one tree per generator on its bootstrap sample (see ``grow_trees``).
 
     Generator i draws tree i's bootstrap sample of the rows of ``X``, then
-    the tree's root key.
+    the tree's root key. The tree grows on the sample's distinct rows,
+    ascending, each weighted by the number of times it was drawn.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
-    rows = np.empty(len(rngs) * n, dtype=np.int32)  # the trees' rows, end to end
+    dtype = np.min_scalar_type(n)  # holds every row id and multiplicity
+    rows, weights = [], []
     keys = np.empty(len(rngs), dtype=np.uint64)
     for t, rng in enumerate(rngs):
-        rows[t * n : (t + 1) * n] = rng.integers(0, n, size=n)
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        distinct = np.flatnonzero(drawn > 0)
+        rows.append(distinct.astype(dtype))
+        weights.append(drawn[distinct].astype(dtype))
         keys[t] = rng.integers(2**64, dtype=np.uint64)
+    sizes = np.array([tree_rows.size for tree_rows in rows])
+    rows, weights = np.concatenate(rows), np.concatenate(weights)  # the trees' rows, end to end
     y = np.asarray(y, dtype=np.float64)
-    return grow_trees(_LevelSearch(X), y, rows, keys, max_depth, max_features)
+    return grow_trees(_LevelSearch(X), y, rows, weights, sizes, keys, max_depth, max_features)
 
 
 def grow_trees(
     search: _LevelSearch,
     y: np.ndarray,
     rows: np.ndarray,
+    weights: np.ndarray,
+    sizes: np.ndarray,
     keys: np.ndarray,
     max_depth: int | None,
     max_features: int,
 ) -> list[DecisionTree]:
     """Grow one tree per root key, all level by level (see the module docstring).
 
-    ``rows`` holds each tree's rows of the searched matrix, tree by tree and
-    equally many per tree; it is overwritten. ``y`` is the target of every
+    ``rows`` holds each tree's distinct rows of the searched matrix, tree by
+    tree, ``sizes[t]`` of them for tree t, and ``weights`` each row's
+    integer multiplicity; both are overwritten. ``y`` is the target of every
     row of the matrix. Each split node searches ``max_features`` candidate
     features drawn from its key.
     """
@@ -184,10 +203,19 @@ def grow_trees(
     depth_cap = max_depth if max_depth is not None else np.inf
     importances = np.zeros(n_trees * d)  # [t * d + j]: tree t, feature j
 
-    m = rows.size // n_trees
     tree = np.arange(n_trees)
-    value = np.array([y[rows[t * m : (t + 1) * m]].mean() for t in range(n_trees)])
-    sizes = np.full(n_trees, m)
+    value, totals = np.empty(n_trees), np.empty(n_trees)
+    start = written = 0
+    for t, size in enumerate(sizes):
+        tree_rows, tree_weights = rows[start : start + size], weights[start : start + size]
+        totals[t] = tree_weights.sum()
+        value[t] = np.sum(tree_weights * y[tree_rows]) / totals[t]
+        start += size
+        if size >= 2:  # a root with one distinct row never opens, so its row leaves the buffer
+            rows[written : written + size] = tree_rows
+            weights[written : written + size] = tree_weights
+            written += size
+    rows, weights = rows[:written], weights[:written]
 
     levels = []  # per level and node: tree index, value, split feature, threshold
     depth = 0
@@ -199,15 +227,16 @@ def grow_trees(
         if not open_nodes.size:
             break
         keep = depth + 1 < depth_cap
-        found, value, sizes = search.split_level(
-            y, importances, rows, sizes[open_nodes], tree[open_nodes],
-            _candidates(keys[open_nodes], d, k), keep,
+        found, value, sizes, totals = search.split_level(
+            y, importances, rows, weights, sizes[open_nodes], totals[open_nodes],
+            tree[open_nodes], _candidates(keys[open_nodes], d, k), keep,
         )
         feature[open_nodes], threshold[open_nodes] = found
         split = open_nodes[feature[open_nodes] >= 0]
         tree = np.repeat(tree[split], 2)
         keys = _splitmix(keys[split, None], _CHILDREN).ravel()
-        rows = rows[: sizes[sizes >= 2].sum() if keep else 0]
+        kept = sizes[sizes >= 2].sum() if keep else 0
+        rows, weights = rows[:kept], weights[:kept]
         depth += 1
     return _trees(levels, importances.reshape(n_trees, d))
 
@@ -275,28 +304,32 @@ class _LevelSearch:
         self.real_codes = np.array([np.searchsorted(v, np.nan) for v in values])
         self.n = X.shape[0]
 
-    def split_level(self, y, importances, rows, sizes, tree, feats, keep: bool):
+    def split_level(self, y, importances, rows, weights, sizes, totals, tree, feats, keep: bool):
         """Search and split a level's open nodes, whose rows lie end to end in ``rows``.
 
-        ``y`` is the target of every row, ``feats[i]`` holds node i's
-        candidate features in ascending order and ``tree[i]`` its tree; each
-        split adds its decrease to ``importances[tree * d + feature]``.
-        Returns each node's split feature (-1 where no split gains) and
-        threshold, then each split node's left and right child's value and
-        size, interleaved. If ``keep``, ``rows`` is rewritten in place to
-        hold the rows of the children with two or more rows, in child order.
+        ``y`` is the target of every row and ``weights`` the multiplicity of
+        each row in ``rows``; node i has ``sizes[i]`` distinct rows of total
+        weight ``totals[i]``, its candidate features ``feats[i]`` in
+        ascending order, and its tree ``tree[i]``; each split adds its
+        decrease to ``importances[tree * d + feature]``. Returns each node's
+        split feature (-1 where no split gains) and threshold, then each
+        split node's left and right child's value, distinct-row count and
+        total weight, interleaved. If ``keep``, ``rows`` and ``weights`` are
+        rewritten in place to hold the rows of the children with two or more
+        distinct rows, in child order.
         """
         k = feats.shape[1]
         feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
-        child_values, child_sizes = [], []
+        children = []  # per chunk: its children's values, sizes and totals
         starts = np.concatenate(([0], np.cumsum(sizes)))
         written = 0
         for a, b in _chunks(sizes * k + self.widths[feats].sum(axis=1)):
-            node_rows = rows[starts[a] : starts[b]]
+            node_rows, node_w = rows[starts[a] : starts[b]], weights[starts[a] : starts[b]]
             nid = np.repeat(np.arange(b - a), sizes[a:b])
-            node_y = y[node_rows]
+            node_wy = node_w * y[node_rows]
             split, split_feat, split_code = self._search(
-                importances, nid, node_rows, node_y, feats[a:b], tree[a:b], sizes[a:b]
+                importances, nid, node_rows, node_w, node_wy, feats[a:b], tree[a:b],
+                sizes[a:b], totals[a:b],
             )
             feature[a:b][split] = split_feat
             threshold[a:b][split] = self.values[self.value_start[split_feat] + split_code]
@@ -304,31 +337,38 @@ class _LevelSearch:
             # a row of the q-th split node goes to child 2q (left) or 2q + 1 (right)
             moved = split[nid]
             q = (np.cumsum(split) - 1)[nid[moved]]
-            node_rows, node_y = node_rows[moved], node_y[moved]
+            node_rows, node_w, node_wy = node_rows[moved], node_w[moved], node_wy[moved]
             child = 2 * q + (self.codes[split_feat[q] * self.n + node_rows] > split_code[q])
             n_children = 2 * split_feat.size
             counts = np.bincount(child, minlength=n_children)
-            child_sizes.append(counts)
-            child_values.append(np.bincount(child, weights=node_y, minlength=n_children) / counts)
+            child_totals = np.bincount(child, weights=node_w, minlength=n_children)
+            child_sums = np.bincount(child, weights=node_wy, minlength=n_children)
+            children.append((child_sums / child_totals, counts, child_totals))
             if keep:
                 stays = counts[child] >= 2
-                kept = node_rows[stays][np.argsort(child[stays], kind="stable")]
-                rows[written : written + kept.size] = kept  # never past this chunk's rows
-                written += kept.size
-        return (feature, threshold), np.concatenate(child_values), np.concatenate(child_sizes)
+                # a stable sort on keys of 16 bits or fewer is a radix sort
+                order = np.argsort(
+                    child[stays].astype(np.min_scalar_type(n_children)), kind="stable"
+                )
+                end = written + order.size  # never past this chunk's rows
+                rows[written:end] = node_rows[stays][order]
+                weights[written:end] = node_w[stays][order]
+                written = end
+        values, counts, child_totals = (np.concatenate(column) for column in zip(*children))
+        return (feature, threshold), values, counts, child_totals
 
-    def _search(self, importances, nid, rows, y, feats, tree, sizes):
+    def _search(self, importances, nid, rows, w, wy, feats, tree, sizes, totals):
         """The best split of each node of a chunk, and the importance of its decrease.
 
         Returns which nodes split, and the feature and threshold code of each
         split, in node order.
         """
         n_nodes, k = feats.shape
-        sums = np.bincount(nid, weights=y, minlength=n_nodes)
-        col_best, col_code = self._boundary_scores(rows, y, feats, sums, sizes)
+        sums = np.bincount(nid, weights=wy, minlength=n_nodes)
+        col_best, col_code = self._boundary_scores(rows, w, wy, feats, sums, sizes, totals)
         # first maxima: the lowest threshold code, then the lowest feature index
         best = col_best.max(axis=1)
-        parent_score = sums**2 / sizes
+        parent_score = sums**2 / totals
         decrease = best - parent_score
         gains = np.isfinite(best) & (decrease > _NO_GAIN * np.maximum(1.0, np.abs(parent_score)))
         split = np.flatnonzero(gains)
@@ -341,11 +381,12 @@ class _LevelSearch:
         np.add.at(importances, flat, shares[at_split])
         return gains, feats[split, chosen], col_code[split, chosen]
 
-    def _boundary_scores(self, rows, y, feats, sums, sizes):
+    def _boundary_scores(self, rows, w, wy, feats, sums, sizes, totals):
         """Score every boundary of every node's candidate features.
 
         Bins are (node, candidate slot, code), each pair with its column's
-        width. Returns, per node and slot, the best boundary's score (-inf
+        width; a bin counts the weight of its rows and sums their weighted
+        targets. Returns, per node and slot, the best boundary's score (-inf
         where the column has none) and its code, the lowest among equal
         scores.
         """
@@ -357,34 +398,43 @@ class _LevelSearch:
         keys = np.repeat(pair_start.reshape(n_nodes, k).T, sizes, axis=1)
         keys += self.codes[np.repeat((feats * self.n).T, sizes, axis=1) + rows]
         keys = keys.ravel()
-        # running row counts and target sums over the bins, from 0
-        counts = np.bincount(keys, minlength=n_bins)
-        cum_n = np.zeros(n_bins + 1, dtype=np.intp)
-        np.cumsum(counts, out=cum_n[1:])
-        cum_y = np.zeros(n_bins + 1)
-        np.cumsum(np.bincount(keys, weights=np.tile(y, k), minlength=n_bins), out=cum_y[1:])
-        del keys
+        counts = np.bincount(keys, weights=np.tile(w, k), minlength=n_bins)
+        at = np.flatnonzero(counts > 0)  # the bins that hold rows, ascending
+        # running row weights and target sums over the occupied bins, from 0: the
+        # partial sums over all bins, which an empty bin only repeats
+        cum_n = np.zeros(at.size + 1)
+        np.cumsum(counts[at], out=cum_n[1:])
+        cum_y = np.zeros(at.size + 1)
+        np.cumsum(np.bincount(keys, weights=np.tile(wy, k), minlength=n_bins)[at], out=cum_y[1:])
+        del keys, counts
 
-        # a boundary follows a code present in the node and precedes a larger real value
-        at = np.flatnonzero(counts)
+        # every pair holds rows, so each pair's occupied bins form one run, in pair order
         pair = np.repeat(np.arange(n_nodes * k), widths)[at]
-        left = cum_n[at + 1] - cum_n[pair_start[pair]]
-        n_real = cum_n[pair_start + self.real_codes[feats].ravel()] - cum_n[pair_start]
-        boundary = left < n_real[pair]
-        at, pair, left = at[boundary], pair[boundary], left[boundary]
+        first = _run_starts(pair)
+        # a boundary follows an occupied real code and precedes the pair's next
+        # occupied code, if that is real too (NaN codes come last)
+        real = at < (pair_start + self.real_codes[feats].ravel())[pair]
+        (i,) = np.nonzero(real[:-1] & real[1:] & (pair[:-1] == pair[1:]))
+        pair = pair[i]
         node = pair // k
-        left_sum = cum_y[at + 1] - cum_y[pair_start[pair]]
-        score = left_sum**2 / left + (sums[node] - left_sum) ** 2 / (sizes[node] - left)
+        left = cum_n[i + 1] - cum_n[first[pair]]
+        left_sum = cum_y[i + 1] - cum_y[first[pair]]
+        score = left_sum**2 / left + (sums[node] - left_sum) ** 2 / (totals[node] - left)
 
         # pair ascends, so each pair's boundaries form one run
-        runs = np.flatnonzero(np.diff(pair, prepend=-1))
+        runs = _run_starts(pair)
         col_best = np.full(n_nodes * k, -np.inf)
         col_best[pair[runs]] = np.maximum.reduceat(score, runs)
         # the lowest code among each pair's best scores
-        code = np.where(score == col_best[pair], at - pair_start[pair], n_bins)
+        code = np.where(score == col_best[pair], at[i] - pair_start[pair], n_bins)
         col_code = np.zeros(n_nodes * k, dtype=np.intp)
         col_code[pair[runs]] = np.minimum.reduceat(code, runs)
         return col_best.reshape(n_nodes, k), col_code.reshape(n_nodes, k)
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal elements of ``a``."""
+    return np.flatnonzero(np.concatenate((a[:1] == a[:1], a[1:] != a[:-1])))
 
 
 def _chunks(cells: np.ndarray):

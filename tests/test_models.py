@@ -1,8 +1,8 @@
 """Model family sanity suite: exact-recovery oracles, invariances, determinism,
 the level-wise forest checked bit for bit against the node-by-node keyed
-grower of `trees_reference`, boosting's level-wise trees checked against its
-sorted search, and the lockstep SVM solver checked bit for bit against
-`svm_reference`."""
+grower of `trees_reference`, weighted rows checked against their copies,
+boosting's level-wise trees checked against its sorted search, and the
+lockstep SVM solver checked bit for bit against `svm_reference`."""
 
 import numpy as np
 import pytest
@@ -619,6 +619,79 @@ class TestLockstepForestMatchesReference:
         assert_forest_matches_reference(X.astype(np.float64), y, n_trees, depth, seed)
 
 
+@pytest.fixture
+def grown(monkeypatch):
+    """The row ids, weights and per-tree sizes handed to every ``grow_trees`` call."""
+    calls = []
+    grow = trees_module.grow_trees
+
+    def recording(search, y, rows, weights, sizes, *args):
+        calls.append((rows.dtype, weights.dtype, sizes.copy()))
+        return grow(search, y, rows, weights, sizes, *args)
+
+    monkeypatch.setattr(trees_module, "grow_trees", recording)
+    return calls
+
+
+class TestForestAtRowIdDtypes:
+    """Row ids and weights take the smallest unsigned dtype that holds the row count."""
+
+    @pytest.mark.parametrize(
+        "n, dtype, n_trees, depth",
+        [(255, np.uint8, 10, None), (256, np.uint16, 10, None), (65_537, np.uint32, 2, 2)],
+    )
+    def test_dtype_boundaries(self, grown, n, dtype, n_trees, depth):
+        X, y = integer_problem(90, n=n)
+        assert_forest_matches_reference(X, y, n_trees=n_trees, depth=depth, seed=91)
+        assert [call[:2] for call in grown] == [(np.dtype(dtype), np.dtype(dtype))]
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_roots_with_one_distinct_row_beside_larger_ones(self, grown, target):
+        X = np.array([[1.0, 4.0], [2.0, 4.0], [3.0, 5.0]])
+        y = np.array([0.0, 1.0, 1.0]) if target == "occupancy" else np.array([0.0, 2.0, 3.0])
+        assert_forest_matches_reference(X, y, n_trees=30, seed=92)
+        ((_, _, sizes),) = grown
+        assert np.any(sizes == 1) and np.any(sizes > 1)
+
+
+class TestBootstrapWeights:
+    """A row of weight w grows the tree that w unit-weight copies of it grow, node for node."""
+
+    @pytest.mark.parametrize("cells", [1, 40, 300, 1 << 15])
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_weights_are_copies(self, monkeypatch, cells, depth):
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        X, y = integer_problem(93, n=40)
+        X[7], y[7] = 9.0, 3.0  # beyond every other row in every column
+        rng = np.random.default_rng(94)
+        rows = [np.sort(rng.choice(40, size=size, replace=False)) for size in (25, 12)]
+        rows[0] = np.union1d(rows[0], [7])
+        rows.append(np.array([11]))  # a root whose rows are all copies of one row
+        weights = [rng.integers(1, 5, size=r.size) for r in rows]
+        weights[0][np.searchsorted(rows[0], 7)] = 300  # above 255: uint16 weights
+        weights[2][:] = 5
+        keys = rng.integers(2**64, size=len(rows), dtype=np.uint64)
+
+        def grow(rows, weights):
+            sizes = np.array([r.size for r in rows])
+            rows, weights = np.concatenate(rows), np.concatenate(weights)
+            return trees_module.grow_trees(
+                trees_module._LevelSearch(X), y, rows.astype(np.uint8),
+                weights.astype(np.min_scalar_type(weights.max())), sizes, keys, depth, 2,
+            )
+
+        weighted = grow(rows, weights)
+        copies = [np.repeat(r, w) for r, w in zip(rows, weights)]
+        unit = grow(copies, [np.ones_like(c) for c in copies])
+        assert_same_trees(weighted, unit, X)
+        # the first tree grows a leaf below its root that holds only copies of row 7
+        first = unit[0]
+        leaf = trees_module._leaves(X[copies[0]], np.zeros(1, dtype=np.int64), first.feature,
+                                    first.threshold, first.left, first.right)[0]
+        (at,) = set(leaf[copies[0] == 7])
+        assert at > 0 and np.all(copies[0][leaf == at] == 7)
+
+
 def preorder(tree):
     """Each node's (feature, threshold, value), a node before its left, then its right subtree."""
     nodes, stack = [], [0]
@@ -696,6 +769,32 @@ class TestBoostingTrees:
                 best_score = best[2] + residual[rows].sum() ** 2 / rows.size
                 assert score == pytest.approx(best_score, rel=1e-9)
             current = current + LEARNING_RATE * tree.predict(X)
+
+    def test_unit_weights_keep_every_bit(self):
+        # outputs pinned from the grower before rows carried weights: boosting's
+        # unit weights change no sum, no score and no leaf value
+        rng = np.random.default_rng(90)
+        X = np.round(rng.normal(size=(24, 3)), 1)
+        y = X[:, 0] - 0.5 * X[:, 1] ** 2 + rng.normal(0, 0.3, 24)
+        model = GradientBoosting(n_trees=4, max_depth=2).fit(X, y)
+        assert model.predict(X).tolist() == [
+            0.3910813547640043, -0.1233104968893439, 0.3910813547640043, -0.30606721393072894,
+            -0.30606721393072894, -0.4410400887970688, -0.7632601327546246, -0.1233104968893439,
+            -0.1233104968893439, -0.4410400887970688, -0.8982330076209644, -0.2961548559069497,
+            -0.1233104968893439, -0.1233104968893439, -0.5597704850516444, 0.3910813547640043,
+            -0.7253886486033586, -0.8982330076209644, 0.519446727048028, -0.8982330076209644,
+            -0.1233104968893439, -0.30606721393072894, -0.1233104968893439, -0.30606721393072894,
+        ]
+        assert model.train_losses_ == [
+            2.177868615084108, 1.8889567330599757, 1.6240517796733611, 1.4091495332485335,
+            1.2363866877335707,
+        ]
+        # constant columns: the root has no boundary, so each round is one leaf, the mean
+        X, y = np.full((5, 2), 3.0), np.array([0.1, 0.7, 0.25, 1.3, 0.05])
+        model = GradientBoosting(n_trees=3, max_depth=2).fit(X, y)
+        assert [len(tree.feature) for tree in model.trees] == [1, 1, 1]
+        assert model.predict(X).tolist() == [0.47999999999999987] * 5
+        assert model.train_losses_ == [0.22060000000000005] * 4
 
     def test_one_fit_gives_one_booster(self):
         rng = np.random.default_rng(69)
