@@ -3,6 +3,9 @@
 The consensus estimator samples minimal row subsets, fits least squares, and
 keeps the model with the largest inlier set; the inlier threshold is a
 quantile of |y - median(y)| (quantile 0.5 gives the classic MAD threshold).
+On head counts 0-3 that threshold is one whole person: on the acceptance
+scenario every row is an inlier, and the consensus estimator reduces to
+ordinary least squares on all rows.
 The Theil-Sen estimator aggregates least-squares fits on random subsets with
 the spatial median (Weiszfeld iteration).
 

@@ -19,11 +19,15 @@ kernel on one training set: in a grid search, a fold's (loss, C) configs
 times their one-vs-rest classes. ``fit_lockstep`` runs each such batch of B
 problems as one loop. A step makes one stacked matvec against the batch's
 single Gram matrix, broadcast over a ``(B, m, m)`` view rather than copied,
-and does every other update on ``(B, m)`` arrays. Each problem keeps its own
-step size, momentum and restart state, convergence test and ``converged``
-flag. A problem that converges leaves the batch: its iterate is stored as it
-stood and its row is dropped from the stacked arrays, so no step is spent on
-it while the others run on (problems of one batch converge hundreds of
+its gemvs writing into one ``(B, m, 1)`` output buffer, and does every other
+update on ``(B, m)`` arrays, in place where a step owns the array. Each
+problem keeps its own step size, convergence test, ``converged`` flag and
+count of steps since its last restart; FISTA's momentum (t_k - 1)/t_{k+1}
+depends on that count k alone, so it is read from a table computed once at
+import (``_MOMENTUM``), with the float operations of a one-problem loop. A
+problem that converges leaves the batch: its iterate is stored as it stood
+and its row is dropped from the stacked arrays, so no step is spent on it
+while the others run on (problems of one batch converge hundreds of
 iterations apart). The loop ends when the batch is empty or at the iteration
 cap. A single ``SupportVectorClassifier.fit`` is the batch of one.
 
@@ -42,6 +46,7 @@ the problems that use it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +58,24 @@ _TOL = 1e-4
 _MAX_ITER = 8000
 _DEGREE = 3
 _COEF0 = 1.0
+
+
+def _momentum_table(n: int) -> np.ndarray:
+    """FISTA's momentum (t_k - 1) / t_{k+1} for k < n steps since a restart, t_0 = 1.
+
+    ``t**2`` is C's ``pow``, as in a loop over one problem's scalar t; it need
+    not round as ``t * t`` (numpy's ``**2`` on arrays) does.
+    """
+    table = np.empty(n)
+    t = 1.0
+    for k in range(n):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+        table[k] = (t - 1.0) / t_next
+        t = t_next
+    return table
+
+
+_MOMENTUM = _momentum_table(_MAX_ITER)
 
 
 def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -76,11 +99,6 @@ def _scale_gamma(X: np.ndarray) -> float:
     if variance <= 0:
         return 1.0
     return 1.0 / (X.shape[1] * variance)
-
-
-def _matvec(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """``A @ v`` for every row v of V: one gemv per row, A broadcast, not copied."""
-    return np.matmul(A, V[..., None])[..., 0]
 
 
 def _rowdot(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -133,10 +151,13 @@ def _dual_matvec(
     """``Q v`` of each row: ``y * (matrices[which] (y * v))``, one stacked gemv per run of rows."""
     cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), which.size]
     runs = [(matrices[which[a]], a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    out = np.empty(Y.shape + (1,))
 
     def matvec(V: np.ndarray) -> np.ndarray:
-        signed = Y * V
-        return Y * np.concatenate([_matvec(A, signed[a:b]) for A, a, b in runs])
+        signed = (Y * V)[..., None]
+        for A, a, b in runs:
+            np.matmul(A, signed[a:b], out=out[a:b])
+        return Y * out[..., 0]
 
     return matvec
 
@@ -159,18 +180,24 @@ def _solve_dual(
     rows = np.arange(n_problems)  # the problem of each row still in the batch
     alpha = np.zeros((n_problems, m))
     velocity = alpha
-    t_prev = np.ones((n_problems, 1))
+    since = np.zeros((n_problems, 1), dtype=np.intp)  # steps since each problem's last restart
     pg0 = None
     final = np.zeros((n_problems, m))
     converged = np.zeros(n_problems, dtype=bool)
     for iteration in range(_MAX_ITER):
-        grad_v = matvec(velocity) - 1.0
-        alpha_next = np.clip(velocity - grad_v / lipschitz, 0.0, upper)
-        restart = (_rowdot(grad_v, alpha_next - alpha) > 0)[:, None]  # non-descent
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2))
-        momentum = alpha_next + ((t_prev - 1.0) / t_next) * (alpha_next - alpha)
-        velocity = np.where(restart, alpha_next, momentum)
-        t_prev = np.where(restart, 1.0, t_next)
+        grad_v = matvec(velocity)
+        grad_v -= 1.0
+        alpha_next = grad_v / lipschitz
+        np.subtract(velocity, alpha_next, out=alpha_next)
+        alpha_next.clip(0.0, upper, out=alpha_next)  # +0.0 where np.maximum would keep -0.0
+        step = alpha_next - alpha
+        restart = (_rowdot(grad_v, step) > 0)[:, None]  # non-descent
+        step *= _MOMENTUM[since]
+        step += alpha_next
+        np.copyto(step, alpha_next, where=restart)
+        velocity = step
+        since += 1
+        since[restart] = 0
         alpha = alpha_next
         if iteration % 10 == 9:
             grad = matvec(alpha) - 1.0
@@ -185,8 +212,8 @@ def _solve_dual(
                 if done.all():
                     break
                 live = ~done
-                rows, alpha, velocity, t_prev, pg0, lipschitz, upper, Y, which = (
-                    a[live] for a in (rows, alpha, velocity, t_prev, pg0, lipschitz, upper, Y, which)
+                rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which = (
+                    a[live] for a in (rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which)
                 )
                 matvec = _dual_matvec(matrices, which, Y)
     else:  # the iteration cap: the problems still in the batch end unconverged
@@ -241,9 +268,11 @@ def fit_lockstep(
 
     A batch holds each of its classifiers' machines: one for two classes, one
     per class (one-vs-rest) otherwise. The machines are those each classifier
-    would get fitted alone.
+    would get fitted alone. Features that are not finite raise ``ValueError``.
     """
     X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("svm: training features hold NaN or infinite values")
     y_idx = np.asarray(y_idx)
     gamma = _scale_gamma(X)
     positives = [1] if n_classes == 2 else range(n_classes)

@@ -326,6 +326,18 @@ class TestGridSearch:
         assert [s.n_failed for s in result.scores] == [1, 1, 1, 1]
         assert all(len(s.fold_scores) == 2 for s in result.scores)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_svm_non_finite_training_row_fails_its_folds(self, bad):
+        matrix = self._classification_matrix(n=45)
+        rows = matrix.rows.copy()
+        rows[10, 2] = bad
+        broken = make_matrix(rows, occupancy=matrix.labels_occupancy)
+        grid = self._svm_grid()[:3]
+        result = grid_search("svm", grid, broken, k=3, seed=0)
+        # the row trains two of the three folds, and each of them fails for every config
+        assert [s.n_failed for s in result.scores] == [2, 2, 2]
+        assert all(len(s.fold_scores) == 1 for s in result.scores)
+
     def test_svm_non_value_errors_propagate(self, monkeypatch):
         matrix = self._classification_matrix(n=30)
         good = {"kernel": "linear", "loss": "hinge", "C": 1.0}

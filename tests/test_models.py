@@ -205,6 +205,18 @@ class TestSvm:
             shuffled = fit(ModelSpec("svm", params), X[perm], y[perm]).predict(probe)
             assert np.array_equal(base, shuffled)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_features_rejected(self, blobs, bad):
+        # unchecked, a NaN runs the solver to its cap on NaNs and fits a constant classifier
+        X, y = blobs
+        X = X.copy()
+        X[5, 1] = bad
+        spec = ModelSpec("svm", {"kernel": "rbf", "loss": "hinge", "C": 1.0})
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit(spec, X, y)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit_svm_batch([spec, ModelSpec("svm", {"kernel": "linear"})], X, y)
+
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(47)
         centers = np.array([[-6.0, 0.0], [6.0, 0.0], [0.0, 8.0]])
@@ -346,6 +358,29 @@ class TestLockstepSvmMatchesReference:
         X, y, _ = overlapping
         with pytest.raises(ModelError, match="svm specs only"):
             fit_svm_batch([ModelSpec("knn", {"k": 3})], X, y)
+
+
+class TestSvmMomentumTable:
+    def test_momentum_table_matches_reference_recurrence(self):
+        # the recurrence of svm_reference._fit_dual, one scalar step at a time
+        table = svm_module._MOMENTUM
+        t_prev = 1.0
+        for k in range(table.size):
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_prev**2))
+            assert _same_bits(table[k], (t_prev - 1.0) / t_next), k
+            t_prev = t_next
+        # a problem that never restarts reads entry k at step k, the last at step _MAX_ITER - 1
+        assert table.shape == (svm_module._MAX_ITER,)
+
+    def test_momentum_past_step_2705_without_restart(self):
+        # this problem's momentum runs past k = 2705, where glibc's pow(t, 2) and t * t first
+        # round apart; a table built from t * t gives weights that differ from the reference's
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(90, 4))
+        y = X[:, 0] + 0.3 * rng.normal(size=90) > 0
+        params = {"kernel": "linear", "loss": "squared_hinge", "C": 1e4}
+        model = fit(ModelSpec("svm", params), X, y)
+        assert assert_svm_matches_reference(model, params, X, y, rng.normal(size=(20, 4))) == [True]
 
 
 class TestLinearModels:
