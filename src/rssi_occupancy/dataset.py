@@ -93,8 +93,8 @@ class RssiDataset:
         for t in self.transmitters:
             if t.distance_cm <= 0:
                 raise DatasetError(f"{t.id}: distance_cm must be positive, got {t.distance_cm}")
-        if not self.sampling_hz > 0:
-            raise DatasetError(f"sampling_hz must be positive, got {self.sampling_hz}")
+        if not 0 < self.sampling_hz < np.inf:  # NaN fails too
+            raise DatasetError(f"sampling_hz must be positive and finite, got {self.sampling_hz}")
         for name in _COLUMNS:
             column = np.asarray(getattr(self, name))
             if column.size and column.dtype.kind not in "iu":
@@ -263,8 +263,8 @@ def parse_sidecar(text: str) -> DatasetMeta:
                 sampling_hz = float(value)
             except ValueError:
                 raise DatasetError(f"bad sampling_hz {value!r}", lineno) from None
-            if sampling_hz <= 0:
-                raise DatasetError(f"sampling_hz must be positive, got {value}", lineno)
+            if not 0 < sampling_hz < np.inf:  # NaN fails too
+                raise DatasetError(f"sampling_hz must be positive and finite, got {value}", lineno)
         else:
             if key in distances:
                 raise DatasetError(f"duplicate transmitter {key!r}", lineno)

@@ -30,7 +30,7 @@ from .models import (
     default_grid,
     family_task,
     fit,
-    fit_svm_batch,
+    fit_grid,
 )
 from .preprocess import apply_mask, apply_scaler, fit_scaler, select_features
 
@@ -257,27 +257,20 @@ def _fold_predictions(
 ) -> list[np.ndarray | None]:
     """Each spec fitted on one fold and its validation rows predicted; None where that failed.
 
-    A fit or predict that raises ``ValueError`` fails the spec's fold; other
-    exceptions propagate. SVM specs are fitted as one lockstep batch
-    (``fit_svm_batch``): a spec whose configuration is invalid fails alone,
-    and input that fails the batch, such as a fold with one class, fails the
-    fold for every spec. Every other family is fitted spec by spec.
+    The specs are fitted by ``fit_grid``, the one fitting entry for every
+    family: a spec whose configuration or fit raises ``ValueError`` fails
+    alone, and input that fails the grid, such as a fold with one class,
+    fails the fold for every spec. A predict that raises ``ValueError`` fails
+    its spec; other exceptions propagate.
     """
+    try:
+        fitted = fit_grid(specs, X_fit, y_fit)
+    except ValueError:
+        return [None] * len(specs)
     predictions: list[np.ndarray | None] = []
-    if specs[0].family == "svm":
+    for model in fitted:
         try:
-            fitted = fit_svm_batch(specs, X_fit, y_fit)
-        except ValueError:
-            return [None] * len(specs)
-        for model in fitted:
-            try:
-                predictions.append(None if isinstance(model, ValueError) else model.predict(X_val))
-            except ValueError:
-                predictions.append(None)
-        return predictions
-    for spec in specs:
-        try:
-            predictions.append(fit(spec, X_fit, y_fit).predict(X_val))
+            predictions.append(None if isinstance(model, ValueError) else model.predict(X_val))
         except ValueError:
             predictions.append(None)
     return predictions
@@ -297,8 +290,8 @@ def grid_search(
     ``LinAlgError`` among them) counts as failed; other exceptions are
     programming errors and propagate. Configs whose fit fails on every fold
     are excluded (kept in the report with an empty score list); if every
-    config fails, that is an error. SVM configs are fitted fold by fold as
-    one lockstep batch (``_fold_predictions``).
+    config fails, that is an error. Each fold fits the whole grid with one
+    ``fit_grid`` call (``_fold_predictions``), for every family.
     """
     if not grid:
         raise EvaluationError("empty hyperparameter grid")

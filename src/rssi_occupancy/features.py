@@ -194,9 +194,13 @@ def _majority_labels(counts: np.ndarray) -> tuple[bool, int]:
 
 
 def window_length(window_s: float, sampling_hz: float) -> int:
-    """``round(window_s * sampling_hz)`` samples; FeatureError below 2."""
-    if window_s <= 0:
-        raise FeatureError(f"window_s must be positive, got {window_s}")
+    """``round(window_s * sampling_hz)`` samples; FeatureError below 2 or not finite."""
+    if not 0 < window_s < np.inf:  # NaN fails too
+        raise FeatureError(f"window_s must be positive and finite, got {window_s}")
+    if not 0 < sampling_hz < np.inf:
+        raise FeatureError(f"sampling_hz must be positive and finite, got {sampling_hz}")
+    if window_s * sampling_hz == np.inf:
+        raise FeatureError(f"window of {window_s}s at {sampling_hz}Hz overflows a float")
     length = int(round(window_s * sampling_hz))
     if length < 2:
         raise FeatureError(f"window of {window_s}s at {sampling_hz}Hz holds {length} < 2 samples")

@@ -10,7 +10,7 @@ from .base import (
     default_grid,
     family_task,
     fit,
-    fit_svm_batch,
+    fit_grid,
 )
 from .ensembles import GradientBoosting, RandomForest
 
@@ -26,5 +26,5 @@ __all__ = [
     "default_grid",
     "family_task",
     "fit",
-    "fit_svm_batch",
+    "fit_grid",
 ]

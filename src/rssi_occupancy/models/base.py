@@ -2,12 +2,14 @@
 
 ``_FAMILIES`` is the one place a family is defined: its task
 (classification or regression), default hyperparameters, documented grid
-and constructor. ``ModelSpec`` names a family, a hyperparameter mapping
-(keys restricted to the family's defaults) and a seed; ``fit`` returns an
-immutable ``TrainedModel`` whose predictions are deterministic given
-(spec, seed, data). Fitted models live in memory only: the pipeline scores
-them on held-out data and nothing reloads them, so there is no model file
-format.
+and constructor, and for the SVM a batch fitter. ``ModelSpec`` names a
+family, a hyperparameter mapping (keys restricted to the family's defaults)
+and a seed. ``fit_grid`` is the one fitting entry: it fits the specs of one
+family on one training set, each into an immutable ``TrainedModel`` whose
+predictions are deterministic given (spec, seed, data); ``fit`` is
+``fit_grid`` of one spec. Fitted models live in memory only: the pipeline
+scores them on held-out data and nothing reloads them, so there is no model
+file format.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ class _Family:
     defaults: Mapping[str, object]
     grid: tuple[Mapping[str, object], ...]
     build: Callable[[dict, int], object]  # (resolved params, seed) -> unfitted model
+    fit_batch: Callable | None = None  # (unfitted models, X, *targets): fits them together
 
 
 def _grid(**axes: Sequence) -> tuple[dict, ...]:
@@ -65,6 +68,7 @@ _FAMILIES: dict[str, _Family] = {
         lambda p, seed: SupportVectorClassifier(
             kernel=p["kernel"], loss=p["loss"], C=float(p["C"])
         ),
+        fit_batch=fit_lockstep,
     ),
     "gradient_boosting": _Family(
         "regression",
@@ -171,81 +175,60 @@ class TrainedModel:
         return np.asarray(raw, dtype=np.float64)
 
 
-def _build_inner(spec: ModelSpec):
-    return _FAMILIES[spec.family].build(spec.resolved_params(), spec.seed)
+def fit_grid(
+    specs: Sequence[ModelSpec], X: np.ndarray, y: np.ndarray
+) -> list[TrainedModel | ValueError]:
+    """Fit the specs of one family on (X, y): the one way a model is fitted.
 
-
-def _checked_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
+    The input is checked and the targets derived once. Entry i is the fitted
+    model of ``specs[i]``, or the ``ValueError`` that its configuration or fit
+    raised; a ``LinAlgError`` becomes a ``ModelError``. Input that no spec can
+    fit, such as one class or one distinct target, raises ``ModelError`` for
+    the whole grid, as does a spec list that is empty or mixes families. A
+    family fits its models one at a time unless it names a batch fitter: the
+    SVM solves every machine of a grid in lockstep (``svm.fit_lockstep``).
+    """
+    families = {spec.family for spec in specs}
+    if len(families) != 1:
+        raise ModelError(f"fit_grid fits the specs of one family, got {sorted(families)}")
+    family = _FAMILIES[families.pop()]
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim != 2:
         raise ModelError("X must be a 2-D matrix")
     if X.shape[0] < 2:
         raise ModelError(f"need at least 2 training rows, got {X.shape[0]}")
-    y = np.asarray(y)
     if y.shape[0] != X.shape[0]:
         raise ModelError("X and y row counts differ")
-    return X, y
-
-
-def _class_indices(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    classes, y_idx = np.unique(y, return_inverse=True)
-    if classes.size < 2:
-        raise ModelError("classification needs at least 2 distinct labels")
-    return classes, y_idx
+    classes = None
+    if family.task == "classification":
+        classes, y_idx = np.unique(y, return_inverse=True)
+        if classes.size < 2:
+            raise ModelError("classification needs at least 2 distinct labels")
+        targets = (y_idx, classes.size)
+    else:
+        targets = (y.astype(np.float64),)
+        if np.unique(targets[0]).size < 2:
+            raise ModelError("regression needs at least 2 distinct target values")
+    results: list[TrainedModel | ValueError] = []
+    for spec in specs:
+        try:
+            inner = family.build(spec.resolved_params(), spec.seed)
+            if family.fit_batch is None:
+                inner.fit(X, *targets)
+        except np.linalg.LinAlgError as exc:
+            results.append(ModelError(f"{spec.family}: degenerate training data ({exc})"))
+        except ValueError as exc:
+            results.append(exc)
+        else:
+            results.append(TrainedModel(spec, family.task, X.shape[1], inner, classes))
+    if family.fit_batch is not None:
+        family.fit_batch([r.inner for r in results if isinstance(r, TrainedModel)], X, *targets)
+    return results
 
 
 def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
-    """Fit ``spec`` on (X, y); deterministic given the spec's seed."""
-    X, y = _checked_input(X, y)
-    task = family_task(spec.family)
-    inner = _build_inner(spec)
-    classes = None
-    if task == "classification":
-        classes, y_idx = _class_indices(y)
-        targets = (y_idx, classes.size)
-    else:
-        y_float = y.astype(np.float64)
-        if np.unique(y_float).size < 2:
-            raise ModelError("regression needs at least 2 distinct target values")
-        targets = (y_float,)
-    try:
-        inner.fit(X, *targets)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(f"{spec.family}: degenerate training data ({exc})") from exc
-    return TrainedModel(
-        spec=spec, task=task, n_features=X.shape[1], inner=inner, classes=classes
-    )
-
-
-def fit_svm_batch(
-    specs: Sequence[ModelSpec], X: np.ndarray, y: np.ndarray
-) -> list[TrainedModel | ValueError]:
-    """``fit`` of several SVM specs on one training set, solved in lockstep.
-
-    Entry i is what ``fit(specs[i], X, y)`` returns, or the ``ValueError``
-    that its configuration raised (``C`` not positive, an unknown kernel). The
-    specs' machines of one kernel are solved as one batch
-    (``svm.fit_lockstep``). Input that no spec can fit, such as a single
-    class, raises ``ModelError`` for the whole batch.
-    """
-    X, y = _checked_input(X, y)
-    classes, y_idx = _class_indices(y)
-    results: list[TrainedModel | ValueError] = []
-    for spec in specs:
-        if spec.family != "svm":
-            raise ModelError(f"fit_svm_batch fits svm specs only, got {spec.family!r}")
-        try:
-            inner = _build_inner(spec)
-        except ValueError as exc:
-            results.append(exc)
-            continue
-        results.append(
-            TrainedModel(
-                spec=spec, task="classification", n_features=X.shape[1], inner=inner,
-                classes=classes,
-            )
-        )
-    fit_lockstep(
-        [r.inner for r in results if isinstance(r, TrainedModel)], X, y_idx, classes.size
-    )
-    return results
+    """``fit_grid`` of the one spec, raising its error; deterministic given the seed."""
+    (model,) = fit_grid([spec], X, y)
+    if isinstance(model, ValueError):
+        raise model
+    return model

@@ -4,6 +4,7 @@ Ridge and the Bayesian variant center the predictors and target so the
 intercept stays unpenalized. The Bayesian model runs MacKay-style evidence
 iteration: noise precision and weight precision are re-estimated from the
 posterior until their relative change drops below 1e-4 (or 300 iterations).
+These and the robust regressors share ``Affine``'s ``X @ coef_ + intercept_``.
 """
 
 from __future__ import annotations
@@ -14,35 +15,44 @@ BAYES_TOL = 1e-4
 BAYES_MAX_ITER = 300
 
 
-class LeastSquares:
-    """Ordinary least squares with an explicit intercept column."""
+def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Least-squares coefficients [w..., b] of y on X and an intercept, and the design's rank."""
+    design = np.column_stack([X, np.ones(X.shape[0])])
+    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    return solution, int(rank)
 
-    def __init__(self):
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LeastSquares":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        design = np.column_stack([X, np.ones(X.shape[0])])
-        solution = np.linalg.lstsq(design, y, rcond=None)[0]
+class Affine:
+    """A regressor that predicts ``X @ coef_ + intercept_``."""
+
+    coef_: np.ndarray | None = None
+    intercept_: float = 0.0
+
+    def _set(self, solution: np.ndarray) -> None:
+        """Take coefficients [w..., b], as ``_least_squares`` returns them."""
         self.coef_ = solution[:-1]
         self.intercept_ = float(solution[-1])
-        return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
 
 
-class RidgeRegression:
+class LeastSquares(Affine):
+    """Ordinary least squares with an explicit intercept column."""
+
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "LeastSquares":
+        X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        self._set(_least_squares(X, y)[0])
+        return self
+
+
+class RidgeRegression(Affine):
     """Closed-form L2-penalized least squares; lam=0 reproduces OLS."""
 
     def __init__(self, lam: float = 1.0):
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
         self.lam = float(lam)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -59,19 +69,14 @@ class RidgeRegression:
         self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
 
-
-class BayesianRidge:
+class BayesianRidge(Affine):
     """Evidence-iterated ridge; ``lam`` seeds the initial weight precision."""
 
     def __init__(self, lam: float = 1.0):
         if lam <= 0:
             raise ValueError(f"initial lam must be > 0, got {lam}")
         self.lam_init = float(lam)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
         self.alpha_: float = 1.0  # noise precision
         self.lambda_: float = 1.0  # weight precision
         self.n_iter_: int = 0
@@ -114,6 +119,3 @@ class BayesianRidge:
         self.coef_ = vt.T @ (shrink * uty)
         self.intercept_ = y_mean - float(x_mean @ self.coef_)
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_

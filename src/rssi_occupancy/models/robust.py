@@ -19,21 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import LeastSquares
+from .linear import Affine, _least_squares
 
 RANSAC_TRIALS = 100
 _WEISZFELD_MAX_ITER = 500
 _WEISZFELD_TOL = 1e-10
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Least-squares coefficients [w..., b] of y on X and an intercept, and the design's rank."""
-    design = np.column_stack([X, np.ones(X.shape[0])])
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    return solution, int(rank)
-
-
-class RansacRegression:
+class RansacRegression(Affine):
     """Iterative inlier consensus around a least-squares base model."""
 
     def __init__(self, residual_quantile: float = 0.5, seed: int = 0):
@@ -41,8 +34,6 @@ class RansacRegression:
             raise ValueError(f"residual_quantile must be in (0, 1], got {residual_quantile}")
         self.residual_quantile = float(residual_quantile)
         self.seed = int(seed)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
         self.n_inliers_: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RansacRegression":
@@ -74,14 +65,9 @@ class RansacRegression:
         if best_mask is None:
             raise ValueError("every sampled subset was rank-deficient")
 
-        refit = LeastSquares().fit(X[best_mask], y[best_mask])
-        self.coef_ = refit.coef_
-        self.intercept_ = refit.intercept_
+        self._set(_least_squares(X[best_mask], y[best_mask])[0])
         self.n_inliers_ = int(best_mask.sum())
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_
 
 
 def spatial_median(points: np.ndarray) -> np.ndarray:
@@ -101,7 +87,7 @@ def spatial_median(points: np.ndarray) -> np.ndarray:
     return center
 
 
-class TheilSenRegression:
+class TheilSenRegression(Affine):
     """Spatial-median aggregation of least-squares fits on random row subsets."""
 
     def __init__(self, n_subsets: int = 200, seed: int = 0):
@@ -109,8 +95,6 @@ class TheilSenRegression:
             raise ValueError(f"n_subsets must be >= 1, got {n_subsets}")
         self.n_subsets = int(n_subsets)
         self.seed = int(seed)
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "TheilSenRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -133,10 +117,5 @@ class TheilSenRegression:
         if not solutions:
             raise ValueError("every sampled subset was rank-deficient")
 
-        median = spatial_median(np.vstack(solutions))
-        self.coef_ = median[:-1]
-        self.intercept_ = float(median[-1])
+        self._set(spatial_median(np.vstack(solutions)))
         return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.coef_ + self.intercept_

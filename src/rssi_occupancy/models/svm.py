@@ -29,7 +29,8 @@ problem that converges leaves the batch: its iterate is stored as it stood
 and its row is dropped from the stacked arrays, so no step is spent on it
 while the others run on (problems of one batch converge hundreds of
 iterations apart). The loop ends when the batch is empty or at the iteration
-cap. A single ``SupportVectorClassifier.fit`` is the batch of one.
+cap. ``fit_lockstep`` is the only way a classifier is fitted; a single fit
+is the batch of one.
 
 A batch gives every problem the bits it would get alone. Each product with
 the Gram matrix is a BLAS gemv per row (``A @ v[..., None]``), each inner
@@ -235,7 +236,7 @@ def _solve_dual(
 
 
 class SupportVectorClassifier:
-    """One-vs-rest wrapper; binary problems use a single machine."""
+    """One-vs-rest wrapper; binary problems use a single machine. Fitted by ``fit_lockstep``."""
 
     def __init__(self, kernel="linear", loss="hinge", C=1.0):
         if kernel not in KERNELS:
@@ -249,10 +250,6 @@ class SupportVectorClassifier:
         self.C = float(C)
         self.machines: list[_BinarySVM] = []
         self.n_classes = 0
-
-    def fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> "SupportVectorClassifier":
-        fit_lockstep([self], X, y_idx, n_classes)
-        return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.n_classes == 2:

@@ -127,6 +127,16 @@ class TestValidate:
         assert cli.main(["validate", str(csv)]) == 2
         assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
+    @pytest.mark.parametrize("rate", ("inf", "nan"))
+    def test_non_finite_sidecar_rate_exits_2_naming_the_line(self, tmp_path, capsys, rate):
+        # before any featurize: an infinite rate once passed validate and overflowed there
+        csv = tmp_path / "x.csv"
+        csv.write_text("timestamp,M1,occupancy,count\n1,-50,true,1\n")
+        (tmp_path / "x.sidecar").write_text(f"M1 = 100\nsampling_hz = {rate}\n")
+        assert cli.main(["validate", str(csv)]) == 2
+        expected = f"error: line 2: sampling_hz must be positive and finite, got {rate}\n"
+        assert capsys.readouterr().err == expected
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         csv.write_text("timestamp,M1,occupancy,count\n")
@@ -243,8 +253,10 @@ class TestEvaluate:
             ("0", "window_s must be positive"),
             ("0.05", "holds 1 < 2 samples"),
             ("0.15", "windows of 3 samples at 20 Hz are too short"),
+            ("inf", "window_s must be positive and finite, got inf"),
+            ("nan", "window_s must be positive and finite, got nan"),
         ],
-        ids=["0", "0.05", "0.15"],
+        ids=["0", "0.05", "0.15", "inf", "nan"],
     )
     def test_bad_window_is_a_usage_error_as_in_featurize(
         self, tmp_path, dataset_files_20hz, capsys, window_s, message

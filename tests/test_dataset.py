@@ -166,6 +166,14 @@ class TestParse:
         with pytest.raises(DatasetError, match="line 2.*bad distance"):
             parse_sidecar("sampling_hz = 45\nM1 = ten\n")
 
+    @pytest.mark.parametrize("rate", ("0", "-45", "inf", "nan"))
+    def test_sidecar_rate_must_be_positive_and_finite(self, rate):
+        message = f"sampling_hz must be positive and finite, got {rate}"
+        with pytest.raises(DatasetError, match=f"line 2: {message}"):
+            parse_sidecar(f"M1 = 100\nsampling_hz = {rate}\n")
+        with pytest.raises(DatasetError, match=message):
+            make_dataset([(0, (-50,), 0)], n_tx=1, sampling_hz=float(rate))
+
 
 class TestDeduplicate:
     def test_distinct_rows_unchanged(self):

@@ -16,6 +16,8 @@ from rssi_occupancy.evaluation import (
     run_pipeline,
 )
 from rssi_occupancy.features import FeatureDiagnostics, FeatureError, FeatureMatrix
+from rssi_occupancy.models import FAMILIES, default_grid, fit_grid
+from rssi_occupancy.models.neighbors import NearestNeighbors
 from rssi_occupancy.simulator import simulate
 
 import svm_reference
@@ -257,22 +259,45 @@ class TestGridSearch:
 
     def test_only_value_errors_count_as_failed_folds(self, monkeypatch):
         matrix = self._classification_matrix(n=30)
-        real_fit = evaluation.fit
+        real_fit = NearestNeighbors.fit
 
         def fit_failing_with(error):
-            def flaky_fit(spec, X, y):
-                if spec.params["k"] == 5:
+            def flaky_fit(self, X, y_idx, n_classes):
+                if self.k == 5:
                     raise error("injected")
-                return real_fit(spec, X, y)
+                return real_fit(self, X, y_idx, n_classes)
 
             return flaky_fit
 
-        monkeypatch.setattr(evaluation, "fit", fit_failing_with(ValueError))
+        monkeypatch.setattr(NearestNeighbors, "fit", fit_failing_with(ValueError))
         result = grid_search("knn", [{"k": 3}, {"k": 5}], matrix, k=3, seed=0)
         assert [s.n_failed for s in result.scores] == [0, 3]
-        monkeypatch.setattr(evaluation, "fit", fit_failing_with(TypeError))
+        monkeypatch.setattr(NearestNeighbors, "fit", fit_failing_with(TypeError))
         with pytest.raises(TypeError, match="injected"):
             grid_search("knn", [{"k": 3}, {"k": 5}], matrix, k=3, seed=0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_fold_fit_is_one_fit_grid_call(self, monkeypatch, family):
+        rng = np.random.default_rng(75)
+        counts = rng.integers(0, 4, 45)
+        rows = rng.normal(size=(45, 3))
+        rows[:, 0] += counts * 2.0
+        matrix = make_matrix(rows, occupancy=counts > 0, counts=counts)
+        calls = []
+
+        def counted(specs, X, y):
+            calls.append(len(specs))
+            return fit_grid(specs, X, y)
+
+        def single_fit(*args):
+            raise AssertionError("a fold fit went past fit_grid")
+
+        monkeypatch.setattr(evaluation, "fit_grid", counted)
+        monkeypatch.setattr(evaluation, "fit", single_fit)
+        grid = default_grid(family)[:2]
+        result = grid_search(family, grid, matrix, k=3, seed=0)
+        assert calls == [len(grid)] * 3
+        assert all(s.n_failed == 0 for s in result.scores)
 
     def _svm_grid(self):
         return [
@@ -347,7 +372,7 @@ class TestGridSearch:
         def broken_batch(specs, X, y):
             raise TypeError("injected")
 
-        monkeypatch.setattr(evaluation, "fit_svm_batch", broken_batch)
+        monkeypatch.setattr(evaluation, "fit_grid", broken_batch)
         with pytest.raises(TypeError, match="injected"):
             grid_search("svm", [good], matrix, k=3, seed=0)
 

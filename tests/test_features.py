@@ -19,6 +19,7 @@ from rssi_occupancy.features import (
     freq_features,
     segment,
     time_features,
+    window_length,
 )
 from rssi_occupancy.simulator import (
     BodyEffectParams,
@@ -72,6 +73,21 @@ class TestSegment:
     def test_window_under_two_samples_rejected(self):
         with pytest.raises(FeatureError, match="< 2 samples"):
             segment(make_dataset([0] * 100, sampling_hz=20.0), 0.05)
+
+    @pytest.mark.parametrize(
+        "window_s, sampling_hz, message",
+        [
+            (float("inf"), 20.0, "window_s must be positive and finite, got inf"),
+            (float("nan"), 20.0, "window_s must be positive and finite, got nan"),
+            (1.0, float("inf"), "sampling_hz must be positive and finite, got inf"),
+            (1e308, 20.0, "overflows a float"),
+        ],
+        ids=["inf-window", "nan-window", "inf-rate", "overflow"],
+    )
+    def test_non_finite_window_rejected(self, window_s, sampling_hz, message):
+        # a FeatureError, not the OverflowError or "cannot convert NaN" of int(round(...))
+        with pytest.raises(FeatureError, match=message):
+            window_length(window_s, sampling_hz)
 
     def test_majority_labels_with_ties(self):
         # occupancy tie (2 occupied vs 2 empty) -> True; count majority -> 0

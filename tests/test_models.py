@@ -4,6 +4,8 @@ grower of `trees_reference`, weighted rows checked against their copies,
 boosting's level-wise trees checked against its sorted search, and the
 lockstep SVM solver checked bit for bit against `svm_reference`."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,9 @@ from rssi_occupancy.models import (
     default_grid,
     family_task,
     fit,
-    fit_svm_batch,
+    fit_grid,
 )
+from rssi_occupancy.models import linear as linear_module
 from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.models import trees as trees_module
 from rssi_occupancy.models.ensembles import LEARNING_RATE
@@ -215,7 +218,7 @@ class TestSvm:
         with pytest.raises(ValueError, match="NaN or infinite"):
             fit(spec, X, y)
         with pytest.raises(ValueError, match="NaN or infinite"):
-            fit_svm_batch([spec, ModelSpec("svm", {"kernel": "linear"})], X, y)
+            fit_grid([spec, ModelSpec("svm", {"kernel": "linear"})], X, y)
 
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(47)
@@ -264,7 +267,7 @@ class TestLockstepSvmMatchesReference:
     def test_default_grid_bit_identical(self, overlapping):
         X, y, probe = overlapping
         grid = default_grid("svm")
-        models = fit_svm_batch(_svm_specs(grid), X, y)
+        models = fit_grid(_svm_specs(grid), X, y)
         flags = [assert_svm_matches_reference(m, p, X, y, probe) for p, m in zip(grid, models)]
         # every default-grid machine certifies within the iteration cap
         assert all(all(f) for f in flags)
@@ -288,7 +291,7 @@ class TestLockstepSvmMatchesReference:
         expected = [True, False, False, True, True, False]
         if capped_first:  # the capped rows lead the batch, and rows behind them leave it
             grid, expected = grid[::-1], expected[::-1]
-        models = fit_svm_batch(_svm_specs(grid), X, y)
+        models = fit_grid(_svm_specs(grid), X, y)
         flags = [assert_svm_matches_reference(m, p, X, y, probe)[0] for p, m in zip(grid, models)]
         assert flags == expected
 
@@ -297,7 +300,7 @@ class TestLockstepSvmMatchesReference:
         order = [("squared_hinge", 1.0), ("hinge", 1.0), ("squared_hinge", 10.0),
                  ("hinge", 0.1), ("squared_hinge", 1.0)]
         grid = [{"kernel": "rbf", "loss": loss, "C": c} for loss, c in order]
-        for params, model in zip(grid, fit_svm_batch(_svm_specs(grid), X, y)):
+        for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
             assert_svm_matches_reference(model, params, X, y, probe)
 
     def test_three_class_one_vs_rest(self):
@@ -311,7 +314,7 @@ class TestLockstepSvmMatchesReference:
             for kernel in ("linear", "rbf")
             for loss in ("hinge", "squared_hinge")
         ]
-        models = fit_svm_batch(_svm_specs(grid), X, y)
+        models = fit_grid(_svm_specs(grid), X, y)
         for params, model in zip(grid, models):
             assert len(model.inner.machines) == 3
             assert_svm_matches_reference(model, params, X, y, probe)
@@ -323,7 +326,7 @@ class TestLockstepSvmMatchesReference:
         y = np.array([0, 1] * 10)
         probe = np.random.default_rng(49).normal(size=(10, 3))
         grid = default_grid("svm")
-        for params, model in zip(grid, fit_svm_batch(_svm_specs(grid), X, y)):
+        for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
             assert_svm_matches_reference(model, params, X, y, probe)
 
     def test_spectral_norm_of_a_vanishing_problem_is_one(self):
@@ -341,23 +344,18 @@ class TestLockstepSvmMatchesReference:
         good = {"kernel": "rbf", "loss": "hinge", "C": 1.0}
         bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "kernel": "sigmoid"},
                {**good, "C": "ten"}, {**good, "C": float("nan")}]
-        results = fit_svm_batch(_svm_specs([bad[0], good, *bad[1:]]), X, y)
+        results = fit_grid(_svm_specs([bad[0], good, *bad[1:]]), X, y)
         assert [isinstance(r, ValueError) for r in results] == [True, False, True, True, True, True]
         assert "unknown kernel 'sigmoid'" in str(results[3])
         assert "C must be positive" in str(results[-1])
         assert_svm_matches_reference(results[1], good, X, y, probe)
         with pytest.raises(TypeError):
-            fit_svm_batch(_svm_specs([{**good, "C": None}]), X, y)
+            fit_grid(_svm_specs([{**good, "C": None}]), X, y)
 
     def test_one_class_fails_the_whole_batch(self, overlapping):
         X, _, _ = overlapping
         with pytest.raises(ModelError, match="at least 2 distinct labels"):
-            fit_svm_batch(_svm_specs(default_grid("svm")[:2]), X, np.ones(X.shape[0], dtype=bool))
-
-    def test_other_families_rejected(self, overlapping):
-        X, y, _ = overlapping
-        with pytest.raises(ModelError, match="svm specs only"):
-            fit_svm_batch([ModelSpec("knn", {"k": 3})], X, y)
+            fit_grid(_svm_specs(default_grid("svm")[:2]), X, np.ones(X.shape[0], dtype=bool))
 
 
 class TestSvmMomentumTable:
@@ -532,6 +530,71 @@ class TestContracts:
         first = fit(ModelSpec(family, params, seed=9), X, noisy).predict(probe)
         second = fit(ModelSpec(family, params, seed=9), X, noisy).predict(probe)
         assert np.array_equal(first, second)
+
+
+class TestFitGrid:
+    """``fit_grid`` fits every family: entry i is spec i's own ``fit``, or its error."""
+
+    GRIDS = {
+        "ridge": [{"lam": 1e-3}, {"lam": 1.0}, {"lam": 0.0}],
+        "random_forest": [{"n_trees": 5, "depth": 3}, {"n_trees": 8, "depth": None}],
+        "knn": [{"k": 1}, {"k": 5}, {"k": 11}],
+    }
+
+    @pytest.mark.parametrize("family", sorted(GRIDS))
+    def test_each_entry_is_the_specs_own_fit(self, blobs, family):
+        X, y = blobs
+        if family_task(family) == "regression":
+            y = X[:, 0] - 2.0 * X[:, 1] + np.random.default_rng(57).normal(size=X.shape[0])
+        probe = np.random.default_rng(58).normal(size=(30, 3)) * 4
+        specs = [ModelSpec(family, params, seed=11) for params in self.GRIDS[family]]
+        for spec, model in zip(specs, fit_grid(specs, X, y), strict=True):
+            alone = fit(spec, X, y)
+            assert model.spec == spec
+            # every fitted array and scalar, bit for bit
+            assert pickle.dumps(model.inner) == pickle.dumps(alone.inner), spec
+            assert _same_bits(model.predict(probe), alone.predict(probe)), spec
+
+    @pytest.mark.parametrize(
+        "family, bad, message",
+        [("ridge", {"lam": -1}, "lam must be >= 0"),
+         ("random_forest", {"n_trees": 0, "depth": 3}, "n_trees must be an integer >= 1")],
+    )
+    def test_invalid_config_comes_back_while_neighbours_fit(
+        self, linear_data, family, bad, message
+    ):
+        X, y = linear_data
+        good = self.GRIDS[family][:2]
+        specs = [ModelSpec(family, params) for params in (good[0], bad, good[1])]
+        results = fit_grid(specs, X, y)
+        assert type(results[1]) is ValueError and message in str(results[1])
+        for spec, model in zip(specs[::2], results[::2]):
+            assert _same_bits(model.predict(X), fit(spec, X, y).predict(X)), spec
+        with pytest.raises(ValueError, match=message):
+            fit(specs[1], X, y)
+
+    def test_linalg_error_becomes_a_model_error(self, linear_data, monkeypatch):
+        X, y = linear_data
+
+        def singular(self, X, y):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(linear_module.LeastSquares, "fit", singular)
+        (error,) = fit_grid([ModelSpec("linear")], X, y)
+        assert type(error) is ModelError
+        assert str(error) == "linear: degenerate training data (Singular matrix)"
+        with pytest.raises(ModelError, match="degenerate training data"):
+            fit(ModelSpec("linear"), X, y)
+
+    def test_mixed_families_rejected(self, linear_data):
+        X, y = linear_data
+        with pytest.raises(ModelError, match=r"one family, got \['linear', 'ridge'\]"):
+            fit_grid([ModelSpec("ridge"), ModelSpec("linear"), ModelSpec("ridge")], X, y)
+
+    def test_empty_spec_list_rejected(self, linear_data):
+        X, y = linear_data
+        with pytest.raises(ModelError, match=r"one family, got \[\]"):
+            fit_grid([], X, y)
 
 
 def assert_same_trees(new_trees, old_trees, probe):
