@@ -35,10 +35,17 @@ one LAPACK solve per 4x4 Toeplitz system (row by row, with a least-squares
 fallback, if any system in the block is singular), ECDF thresholds spaced as
 ``np.linspace`` spaces them for one row, and the skewness and kurtosis
 denominators variance**1.5 and variance**2 taken with Python's scalar float
-``pow``, since numpy's vectorized power differs in the last bit. The one
-exception is the four "sum below/above" features: they add exact zeros in
-place of the unselected samples, which changes nothing on integer-valued
-samples such as RSSI but may round a sum of other floats differently.
+``pow``, since numpy's vectorized power differs in the last bit. Their
+numerators, the means of the cubed and fourth-power deviations, take ``pow``
+once per distinct deviation of a row: one argsort per chunk of rows lines
+equal deviations up, and the powers go back to sample order before they are
+summed. The median comes from the same sorted rows, with the same bits. The
+percentiles do not: where a row holds both -0.0 and 0.0, the sign of a zero
+``np.percentile`` returns depends on where those zeros sit, so they are
+taken from the unsorted rows. The one exception is the four "sum
+below/above" features: they add exact zeros in place of the unselected
+samples, which changes nothing on integer-valued samples such as RSSI but
+may round a sum of other floats differently.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ N_DWT_LEVELS = 3
 N_SUB_BANDS = 4
 HF_CUTOFF_HZ = 3.5
 MIN_FEATURE_LENGTH = 4  # the shortest vector the frequency features take
+_SORT_CHUNK_BYTES = 1 << 18  # samples per argsort in _sorted_moments_and_median: 256 KiB
 
 TIME_FEATURE_NAMES: tuple[str, ...] = (
     "max",
@@ -177,10 +185,9 @@ class FeatureMatrix:
     def to_csv(self) -> str:
         header = ",".join((*self.feature_names, "label_occupancy", "label_count"))
         lines = [header]
-        for i in range(self.n_rows):
-            values = ",".join(repr(float(v)) for v in self.rows[i])
-            occ = "true" if self.labels_occupancy[i] else "false"
-            lines.append(f"{values},{occ},{int(self.labels_count[i])}")
+        labels = zip(self.labels_occupancy.tolist(), self.labels_count.tolist())
+        for row, (occupied, count) in zip(self.rows.tolist(), labels):
+            lines.append(f"{','.join(map(repr, row))},{'true' if occupied else 'false'},{count}")
         return "\n".join(lines) + "\n"
 
 
@@ -295,6 +302,41 @@ def _rms_and_power_deviation(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rms, np.mean(np.abs(squares, out=squares), axis=1)
 
 
+def _sorted_moments_and_median(
+    x: np.ndarray, mean: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the means of the cubed and of the fourth-power deviations, and the median.
+
+    One argsort per chunk of rows (``_SORT_CHUNK_BYTES`` of samples). Along a
+    sorted row equal deviations sit side by side, so ``pow`` runs once per
+    distinct deviation, told apart by its bits so that -0.0 and 0.0 stay
+    apart. The powers go back to sample order before ``np.mean`` adds them:
+    the same values in the same order as ``np.mean(deviations**3, axis=1)``.
+    ``np.median`` of a sorted row is that of the row, since the median adds
+    its middle values to +0.0 and no sign of zero survives that.
+    """
+    n_rows, length = x.shape
+    third, fourth, median = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+    step = max(1, _SORT_CHUNK_BYTES // (8 * length))
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, lo + step)
+        order = np.argsort(x[rows], axis=1)
+        ordered = np.take_along_axis(x[rows], order, axis=1)
+        deviations = ordered - mean[rows, None]
+        bits = deviations.view(np.int64)
+        new = np.empty(deviations.shape, dtype=bool)
+        new[:, 0] = True
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+        distinct = deviations[new]
+        # inverse[i, j]: the index in ``distinct`` of sample j of row i
+        inverse = np.empty_like(order)
+        np.put_along_axis(inverse, order, (np.cumsum(new) - 1).reshape(new.shape), axis=1)
+        third[rows] = np.mean((distinct**3)[inverse], axis=1)
+        fourth[rows] = np.mean((distinct**4)[inverse], axis=1)
+        median[rows] = np.median(ordered, axis=1)
+    return third, fourth, median
+
+
 def _time_block(x: np.ndarray) -> np.ndarray:
     """The 35 time-domain features of every row of ``x`` (n, L), in catalog order."""
     maximum = x.max(axis=1)
@@ -313,13 +355,11 @@ def _time_block(x: np.ndarray) -> np.ndarray:
             f"sample variance {largest:.3g} is too large to featurize: its square, "
             "the kurtosis denominator, overflows float64"
         ) from None
-    skewness = _ratio_or_zero(np.mean(deviations**3, axis=1), skew_denominator)
-    kurtosis = np.where(
-        kurt_denominator > 0,
-        _ratio_or_zero(np.mean(deviations**4, axis=1), kurt_denominator) - 3.0,
-        0.0,
-    )
+    third, fourth, median = _sorted_moments_and_median(x, mean)
+    skewness = _ratio_or_zero(third, skew_denominator)
+    kurtosis = np.where(kurt_denominator > 0, _ratio_or_zero(fourth, kurt_denominator) - 3.0, 0.0)
     rms, mean_power_dev = _rms_and_power_deviation(x)
+    # unsorted rows: on sorted ones a percentile between -0.0 and 0.0 samples may flip sign
     p10, p25, p75, p90 = np.percentile(x, (10, 25, 75, 90), axis=1)
 
     # np.linspace(minimum, maximum, N) of each row; a batched linspace would take
@@ -342,7 +382,7 @@ def _time_block(x: np.ndarray) -> np.ndarray:
         np.sqrt(variance),
         rms,
         delta,
-        np.median(x, axis=1),
+        median,
         skewness,
         kurtosis,
         variance,  # tw_variance; uniform sampling: gap weights are all equal

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rssi_occupancy import features
 from rssi_occupancy.dataset import RssiDataset, TransmitterMeta, deduplicate
 from rssi_occupancy.features import (
     FEATURES_PER_TRANSMITTER,
@@ -13,6 +14,7 @@ from rssi_occupancy.features import (
     N_ECDF_POINTS,
     TIME_FEATURE_NAMES,
     FeatureError,
+    FeatureMatrix,
     Window,
     build_feature_matrix,
     build_raw_matrix,
@@ -338,6 +340,31 @@ class TestFeatureMatrix:
         with pytest.raises(FeatureError):
             build_raw_matrix([])
 
+    def test_csv_bytes_match_the_per_value_writer(self):
+        rows = np.array(
+            [
+                [-0.0, 5e-324, 1e16, 1e-5, -42.0],
+                [3.0, np.nan, np.inf, -np.inf, 0.1],
+                [0.0, -5e-324, 1.7976931348623157e308, 123456789.0, -1e-5],
+            ]
+        )
+        matrix = FeatureMatrix(
+            feature_names=tuple(f"M1/f{j}" for j in range(rows.shape[1])),
+            rows=rows,
+            labels_occupancy=np.array([True, False, True]),
+            labels_count=np.array([2, 0, 13], dtype=np.int64),
+        )
+        # the former writer: one repr(float(v)) per value, labels indexed per row
+        header = ",".join((*matrix.feature_names, "label_occupancy", "label_count"))
+        lines = [header]
+        for i in range(matrix.n_rows):
+            values = ",".join(repr(float(v)) for v in matrix.rows[i])
+            occ = "true" if matrix.labels_occupancy[i] else "false"
+            lines.append(f"{values},{occ},{int(matrix.labels_count[i])}")
+        want = "\n".join(lines) + "\n"
+        assert matrix.to_csv().encode() == want.encode()
+        assert "-0.0,5e-324,1e+16,1e-05,-42.0,true,2" in want
+
 
 class TestRawMatrix:
     def test_one_row_per_record_and_identity_values(self):
@@ -513,3 +540,58 @@ class TestBlockMatchesReference:
     def test_windows_under_four_samples_rejected_naming_length_and_rate(self):
         with pytest.raises(FeatureError, match="windows of 3 samples at 3 Hz are too short"):
             build_feature_matrix(random_windows(6, 2, 1, 3, sampling_hz=3.0))
+
+
+def former_moments_and_median(x, mean):
+    """The expressions the sorted rows replace, on the unsorted rows."""
+    deviations = x - mean[:, None]
+    return np.mean(deviations**3, axis=1), np.mean(deviations**4, axis=1), np.median(x, axis=1)
+
+
+def adversarial_blocks(length):
+    """(40, length) sample blocks with many ties, signed zeros, NaN, infinities, tiny scales."""
+    rng = np.random.default_rng(length)
+    shape = (40, length)
+    # arbitrary floats, each row drawn from 6 values
+    ties = np.take_along_axis(rng.normal(-60.0, 7.0, size=(40, 6)), rng.integers(0, 6, size=shape), axis=1)
+    zeros = rng.choice([-0.0, 0.0, 1.5, -2.25], size=shape)
+    zeros[:4] = rng.choice([-0.0, 0.0], size=(4, length))  # rows of zeros alone
+    special = rng.integers(-3, 4, size=shape).astype(np.float64)
+    pick = rng.random(shape)
+    special[pick < 0.05] = np.nan
+    special[(pick >= 0.05) & (pick < 0.1)] = np.inf
+    special[(pick >= 0.1) & (pick < 0.15)] = -np.inf
+    return {
+        "ties": ties,
+        "tenths": np.round(rng.normal(0.0, 5.0, size=shape), 1),
+        "signed_zeros": zeros,
+        "nan_and_infinities": special,
+        "subnormal": rng.integers(-3, 4, size=shape) * 5e-324 * rng.choice([-1.0, 1.0], size=shape),
+        "tiny": rng.integers(-3, 4, size=shape) * 1e-300,
+    }
+
+
+class TestSortedRowMoments:
+    """The moments and median from sorted rows carry the former expressions' bits."""
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 45, 200])
+    def test_same_bytes_as_the_former_expressions(self, length, monkeypatch):
+        for kind, x in adversarial_blocks(length).items():
+            with np.errstate(invalid="ignore"):
+                mean = x.mean(axis=1)
+                got = features._sorted_moments_and_median(x, mean)
+                want = former_moments_and_median(x, mean)
+                for name, a, b in zip(("third", "fourth", "median"), got, want):
+                    assert a.tobytes() == b.tobytes(), (kind, name)
+
+                block = features._time_block(x)
+                # the percentiles were np.percentile(x, ...) before and still are
+                with monkeypatch.context() as patch:
+                    patch.setattr(features, "_sorted_moments_and_median", former_moments_and_median)
+                    assert block.tobytes() == features._time_block(x).tobytes(), kind
+
+                # one row per chunk, and the whole block as one chunk
+                for chunk_bytes in (1, x.nbytes):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(features, "_SORT_CHUNK_BYTES", chunk_bytes)
+                        assert block.tobytes() == features._time_block(x).tobytes(), (kind, chunk_bytes)
