@@ -261,7 +261,8 @@ def _fold_predictions(
     family: a spec whose configuration or fit raises ``ValueError`` fails
     alone, and input that fails the grid, such as a fold with one class,
     fails the fold for every spec. A predict that raises ``ValueError`` fails
-    its spec; other exceptions propagate.
+    its spec; other exceptions propagate. Each model is scored and dropped
+    before the next one fits (a batch family fits its grid first).
     """
     try:
         fitted = fit_grid(specs, X_fit, y_fit)
@@ -273,6 +274,7 @@ def _fold_predictions(
             predictions.append(None if isinstance(model, ValueError) else model.predict(X_val))
         except ValueError:
             predictions.append(None)
+        del model  # so that it is freed before the next spec fits
     return predictions
 
 

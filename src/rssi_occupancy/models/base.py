@@ -6,17 +6,17 @@ and constructor, and for the SVM a batch fitter. ``ModelSpec`` names a
 family, a hyperparameter mapping (keys restricted to the family's defaults)
 and a seed. ``fit_grid`` is the one fitting entry: it fits the specs of one
 family on one training set, each into an immutable ``TrainedModel`` whose
-predictions are deterministic given (spec, seed, data); ``fit`` is
-``fit_grid`` of one spec. Fitted models live in memory only: the pipeline
-scores them on held-out data and nothing reloads them, so there is no model
-file format.
+predictions are deterministic given (spec, seed, data), and yields them in
+spec order; ``fit`` is ``fit_grid`` of one spec. Fitted models live in
+memory only: the pipeline scores them on held-out data and nothing reloads
+them, so there is no model file format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,16 +177,19 @@ class TrainedModel:
 
 def fit_grid(
     specs: Sequence[ModelSpec], X: np.ndarray, y: np.ndarray
-) -> list[TrainedModel | ValueError]:
+) -> Iterator[TrainedModel | ValueError]:
     """Fit the specs of one family on (X, y): the one way a model is fitted.
 
-    The input is checked and the targets derived once. Entry i is the fitted
-    model of ``specs[i]``, or the ``ValueError`` that its configuration or fit
-    raised; a ``LinAlgError`` becomes a ``ModelError``. Input that no spec can
-    fit, such as one class or one distinct target, raises ``ModelError`` for
-    the whole grid, as does a spec list that is empty or mixes families. A
-    family fits its models one at a time unless it names a batch fitter: the
-    SVM solves every machine of a grid in lockstep (``svm.fit_lockstep``).
+    The input is checked and the targets derived once, when this is called.
+    Entry i is the fitted model of ``specs[i]``, or the ``ValueError`` that
+    its configuration or fit raised; a ``LinAlgError`` becomes a
+    ``ModelError``. Input that no spec can fit, such as one class or one
+    distinct target, raises ``ModelError`` for the whole grid, as does a spec
+    list that is empty or mixes families. A family fits each model only when
+    the iterator reaches it, so a caller that drops each model before taking
+    the next holds one at a time; a family that names a batch fitter fits
+    its whole grid first: the SVM solves every machine of a grid in lockstep
+    (``svm.fit_lockstep``).
     """
     families = {spec.family for spec in specs}
     if len(families) != 1:
@@ -209,21 +212,23 @@ def fit_grid(
         targets = (y.astype(np.float64),)
         if np.unique(targets[0]).size < 2:
             raise ModelError("regression needs at least 2 distinct target values")
-    results: list[TrainedModel | ValueError] = []
-    for spec in specs:
+
+    def fitted(spec: ModelSpec) -> TrainedModel | ValueError:
         try:
             inner = family.build(spec.resolved_params(), spec.seed)
             if family.fit_batch is None:
                 inner.fit(X, *targets)
         except np.linalg.LinAlgError as exc:
-            results.append(ModelError(f"{spec.family}: degenerate training data ({exc})"))
+            return ModelError(f"{spec.family}: degenerate training data ({exc})")
         except ValueError as exc:
-            results.append(exc)
-        else:
-            results.append(TrainedModel(spec, family.task, X.shape[1], inner, classes))
-    if family.fit_batch is not None:
-        family.fit_batch([r.inner for r in results if isinstance(r, TrainedModel)], X, *targets)
-    return results
+            return exc
+        return TrainedModel(spec, family.task, X.shape[1], inner, classes)
+
+    if family.fit_batch is None:
+        return map(fitted, specs)
+    results = [fitted(spec) for spec in specs]
+    family.fit_batch([r.inner for r in results if isinstance(r, TrainedModel)], X, *targets)
+    return iter(results)
 
 
 def fit(spec: ModelSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:

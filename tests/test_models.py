@@ -344,7 +344,7 @@ class TestLockstepSvmMatchesReference:
         good = {"kernel": "rbf", "loss": "hinge", "C": 1.0}
         bad = [{**good, "C": 0.0}, {**good, "kernel": "cubic"}, {**good, "kernel": "sigmoid"},
                {**good, "C": "ten"}, {**good, "C": float("nan")}]
-        results = fit_grid(_svm_specs([bad[0], good, *bad[1:]]), X, y)
+        results = list(fit_grid(_svm_specs([bad[0], good, *bad[1:]]), X, y))
         assert [isinstance(r, ValueError) for r in results] == [True, False, True, True, True, True]
         assert "unknown kernel 'sigmoid'" in str(results[3])
         assert "C must be positive" in str(results[-1])
@@ -566,7 +566,7 @@ class TestFitGrid:
         X, y = linear_data
         good = self.GRIDS[family][:2]
         specs = [ModelSpec(family, params) for params in (good[0], bad, good[1])]
-        results = fit_grid(specs, X, y)
+        results = list(fit_grid(specs, X, y))
         assert type(results[1]) is ValueError and message in str(results[1])
         for spec, model in zip(specs[::2], results[::2]):
             assert _same_bits(model.predict(X), fit(spec, X, y).predict(X)), spec
@@ -784,8 +784,12 @@ class TestBootstrapWeights:
         assert_same_trees(weighted, unit, X)
         # the first tree grows a leaf below its root that holds only copies of row 7
         first = unit[0]
-        leaf = trees_module._leaves(X[copies[0]], np.zeros(1, dtype=np.int64), first.feature,
-                                    first.threshold, first.left, first.right)[0]
+        # the first tree with each node's number as its value: the descent gives each row's leaf
+        numbered = trees_module.DecisionTree(first.feature, first.threshold, first.left,
+                                             first.right, np.arange(first.value.size), None,
+                                             first.depth)
+        chunks = trees_module._leaf_values([numbered], X[copies[0]])
+        leaf = np.concatenate([values[0] for _, values in chunks])
         (at,) = set(leaf[copies[0] == 7])
         assert at > 0 and np.all(copies[0][leaf == at] == 7)
 
@@ -986,6 +990,134 @@ class TestKeyedDraws:
         for tree in forest.trees:
             want += tree.predict(probe)
         assert np.array_equal(forest.predict(probe), want / len(forest.trees))
+
+
+def walk(tree, X):
+    """Each row's leaf value, one row and one node at a time, as ``trees_reference`` descends."""
+    values = []
+    for x in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            goes_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        values.append(tree.value[node])
+    return np.array(values, dtype=np.float64)
+
+
+def walked_forest(trees, X):
+    total = np.zeros(X.shape[0])
+    for tree in trees:
+        total += walk(tree, X)
+    return total / len(trees)
+
+
+def walked_boosting(model, X):
+    acc = np.full(X.shape[0], model.base_)
+    for tree in model.trees:
+        acc += LEARNING_RATE * walk(tree, X)
+    return acc
+
+
+def awkward_rows(trees, X, seed):
+    """Rows of ``X``, then rows holding the trees' thresholds, NaN, +-inf and +-0.0."""
+    rng = np.random.default_rng(seed)
+    rows = [X, rng.normal(size=X.shape) * 3]
+    for tree in trees:
+        at = np.flatnonzero(tree.feature >= 0)
+        exact = X[rng.integers(0, X.shape[0], at.size)].copy()
+        exact[np.arange(at.size), tree.feature[at]] = tree.threshold[at]  # exactly at a threshold
+        rows.append(exact)
+    odd = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=(40, X.shape[1]))
+    rows.append(np.where(rng.random(odd.shape) < 0.5, odd, rng.normal(size=odd.shape)))
+    return np.vstack(rows)
+
+
+class TestDescent:
+    """Every tree prediction is the node-by-node walk of each row, bit for bit."""
+
+    CELLS = [1, 40, 1 << 15]
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(95)
+        X = np.round(rng.normal(size=(120, 4)), 1)  # repeated values; 0.0 is a threshold
+        X[::7, 2] = np.nan
+        y = X[:, 0] ** 2 + np.nan_to_num(X[:, 2]) + rng.normal(0, 0.3, 120)
+        return X, y
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @pytest.mark.parametrize("depth", [3, None])
+    def test_forest_predict(self, monkeypatch, problem, cells, depth):
+        X, y = problem
+        forest = RandomForest(n_trees=12, max_depth=depth, seed=96).fit(X, y)
+        if depth is None:  # trees of mixed depths descend together
+            assert len({tree.depth for tree in forest.trees}) > 1
+        probe = awkward_rows(forest.trees, X, 97)
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        assert forest.predict(probe).tobytes() == walked_forest(forest.trees, probe).tobytes()
+        for tree in forest.trees:
+            assert tree.predict(probe).tobytes() == walk(tree, probe).tobytes()
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_boosting_predict_and_rounds(self, monkeypatch, problem, cells, depth):
+        X, y = problem
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        model = GradientBoosting(n_trees=6, max_depth=depth).fit(X, y)
+        probe = awkward_rows(model.trees, X, 98)
+        assert model.predict(probe).tobytes() == walked_boosting(model, probe).tobytes()
+        # the training predictions of every round, as the fit used them
+        current = np.full(y.shape, model.base_)
+        losses = [float(np.mean((y - current) ** 2))]
+        for tree in model.trees:
+            assert tree.predict(X).tobytes() == walk(tree, X).tobytes()
+            current = current + LEARNING_RATE * walk(tree, X)
+            losses.append(float(np.mean((y - current) ** 2)))
+        assert model.train_losses_ == losses
+
+    def test_depth_is_the_deepest_leaf(self, problem):
+        X, y = problem
+        for tree in RandomForest(n_trees=6, seed=99).fit(X, y).trees:
+            assert tree.depth == node_depths(tree).max()
+
+    def test_mixed_depths_and_one_leaf_trees(self):
+        # two rows: a bootstrap that draws one row twice grows a one-leaf tree (no passes)
+        X, y = np.array([[1.0, 5.0], [2.0, 5.0]]), np.array([0.0, 1.0])
+        forest = RandomForest(n_trees=10, seed=62).fit(X, y)
+        assert {tree.depth for tree in forest.trees} == {0, 1}
+        probe = np.array([[1.0, 0.0], [1.5, 5.0], [2.0, -1.0], [np.nan, 5.0], [-np.inf, 0.0]])
+        assert forest.predict(probe).tobytes() == walked_forest(forest.trees, probe).tobytes()
+        constant = RandomForest(n_trees=3, seed=1).fit(np.full((6, 2), 3.0), np.arange(6.0))
+        assert [tree.depth for tree in constant.trees] == [0, 0, 0]
+        assert constant.predict(probe).tobytes() == walked_forest(constant.trees, probe).tobytes()
+
+    def test_zero_rows(self, problem):
+        X, y = problem
+        empty = np.empty((0, X.shape[1]))
+        forest = RandomForest(n_trees=4, max_depth=3, seed=100).fit(X, y)
+        booster = GradientBoosting(n_trees=3, max_depth=2).fit(X, y)
+        for predicted in (forest.predict(empty), forest.trees[0].predict(empty),
+                          booster.predict(empty)):
+            assert predicted.shape == (0,) and predicted.dtype == np.float64
+
+    def test_zero_columns(self):
+        X, y = np.zeros((5, 0)), np.array([0.0, 1.0, 1.0, 2.0, 3.0])
+        forest = RandomForest(n_trees=4, seed=101).fit(X, y)
+        booster = GradientBoosting(n_trees=3).fit(X, y)
+        assert [tree.depth for tree in forest.trees + booster.trees] == [0] * 7
+        assert forest.predict(X).tobytes() == walked_forest(forest.trees, X).tobytes()
+        assert booster.predict(X).tobytes() == walked_boosting(booster, X).tobytes()
+
+    def test_negative_zero_leaf_keeps_its_sign(self):
+        # root splits feature 0 at 0.0: left leaf -0.0, right leaf 1.0
+        tree = trees_module.DecisionTree(
+            np.array([0, -1, -1]), np.array([0.0, 0.0, 0.0]), np.array([1, -1, -1]),
+            np.array([2, -1, -1]), np.array([0.5, -0.0, 1.0]), None, 1,
+        )
+        X = np.array([[-0.0], [0.0], [-1.0], [np.nan], [np.inf], [-np.inf]])
+        predicted = tree.predict(X)
+        assert predicted.tobytes() == walk(tree, X).tobytes()
+        assert np.signbit(predicted).tolist() == [True, True, True, False, False, True]
 
 
 class TestTreeHyperparameters:
