@@ -22,7 +22,9 @@ Gradient boosting (Friedman, 2001) fits one regression tree per round to
 the residuals under squared loss, with shrinkage 0.1; the recorded training
 loss per round is non-increasing. Its trees grow on all rows, each of
 weight 1 (no bootstrap), with every feature a candidate at every node; the
-rank codes of ``X`` are built once per fit. The residuals are fractional,
+rank codes of ``X`` are built once per fit. A round's training predictions
+are the leaf values the grower records as its rows leave the partition, so
+no round descends its own tree. The residuals are fractional,
 so a near-tie between splits depends on float rounding (see ``trees``).
 """
 
@@ -96,12 +98,13 @@ class GradientBoosting:
         self.trees = []
         self.train_losses_ = [float(np.mean((y - current) ** 2))]
         n = X.shape[0]
+        leaf_value = np.empty(n)  # each row's leaf in the round's tree: its training prediction
         for _ in range(self.n_trees):
             residual = y - current
             rows = np.arange(n, dtype=np.min_scalar_type(n))
             (tree,) = grow_trees(search, residual, rows, np.ones_like(rows), np.array([n]), key,
-                                 self.max_depth, X.shape[1])
-            current = current + LEARNING_RATE * tree.predict(X)
+                                 self.max_depth, X.shape[1], leaf_value)
+            current = current + LEARNING_RATE * leaf_value
             self.trees.append(tree)
             self.train_losses_.append(float(np.mean((y - current) ** 2)))
         return self

@@ -58,6 +58,23 @@ array stays within 256 KiB; a (node, candidate) pair has one bin per
 distinct value of its column. A chunk holds at least one node, so only a
 single node larger than the bound exceeds it.
 
+A node's target sum comes down from its parent's level. ``np.bincount`` adds
+its weights one by one in input order, and the parent's partition adds each
+child's weighted targets in the order that the stable sort keeps in the
+buffer, so a child's sum there has the bits of a fresh ``np.bincount`` over
+its rows at its own level; only the roots add their rows anew. A level keeps
+each chunk's child sums and totals, and divides them into values once, after
+concatenation, so carrying the sums adds no per-node array per chunk; the
+last level's per-node arrays are freed before the trees are assembled, whose
+arrays set the grower's peak memory. A chunk compresses its rows only when
+some are dropped: the rows of its nodes that do not split, and then of
+children with one distinct row. Where every node splits and every child
+keeps two or more distinct rows, as in most chunks of a forest, the rows go
+to the stable sort as they are. A row that is dropped leaves at a leaf, and
+``grow_trees`` can record that leaf's value per row (a root's value where the
+row never goes below it): for boosting's one tree per round that is the
+tree's prediction on its training rows, the float the descent returns.
+
 Exactness: on integer-valued targets (head counts, the 0/1 occupancy
 indicator) every weight, bin sum and prefix sum is an exact integer, so a
 forest equals the depth-first, sort-based growth on its bootstrap samples,
@@ -188,6 +205,7 @@ def grow_trees(
     keys: np.ndarray,
     max_depth: int | None,
     max_features: int,
+    leaf_value: np.ndarray | None = None,
 ) -> list[DecisionTree]:
     """Grow one tree per root key, all level by level (see the module docstring).
 
@@ -195,7 +213,9 @@ def grow_trees(
     tree, ``sizes[t]`` of them for tree t, and ``weights`` each row's
     integer multiplicity; both are overwritten. ``y`` is the target of every
     row of the matrix. Each split node searches ``max_features`` candidate
-    features drawn from its key.
+    features drawn from its key. If ``leaf_value`` is given, the value of
+    the leaf each row of ``rows`` ends in is written to ``leaf_value[row]``:
+    for one tree, the tree's prediction on those rows.
     """
     n_trees, d = keys.size, search.widths.size
     k = min(max_features, d)
@@ -203,12 +223,18 @@ def grow_trees(
     importances = np.zeros(n_trees * d)  # [t * d + j]: tree t, feature j
 
     tree = np.arange(n_trees)
-    value, totals = np.empty(n_trees), np.empty(n_trees)
+    value, sums, totals = np.empty(n_trees), np.empty(n_trees), np.empty(n_trees)
     start = written = 0
     for t, size in enumerate(sizes):
         tree_rows, tree_weights = rows[start : start + size], weights[start : start + size]
+        tree_wy = tree_weights * y[tree_rows]
         totals[t] = tree_weights.sum()
-        value[t] = np.sum(tree_weights * y[tree_rows]) / totals[t]
+        value[t] = np.sum(tree_wy) / totals[t]
+        # a node's target sum adds its rows' weighted targets one by one, in row order,
+        # as np.bincount does; so do its children's, which each level carries down
+        sums[t] = np.bincount(np.zeros(size, dtype=np.intp), weights=tree_wy, minlength=1)[0]
+        if leaf_value is not None:
+            leaf_value[tree_rows] = value[t]  # where the row goes below the root, overwritten
         start += size
         if size >= 2:  # a root with one distinct row never opens, so its row leaves the buffer
             rows[written : written + size] = tree_rows
@@ -226,10 +252,12 @@ def grow_trees(
         if not open_nodes.size:
             break
         keep = depth + 1 < depth_cap
-        found, value, sizes, totals = search.split_level(
-            y, importances, rows, weights, sizes[open_nodes], totals[open_nodes],
-            tree[open_nodes], _candidates(keys[open_nodes], d, k), keep,
+        found, sums, sizes, totals = search.split_level(
+            y, importances, rows, weights, sizes[open_nodes], sums[open_nodes],
+            totals[open_nodes], tree[open_nodes], _candidates(keys[open_nodes], d, k), keep,
+            None if leaf_value is None else value[open_nodes], leaf_value,
         )
+        value = sums / totals
         feature[open_nodes], threshold[open_nodes] = found
         split = open_nodes[feature[open_nodes] >= 0]
         tree = np.repeat(tree[split], 2)
@@ -237,6 +265,7 @@ def grow_trees(
         kept = sizes[sizes >= 2].sum() if keep else 0
         rows, weights = rows[:kept], weights[:kept]
         depth += 1
+    del keys, sizes, sums, totals  # the last level's; the trees' arrays set the peak memory
     return _trees(levels, importances.reshape(n_trees, d))
 
 
@@ -304,23 +333,27 @@ class _LevelSearch:
         self.real_codes = np.array([np.searchsorted(v, np.nan) for v in values])
         self.n = X.shape[0]
 
-    def split_level(self, y, importances, rows, weights, sizes, totals, tree, feats, keep: bool):
+    def split_level(self, y, importances, rows, weights, sizes, sums, totals, tree, feats,
+                    keep: bool, value, leaf_value):
         """Search and split a level's open nodes, whose rows lie end to end in ``rows``.
 
         ``y`` is the target of every row and ``weights`` the multiplicity of
-        each row in ``rows``; node i has ``sizes[i]`` distinct rows of total
-        weight ``totals[i]``, its candidate features ``feats[i]`` in
-        ascending order, and its tree ``tree[i]``; each split adds its
-        decrease to ``importances[tree * d + feature]``. Returns each node's
-        split feature (-1 where no split gains) and threshold, then each
-        split node's left and right child's value, distinct-row count and
-        total weight, interleaved. If ``keep``, ``rows`` and ``weights`` are
+        each row in ``rows``; node i has ``sizes[i]`` distinct rows, weighted
+        target sum ``sums[i]``, total weight ``totals[i]`` and value
+        ``value[i]``, its candidate features ``feats[i]`` in ascending order,
+        and its tree ``tree[i]``; each split adds its decrease to
+        ``importances[tree * d + feature]``. Returns each node's split feature
+        (-1 where no split gains) and threshold, then each split node's left
+        and right child's weighted target sum, distinct-row count and total
+        weight, interleaved. If ``keep``, ``rows`` and ``weights`` are
         rewritten in place to hold the rows of the children with two or more
-        distinct rows, in child order.
+        distinct rows, in child order. If ``leaf_value`` is not None, each row
+        that ends in a leaf here (of a node that does not split, or of a
+        child that is not kept) has that leaf's value written to it.
         """
         k = feats.shape[1]
         feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
-        children = []  # per chunk: its children's values, sizes and totals
+        children = []  # per chunk: its children's sums, sizes and totals
         starts = np.concatenate(([0], np.cumsum(sizes)))
         written = 0
         for a, b in _chunks(sizes * k + self.widths[feats].sum(axis=1)):
@@ -328,43 +361,50 @@ class _LevelSearch:
             nid = np.repeat(np.arange(b - a), sizes[a:b])
             node_wy = node_w * y[node_rows]
             split, split_feat, split_code = self._search(
-                importances, nid, node_rows, node_w, node_wy, feats[a:b], tree[a:b],
-                sizes[a:b], totals[a:b],
+                importances, node_rows, node_w, node_wy, feats[a:b], tree[a:b], sizes[a:b],
+                sums[a:b], totals[a:b],
             )
             feature[a:b][split] = split_feat
             threshold[a:b][split] = self.values[self.value_start[split_feat] + split_code]
 
             # a row of the q-th split node goes to child 2q (left) or 2q + 1 (right)
-            moved = split[nid]
-            q = (np.cumsum(split) - 1)[nid[moved]]
-            node_rows, node_w, node_wy = node_rows[moved], node_w[moved], node_wy[moved]
+            q = nid
+            if split_feat.size < b - a:  # drop the rows of the nodes that do not split
+                moved = split[nid]
+                if leaf_value is not None:
+                    leaf_value[node_rows[~moved]] = value[a:b][nid[~moved]]
+                q = (np.cumsum(split) - 1)[nid[moved]]
+                node_rows, node_w, node_wy = node_rows[moved], node_w[moved], node_wy[moved]
             child = 2 * q + (self.codes[split_feat[q] * self.n + node_rows] > split_code[q])
             n_children = 2 * split_feat.size
             counts = np.bincount(child, minlength=n_children)
             child_totals = np.bincount(child, weights=node_w, minlength=n_children)
             child_sums = np.bincount(child, weights=node_wy, minlength=n_children)
-            children.append((child_sums / child_totals, counts, child_totals))
-            if keep:
+            children.append((child_sums, counts, child_totals))
+            if not keep:  # at the depth cap every child is a leaf
+                if leaf_value is not None:
+                    leaf_value[node_rows] = (child_sums / child_totals)[child]
+                continue
+            if np.any(counts < 2):  # drop the rows of the children with one distinct row
                 stays = counts[child] >= 2
-                # a stable sort on keys of 16 bits or fewer is a radix sort
-                order = np.argsort(
-                    child[stays].astype(np.min_scalar_type(n_children)), kind="stable"
-                )
-                end = written + order.size  # never past this chunk's rows
-                rows[written:end] = node_rows[stays][order]
-                weights[written:end] = node_w[stays][order]
-                written = end
-        values, counts, child_totals = (np.concatenate(column) for column in zip(*children))
-        return (feature, threshold), values, counts, child_totals
+                if leaf_value is not None:
+                    leaf_value[node_rows[~stays]] = (child_sums / child_totals)[child[~stays]]
+                child, node_rows, node_w = child[stays], node_rows[stays], node_w[stays]
+            # a stable sort on keys of 16 bits or fewer is a radix sort
+            order = np.argsort(child.astype(np.min_scalar_type(n_children)), kind="stable")
+            end = written + order.size  # never past this chunk's rows
+            rows[written:end] = node_rows[order]
+            weights[written:end] = node_w[order]
+            written = end
+        child_sums, counts, child_totals = (np.concatenate(column) for column in zip(*children))
+        return (feature, threshold), child_sums, counts, child_totals
 
-    def _search(self, importances, nid, rows, w, wy, feats, tree, sizes, totals):
+    def _search(self, importances, rows, w, wy, feats, tree, sizes, sums, totals):
         """The best split of each node of a chunk, and the importance of its decrease.
 
         Returns which nodes split, and the feature and threshold code of each
         split, in node order.
         """
-        n_nodes, k = feats.shape
-        sums = np.bincount(nid, weights=wy, minlength=n_nodes)
         col_best, col_code = self._boundary_scores(rows, w, wy, feats, sums, sizes, totals)
         # first maxima: the lowest threshold code, then the lowest feature index
         best = col_best.max(axis=1)

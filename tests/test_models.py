@@ -26,6 +26,7 @@ from rssi_occupancy.models import (
     fit,
     fit_grid,
 )
+from rssi_occupancy.models import ensembles as ensembles_module
 from rssi_occupancy.models import linear as linear_module
 from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.models import trees as trees_module
@@ -1158,3 +1159,287 @@ class TestTreeHyperparameters:
         model = fit(ModelSpec(family, {"n_trees": np.int64(3), "depth": 2.0}), X, y)
         assert len(model.inner.trees) == 3
         assert model.inner.max_depth == 2
+
+
+# The grower's level loop, split_level, _search and _boundary_scores as they
+# were before node sums were carried from the parent's partition: the oracle,
+# bit for bit, on fractional targets, which trees_reference does not cover.
+def former_grow_trees(search, y, rows, weights, sizes, keys, max_depth, max_features):
+    n_trees, d = keys.size, search.widths.size
+    k = min(max_features, d)
+    depth_cap = max_depth if max_depth is not None else np.inf
+    importances = np.zeros(n_trees * d)
+
+    tree = np.arange(n_trees)
+    value, totals = np.empty(n_trees), np.empty(n_trees)
+    start = written = 0
+    for t, size in enumerate(sizes):
+        tree_rows, tree_weights = rows[start : start + size], weights[start : start + size]
+        totals[t] = tree_weights.sum()
+        value[t] = np.sum(tree_weights * y[tree_rows]) / totals[t]
+        start += size
+        if size >= 2:
+            rows[written : written + size] = tree_rows
+            weights[written : written + size] = tree_weights
+            written += size
+    rows, weights = rows[:written], weights[:written]
+
+    levels = []
+    depth = 0
+    while tree.size:
+        feature, threshold = np.full(tree.size, -1), np.zeros(tree.size)
+        levels.append((tree, value, feature, threshold))
+        open_nodes = np.flatnonzero((sizes >= 2) & (depth < depth_cap) & (k > 0))
+        if not open_nodes.size:
+            break
+        keep = depth + 1 < depth_cap
+        found, value, sizes, totals = former_split_level(
+            search, y, importances, rows, weights, sizes[open_nodes], totals[open_nodes],
+            tree[open_nodes], trees_module._candidates(keys[open_nodes], d, k), keep,
+        )
+        feature[open_nodes], threshold[open_nodes] = found
+        split = open_nodes[feature[open_nodes] >= 0]
+        tree = np.repeat(tree[split], 2)
+        keys = trees_module._splitmix(keys[split, None], trees_module._CHILDREN).ravel()
+        kept = sizes[sizes >= 2].sum() if keep else 0
+        rows, weights = rows[:kept], weights[:kept]
+        depth += 1
+    return trees_module._trees(levels, importances.reshape(n_trees, d))
+
+
+def former_split_level(search, y, importances, rows, weights, sizes, totals, tree, feats, keep):
+    k = feats.shape[1]
+    feature, threshold = np.full(sizes.size, -1), np.zeros(sizes.size)
+    children = []
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    written = 0
+    for a, b in trees_module._chunks(sizes * k + search.widths[feats].sum(axis=1)):
+        node_rows, node_w = rows[starts[a] : starts[b]], weights[starts[a] : starts[b]]
+        nid = np.repeat(np.arange(b - a), sizes[a:b])
+        node_wy = node_w * y[node_rows]
+        split, split_feat, split_code = former_search(
+            search, importances, nid, node_rows, node_w, node_wy, feats[a:b], tree[a:b],
+            sizes[a:b], totals[a:b],
+        )
+        feature[a:b][split] = split_feat
+        threshold[a:b][split] = search.values[search.value_start[split_feat] + split_code]
+
+        moved = split[nid]
+        q = (np.cumsum(split) - 1)[nid[moved]]
+        node_rows, node_w, node_wy = node_rows[moved], node_w[moved], node_wy[moved]
+        child = 2 * q + (search.codes[split_feat[q] * search.n + node_rows] > split_code[q])
+        n_children = 2 * split_feat.size
+        counts = np.bincount(child, minlength=n_children)
+        child_totals = np.bincount(child, weights=node_w, minlength=n_children)
+        child_sums = np.bincount(child, weights=node_wy, minlength=n_children)
+        children.append((child_sums / child_totals, counts, child_totals))
+        if keep:
+            stays = counts[child] >= 2
+            order = np.argsort(child[stays].astype(np.min_scalar_type(n_children)), kind="stable")
+            end = written + order.size
+            rows[written:end] = node_rows[stays][order]
+            weights[written:end] = node_w[stays][order]
+            written = end
+    values, counts, child_totals = (np.concatenate(column) for column in zip(*children))
+    return (feature, threshold), values, counts, child_totals
+
+
+def former_search(search, importances, nid, rows, w, wy, feats, tree, sizes, totals):
+    n_nodes, k = feats.shape
+    sums = np.bincount(nid, weights=wy, minlength=n_nodes)
+    col_best, col_code = former_boundary_scores(search, rows, w, wy, feats, sums, sizes, totals)
+    best = col_best.max(axis=1)
+    parent_score = sums**2 / totals
+    decrease = best - parent_score
+    gains = np.isfinite(best) & (
+        decrease > trees_module._NO_GAIN * np.maximum(1.0, np.abs(parent_score))
+    )
+    split = np.flatnonzero(gains)
+    tied = col_best[split] == best[split, None]
+    chosen = np.argmax(tied, axis=1)
+
+    at_split, slot = np.nonzero(tied)
+    shares = decrease[split] / tied.sum(axis=1)
+    flat = tree[split[at_split]] * search.widths.size + feats[split[at_split], slot]
+    np.add.at(importances, flat, shares[at_split])
+    return gains, feats[split, chosen], col_code[split, chosen]
+
+
+def former_boundary_scores(search, rows, w, wy, feats, sums, sizes, totals):
+    n_nodes, k = feats.shape
+    widths = search.widths[feats].ravel()
+    pair_start = np.cumsum(widths) - widths
+    n_bins = int(widths.sum())
+    keys = np.repeat(pair_start.reshape(n_nodes, k).T, sizes, axis=1)
+    keys += search.codes[np.repeat((feats * search.n).T, sizes, axis=1) + rows]
+    keys = keys.ravel()
+    counts = np.bincount(keys, weights=np.tile(w, k), minlength=n_bins)
+    at = np.flatnonzero(counts > 0)
+    cum_n = np.zeros(at.size + 1)
+    np.cumsum(counts[at], out=cum_n[1:])
+    cum_y = np.zeros(at.size + 1)
+    np.cumsum(np.bincount(keys, weights=np.tile(wy, k), minlength=n_bins)[at], out=cum_y[1:])
+
+    pair = np.repeat(np.arange(n_nodes * k), widths)[at]
+    first = trees_module._run_starts(pair)
+    real = at < (pair_start + search.real_codes[feats].ravel())[pair]
+    (i,) = np.nonzero(real[:-1] & real[1:] & (pair[:-1] == pair[1:]))
+    pair = pair[i]
+    node = pair // k
+    left = cum_n[i + 1] - cum_n[first[pair]]
+    left_sum = cum_y[i + 1] - cum_y[first[pair]]
+    score = left_sum**2 / left + (sums[node] - left_sum) ** 2 / (totals[node] - left)
+
+    runs = trees_module._run_starts(pair)
+    col_best = np.full(n_nodes * k, -np.inf)
+    col_best[pair[runs]] = np.maximum.reduceat(score, runs)
+    code = np.where(score == col_best[pair], at[i] - pair_start[pair], n_bins)
+    col_code = np.zeros(n_nodes * k, dtype=np.intp)
+    col_code[pair[runs]] = np.minimum.reduceat(code, runs)
+    return col_best.reshape(n_nodes, k), col_code.reshape(n_nodes, k)
+
+
+def former_boosting(X, y, n_trees, depth):
+    """Boosting's rounds on the former grower, each round's predictions from the descent."""
+    search = trees_module._LevelSearch(X)
+    key = np.zeros(1, dtype=np.uint64)
+    current = np.full(y.shape, y.mean())
+    trees, losses = [], [float(np.mean((y - current) ** 2))]
+    n = X.shape[0]
+    for _ in range(n_trees):
+        rows = np.arange(n, dtype=np.min_scalar_type(n))
+        (tree,) = former_grow_trees(search, y - current, rows, np.ones_like(rows), np.array([n]),
+                                    key, depth, X.shape[1])
+        current = current + LEARNING_RATE * tree.predict(X)
+        trees.append(tree)
+        losses.append(float(np.mean((y - current) ** 2)))
+    return trees, losses
+
+
+def assert_same_bytes(new_trees, old_trees):
+    """Every node array, the importances and the depth of each tree, byte for byte."""
+    assert len(new_trees) == len(old_trees)
+    for new, old in zip(new_trees, old_trees):
+        for name in ("feature", "threshold", "left", "right", "value", "importances_"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+        assert new.depth == old.depth
+
+
+def fractional_problem(seed, n=150):
+    """Fractional targets, constant where x0 < 0; repeated values, NaN, a constant
+    column and duplicated rows."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 5)), 1)
+    X[::5, 1] = np.nan
+    X[:, 3] = 2.5
+    X[n - 12 :] = X[:12]  # rows that no threshold separates, with different targets
+    y = X[:, 0] ** 2 - np.nan_to_num(X[:, 1]) + rng.normal(0, 0.3, n)
+    return X, np.where(X[:, 0] < 0, -4.0, y)  # nodes there gain nothing from a split
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """Per ``split_level`` call: its arguments, and whether each chunk's nodes all split."""
+    calls = []
+    split_level, search = trees_module._LevelSearch.split_level, trees_module._LevelSearch._search
+
+    def recording_split_level(self, y, importances, rows, weights, sizes, sums, totals, *args):
+        calls.append(dict(y=y, rows=rows.copy(), weights=weights.copy(), sizes=sizes,
+                          sums=sums, totals=totals, chunks=[]))
+        out = split_level(self, y, importances, rows, weights, sizes, sums, totals, *args)
+        calls[-1]["children"] = out[1:]
+        return out
+
+    def recording_search(self, *args):
+        out = search(self, *args)
+        calls[-1]["chunks"].append(bool(np.all(out[0])))
+        return out
+
+    monkeypatch.setattr(trees_module._LevelSearch, "split_level", recording_split_level)
+    monkeypatch.setattr(trees_module._LevelSearch, "_search", recording_search)
+    return calls
+
+
+class TestLeanLevel:
+    """Carried node sums and compressing only dropped rows keep every bit of the former grower."""
+
+    CELLS = [1, 40, 1 << 15]
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @pytest.mark.parametrize("depth", [3, None])
+    def test_boosting_matches_the_former_grower(self, monkeypatch, levels, cells, depth):
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        X, y = fractional_problem(110)
+        model = GradientBoosting(n_trees=6, max_depth=depth).fit(X, y)
+        trees, losses = former_boosting(X, y, 6, depth)
+        assert_same_bytes(model.trees, trees)
+        assert model.train_losses_ == losses
+        # both compress paths ran: chunks where every node splits and chunks where one
+        # does not, children with one distinct row and children that all keep two or more
+        chunks = [all_split for call in levels for all_split in call["chunks"]]
+        assert True in chunks and False in chunks
+        counts = [call["children"][1] for call in levels]
+        assert any(np.any(c == 1) for c in counts) and any(np.all(c >= 2) for c in counts)
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @pytest.mark.parametrize("depth", [2, None])
+    def test_forest_matches_the_former_grower(self, monkeypatch, cells, depth):
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        X, y = fractional_problem(111)
+
+        def forest():
+            rngs = [np.random.default_rng(s) for s in range(10)]
+            return trees_module.grow_forest(X, y, rngs, depth, 2)
+
+        new = forest()
+        monkeypatch.setattr(trees_module, "grow_trees", former_grow_trees)
+        assert_same_bytes(new, forest())
+
+    @pytest.mark.parametrize("cells", CELLS)
+    def test_carried_sums_are_sequential_sums(self, monkeypatch, levels, cells):
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        X, y = fractional_problem(112)
+        rng = np.random.default_rng(113)
+        rows = np.flatnonzero(rng.random(X.shape[0]) < 0.7).astype(np.uint8)
+        weights = rng.integers(1, 4, size=rows.size).astype(np.uint8)  # bootstrap-like copies
+        (tree,) = trees_module.grow_trees(
+            trees_module._LevelSearch(X), y, rows, weights, np.array([rows.size]),
+            np.array([114], dtype=np.uint64), None, 3,
+        )
+        depths = node_depths(tree)
+        assert len(levels) >= depths.max() > 3
+        for depth, call in enumerate(levels):
+            start = 0
+            for size, carried, total in zip(call["sizes"], call["sums"], call["totals"]):
+                node_rows = call["rows"][start : start + size]
+                node_w = call["weights"][start : start + size]
+                fresh = 0.0
+                for wy in node_w * y[node_rows]:  # one by one, as np.bincount adds
+                    fresh += wy
+                assert np.float64(carried).tobytes() == np.float64(fresh).tobytes()
+                assert total == node_w.sum()
+                start += size
+            # the next level's nodes, breadth first, are this level's children in order
+            sums, _, totals = call["children"]
+            assert tree.value[depths == depth + 1].tobytes() == (sums / totals).tobytes()
+
+    @pytest.mark.parametrize("cells", CELLS)
+    @pytest.mark.parametrize("depth", [1, 3, None])
+    def test_rows_leave_at_the_leaf_predict_reaches(self, monkeypatch, cells, depth):
+        monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
+        rounds = []
+        grow = ensembles_module.grow_trees
+
+        def recording(*args):
+            (tree,) = grow(*args)
+            rounds.append((tree, args[-1].copy()))
+            return [tree]
+
+        monkeypatch.setattr(ensembles_module, "grow_trees", recording)
+        X, y = fractional_problem(115)
+        for X, y in ((X, y), (np.zeros((5, 0)), np.array([0.0, 1.0, 1.0, 2.0, 3.0]))):
+            rounds.clear()
+            GradientBoosting(n_trees=5, max_depth=depth).fit(X, y)
+            assert len(rounds) == 5
+            for tree, leaf_value in rounds:
+                assert leaf_value.tobytes() == tree.predict(X).tobytes()
