@@ -21,6 +21,7 @@ from .dataset import parse_dataset, parse_sidecar, serialize_dataset, serialize_
 from .evaluation import (
     KFOLD_CHOICES,
     REPRESENTATIONS,
+    SPLIT_MODES,
     TASKS,
     PipelineConfig,
     PipelineStageError,
@@ -200,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--k", type=int, choices=KFOLD_CHOICES, default=5)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--window-s", type=float, default=1.0, dest="window_s")
-    p_eval.add_argument("--split", choices=("random", "chronological"), default="random")
+    p_eval.add_argument("--split", choices=SPLIT_MODES, default="random")
     p_eval.add_argument("--out", required=True, help="output report JSON")
     p_eval.add_argument("--scores-csv", default=None, help="per-config scores CSV path")
     p_eval.set_defaults(func=_cmd_evaluate)

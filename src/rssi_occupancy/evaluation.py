@@ -35,6 +35,7 @@ from .models import (
 from .preprocess import apply_mask, apply_scaler, fit_scaler, select_features
 
 KFOLD_CHOICES = (3, 5, 10)
+SPLIT_MODES = ("random", "chronological")
 HOLDOUT_RATIO = 0.75
 
 TASKS = ("detection", "counting")
@@ -172,6 +173,8 @@ def holdout_split(
     ``mode="chronological"`` takes the first rows as training data instead,
     for callers worried about temporal leakage.
     """
+    if mode not in SPLIT_MODES:
+        raise EvaluationError(f"unknown split mode {mode!r}")
     n = matrix.n_rows
     if n < 4:
         raise EvaluationError(f"need at least 4 rows to split, got {n}")
@@ -179,7 +182,7 @@ def holdout_split(
 
     if mode == "chronological":
         train_idx = np.arange(n_train)
-    elif mode == "random":
+    else:
         rng = np.random.default_rng(seed)
         if task == "classification":
             labels = matrix.labels_occupancy
@@ -197,8 +200,6 @@ def holdout_split(
             )
         else:
             train_idx = rng.permutation(n)[:n_train]
-    else:
-        raise EvaluationError(f"unknown split mode {mode!r}")
     in_train = np.zeros(n, dtype=bool)
     in_train[train_idx] = True
     return matrix.take_rows(np.flatnonzero(in_train)), matrix.take_rows(np.flatnonzero(~in_train))
@@ -449,6 +450,10 @@ def run_pipeline(
             "detection requires the features representation: the classifiers "
             "cannot consume unsegmented raw samples"
         )
+    if config.k not in KFOLD_CHOICES:
+        raise EvaluationError(f"k must be one of {KFOLD_CHOICES}, got {config.k}")
+    if config.split_mode not in SPLIT_MODES:
+        raise EvaluationError(f"unknown split mode {config.split_mode!r}")
     families = config.families or (
         CLASSIFIER_FAMILIES if task == "detection" else REGRESSOR_FAMILIES
     )

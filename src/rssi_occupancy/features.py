@@ -24,13 +24,16 @@ Conventions that tests rely on:
   sampling rate is at most 7 Hz (no spectrum above 3.5 Hz exists); the
   feature matrix diagnostics flag that case.
 
-Every window is featurized in one block: ``build_feature_matrix`` stacks the
-samples of all windows into one C-contiguous ``(windows x transmitters, L)``
-float64 array and computes each feature as a column, reducing along the last
-axis; ``time_features`` and ``freq_features`` are the same block functions on
-a single row. The block gives the same bits as computing the definitions one
-vector at a time (``tests/features_reference.py``): the same numpy reductions
-over each contiguous row, autocovariances as stacked row @ column products,
+``segment`` returns one ``Windows`` block: a C-contiguous ``(windows,
+transmitters, L)`` float64 array of samples, one reshape and transpose of
+the dataset's RSSI column, with the records' counts beside it and the
+window labels as vectorised properties. ``build_feature_matrix`` views that
+array as one ``(windows x transmitters, L)`` block and computes each feature
+as a column, reducing along the last axis; ``time_features`` and
+``freq_features`` are the same block functions on a single row. The block
+gives the same bits as computing the definitions one vector at a time
+(``tests/features_reference.py``): the same numpy reductions over each
+contiguous row, autocovariances as stacked row @ column products,
 one LAPACK solve per 4x4 Toeplitz system (row by row, with a least-squares
 fallback, if any system in the block is singular), ECDF thresholds spaced as
 ``np.linspace`` spaces them for one row, and the skewness and kurtosis
@@ -109,26 +112,45 @@ class FeatureError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Window:
-    """One fixed-duration slice: per-transmitter sample vectors plus labels.
+class Windows:
+    """Consecutive fixed-length windows as one block, with their labels.
 
+    ``samples[i, j]`` is window i's sample vector of transmitter j.
     ``counts`` keeps the per-record occupant counts so the raw-representation
-    path can label every sample exactly; ``label_*`` are the majority labels
-    of the contained records (occupancy ties break to True, count ties to the
+    path can label every sample exactly; ``labels_*`` are the majority labels
+    of each window's records (occupancy ties break to True, count ties to the
     larger count).
     """
 
-    start_ms: int
     transmitter_ids: tuple[str, ...]
     sampling_hz: float
-    samples: np.ndarray  # (n_transmitters, L)
-    counts: np.ndarray  # (L,)
-    label_occupancy: bool
-    label_count: int
+    samples: np.ndarray  # (n_windows, n_transmitters, L) float64, C-contiguous
+    counts: np.ndarray  # (n_windows, L) int64
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def __getitem__(self, index) -> "Windows":
+        """The windows ``index`` selects, as numpy selects rows; an integer selects one."""
+        rows = np.atleast_1d(np.arange(len(self))[index])
+        return Windows(
+            self.transmitter_ids, self.sampling_hz, self.samples[rows], self.counts[rows]
+        )
 
     @property
-    def length(self) -> int:
-        return self.samples.shape[1]
+    def labels_occupancy(self) -> np.ndarray:
+        return 2 * np.count_nonzero(self.counts > 0, axis=1) >= self.counts.shape[1]
+
+    @property
+    def labels_count(self) -> np.ndarray:
+        ordered = np.sort(self.counts, axis=1)
+        positions = np.arange(ordered.shape[1])
+        starts = np.ones(ordered.shape, dtype=bool)
+        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        # at each position, how many equal counts end there; the last longest run wins
+        run = positions - np.maximum.accumulate(np.where(starts, positions, 0), axis=1) + 1
+        last_longest = np.argmax(run * ordered.shape[1] + positions, axis=1)
+        return np.take_along_axis(ordered, last_longest[:, None], axis=1)[:, 0]
 
 
 @dataclass
@@ -191,15 +213,6 @@ class FeatureMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _majority_labels(counts: np.ndarray) -> tuple[bool, int]:
-    n_true = int(np.count_nonzero(counts > 0))
-    n_false = counts.size - n_true
-    occupancy = n_true >= n_false  # tie -> occupied
-    freq = np.bincount(counts)
-    best = int(np.flatnonzero(freq == freq.max())[-1])  # tie -> larger count
-    return occupancy, best
-
-
 def window_length(window_s: float, sampling_hz: float) -> int:
     """``round(window_s * sampling_hz)`` samples; FeatureError below 2 or not finite."""
     if not 0 < window_s < np.inf:  # NaN fails too
@@ -223,7 +236,7 @@ def check_featurizable(length: int, sampling_hz: float) -> None:
         )
 
 
-def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
+def segment(dataset: RssiDataset, window_s: float = 1.0) -> Windows:
     """Chop the dataset into consecutive non-overlapping fixed-length windows.
 
     Window length is ``window_length(window_s, sampling_hz)`` samples; a
@@ -235,27 +248,14 @@ def segment(dataset: RssiDataset, window_s: float = 1.0) -> list[Window]:
     n_windows = n_records // length
     if n_windows == 0:
         raise FeatureError(f"dataset has {n_records} records, shorter than one window ({length})")
-
-    matrix = dataset.rssi.astype(np.float64)
-    ids = dataset.transmitter_ids()
-
-    windows: list[Window] = []
-    for w in range(n_windows):
-        lo, hi = w * length, (w + 1) * length
-        window_counts = dataset.counts[lo:hi]
-        occupancy, count = _majority_labels(window_counts)
-        windows.append(
-            Window(
-                start_ms=int(dataset.timestamps_ms[lo]),
-                transmitter_ids=ids,
-                sampling_hz=dataset.sampling_hz,
-                samples=matrix[lo:hi].T.copy(),
-                counts=window_counts,
-                label_occupancy=occupancy,
-                label_count=count,
-            )
-        )
-    return windows
+    n = n_windows * length
+    samples = dataset.rssi[:n].reshape(n_windows, length, -1).transpose(0, 2, 1)
+    return Windows(
+        transmitter_ids=dataset.transmitter_ids(),
+        sampling_hz=dataset.sampling_hz,
+        samples=np.ascontiguousarray(samples, dtype=np.float64),
+        counts=dataset.counts[:n].reshape(n_windows, length),
+    )
 
 
 def _ar_coefficients(deviations: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -493,42 +493,27 @@ def freq_features(x: np.ndarray, sampling_hz: float) -> np.ndarray:
     return _freq_block(x[None], sampling_hz)[0]
 
 
-def _check_homogeneous(windows: list[Window]) -> Window:
-    if not windows:
-        raise FeatureError("no windows to featurize")
-    first = windows[0]
-    for w in windows[1:]:
-        if w.transmitter_ids != first.transmitter_ids or w.sampling_hz != first.sampling_hz:
-            raise FeatureError("windows disagree on transmitters or sampling rate")
-    return first
-
-
-def build_feature_matrix(windows: list[Window]) -> FeatureMatrix:
+def build_feature_matrix(windows: Windows) -> FeatureMatrix:
     """Per window, concatenate time then frequency features over transmitters.
 
-    All windows are computed in one block, so they must share one length of
-    at least ``MIN_FEATURE_LENGTH`` samples. Non-finite values are replaced
-    by 0 and tallied in the diagnostics.
+    Windows of fewer than ``MIN_FEATURE_LENGTH`` samples are rejected.
+    Non-finite values are replaced by 0 and tallied in the diagnostics.
     """
-    first = _check_homogeneous(windows)
+    n_windows, _, length = windows.samples.shape
     names = tuple(
         f"{mac}/{feat}"
-        for mac in first.transmitter_ids
+        for mac in windows.transmitter_ids
         for feat in (*TIME_FEATURE_NAMES, *FREQ_FEATURE_NAMES)
     )
-    lengths = {w.length for w in windows}
-    if len(lengths) > 1:
-        raise FeatureError(f"windows differ in length: {sorted(lengths)} samples")
-    (length,) = lengths
-    check_featurizable(length, first.sampling_hz)
+    check_featurizable(length, windows.sampling_hz)
     # one C-contiguous (windows x transmitters, L) block, one row per sample vector
-    block = np.ascontiguousarray(
-        np.stack([w.samples for w in windows]).reshape(-1, length), dtype=np.float64
+    block = windows.samples.reshape(-1, length)
+    features = np.concatenate(
+        [_time_block(block), _freq_block(block, windows.sampling_hz)], axis=1
     )
-    features = np.concatenate([_time_block(block), _freq_block(block, first.sampling_hz)], axis=1)
-    rows = features.reshape(len(windows), len(names))
+    rows = features.reshape(n_windows, len(names))
 
-    diagnostics = FeatureDiagnostics(hf_ratio_ill_posed=not hf_ratio_defined(first.sampling_hz))
+    diagnostics = FeatureDiagnostics(hf_ratio_ill_posed=not hf_ratio_defined(windows.sampling_hz))
     bad = ~np.isfinite(rows)
     if bad.any():
         diagnostics.nonfinite_replaced = int(bad.sum())
@@ -536,22 +521,20 @@ def build_feature_matrix(windows: list[Window]) -> FeatureMatrix:
     return FeatureMatrix(
         feature_names=names,
         rows=rows,
-        labels_occupancy=np.array([w.label_occupancy for w in windows], dtype=bool),
-        labels_count=np.array([w.label_count for w in windows], dtype=np.int64),
+        labels_occupancy=windows.labels_occupancy,
+        labels_count=windows.labels_count,
         diagnostics=diagnostics,
     )
 
 
-def build_raw_matrix(windows: list[Window]) -> FeatureMatrix:
+def build_raw_matrix(windows: Windows) -> FeatureMatrix:
     """One row per record: the raw per-transmitter RSSI vector, labels per record."""
-    first = _check_homogeneous(windows)
-    names = tuple(f"{mac}/rssi" for mac in first.transmitter_ids)
-    rows = np.concatenate([w.samples.T for w in windows], axis=0).astype(np.float64)
-    counts = np.concatenate([w.counts for w in windows])
+    names = tuple(f"{mac}/rssi" for mac in windows.transmitter_ids)
+    counts = windows.counts.reshape(-1)
     return FeatureMatrix(
         feature_names=names,
-        rows=rows,
+        rows=windows.samples.transpose(0, 2, 1).reshape(-1, len(names)),
         labels_occupancy=counts > 0,
-        labels_count=counts.astype(np.int64),
+        labels_count=counts,
         diagnostics=FeatureDiagnostics(),
     )

@@ -191,11 +191,11 @@ def feature_rows(windows) -> tuple[np.ndarray, int]:
             np.concatenate(
                 [
                     part
-                    for vector in window.samples
-                    for part in (time_features(vector), freq_features(vector, window.sampling_hz))
+                    for vector in window
+                    for part in (time_features(vector), freq_features(vector, windows.sampling_hz))
                 ]
             )
-            for window in windows
+            for window in windows.samples
         ]
     )
     bad = ~np.isfinite(rows)

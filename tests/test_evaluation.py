@@ -452,6 +452,24 @@ class TestRunPipeline:
         with pytest.raises(FeatureError, match=message):
             run_pipeline(small_dataset, task, representation, config)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (PipelineConfig(families=("lda",), k=4), "k must be one of"),
+            (PipelineConfig(families=("lda",), k=3, split_mode="blocked"), "unknown split mode"),
+        ],
+        ids=["k-4", "split-blocked"],
+    )
+    def test_bad_k_or_split_mode_is_a_usage_error_before_any_stage(
+        self, small_dataset, monkeypatch, config, message
+    ):
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(evaluation, "deduplicate", no_stage)
+        with pytest.raises(EvaluationError, match=message):
+            run_pipeline(small_dataset, "detection", "features", config)
+
     def test_detection_end_to_end(self, small_dataset):
         grids = {"svm": [{"kernel": "linear", "loss": "hinge", "C": 1.0}]}
         config = PipelineConfig(families=("svm",), k=3, seed=7, grids=grids)

@@ -15,7 +15,7 @@ from rssi_occupancy.features import (
     TIME_FEATURE_NAMES,
     FeatureError,
     FeatureMatrix,
-    Window,
+    Windows,
     build_feature_matrix,
     build_raw_matrix,
     freq_features,
@@ -56,13 +56,14 @@ class TestSegment:
         dataset = make_dataset([0] * 600, sampling_hz=200.0)
         windows = segment(dataset, 1.0)
         assert len(windows) == 3
-        assert all(w.length == 200 for w in windows)
+        assert windows.samples.shape == (3, 1, 200)
+        assert windows.counts.shape == (3, 200)
 
     def test_exact_fit_single_window(self):
         dataset = make_dataset([0] * 45, sampling_hz=45.0)
         windows = segment(dataset, 1.0)
         assert len(windows) == 1
-        assert windows[0].length == 45
+        assert windows.samples.shape == (1, 1, 45)
 
     def test_trailing_partial_dropped(self):
         assert len(segment(make_dataset([0] * 100, sampling_hz=20.0), 1.0)) == 5
@@ -94,15 +95,65 @@ class TestSegment:
     def test_majority_labels_with_ties(self):
         # occupancy tie (2 occupied vs 2 empty) -> True; count majority -> 0
         windows = segment(make_dataset([0, 0, 1, 2] * 5, sampling_hz=20.0), 1.0)
-        assert windows[0].label_occupancy is True
-        assert windows[0].label_count == 0
+        assert windows.labels_occupancy.tolist() == [True]
+        assert windows.labels_count.tolist() == [0]
         # count tie between 1 and 2 -> larger wins
         windows = segment(make_dataset([1, 1, 2, 2] * 5, sampling_hz=20.0), 1.0)
-        assert windows[0].label_count == 2
+        assert windows.labels_count.tolist() == [2]
         # clear majority
         windows = segment(make_dataset([3, 3, 3, 0] * 5, sampling_hz=20.0), 1.0)
-        assert windows[0].label_count == 3
-        assert windows[0].label_occupancy is True
+        assert windows.labels_count.tolist() == [3]
+        assert windows.labels_occupancy.tolist() == [True]
+
+        # 400 windows of 6 random counts, many of them tied, against the former
+        # per-window rule
+        rng = np.random.default_rng(15)
+        counts = rng.integers(0, 4, size=400 * 6) * rng.integers(0, 2, size=400 * 6)
+        windows = segment(make_dataset(counts.tolist(), sampling_hz=6.0), 1.0)
+        assert windows.labels_occupancy.dtype == bool
+        assert windows.labels_count.dtype == np.int64
+        want_occupancy, want_count = [], []
+        for row in counts.reshape(400, 6):
+            n_true = int(np.count_nonzero(row > 0))
+            want_occupancy.append(n_true >= row.size - n_true)  # tie -> occupied
+            freq = np.bincount(row)
+            want_count.append(int(np.flatnonzero(freq == freq.max())[-1]))  # tie -> larger
+        assert windows.labels_occupancy.tolist() == want_occupancy
+        assert windows.labels_count.tolist() == want_count
+        assert 0 < sum(want_occupancy) < 400
+
+    def test_huge_count_is_its_own_label(self):
+        # a count of 10**12 is a valid int64; a bincount over it would ask for 7.28 TiB
+        windows = segment(make_dataset([10**12] * 11 + [0] * 9, sampling_hz=20.0), 1.0)
+        assert windows.labels_count.tolist() == [10**12]
+        assert windows.labels_occupancy.tolist() == [True]
+
+    def test_len_and_indexing_select_windows(self):
+        rng = np.random.default_rng(16)
+        rssi = rng.integers(-90, -40, size=(100, 2))
+        counts = rng.integers(0, 3, size=100).tolist()
+        windows = segment(make_dataset(counts, n_tx=2, sampling_hz=20.0, rssi=rssi), 1.0)
+        assert len(windows) == 5
+        first = windows[0]  # an integer selects a block of one window
+        assert isinstance(first, Windows) and len(first) == 1
+        assert first.transmitter_ids == ("AA:00", "AA:01")
+        assert first.sampling_hz == 20.0
+        assert np.array_equal(first.samples, rssi[:20].T[None])
+        assert np.array_equal(first.counts, np.array(counts[:20])[None])
+        occupied = windows.labels_occupancy
+        for index, rows in [
+            (-1, [4]),
+            (slice(1, 3), [1, 2]),
+            ([4, 0], [4, 0]),
+            (occupied, np.flatnonzero(occupied)),
+        ]:
+            selected = windows[index]
+            assert len(selected) == len(rows)
+            assert np.array_equal(selected.samples, windows.samples[rows])
+            assert np.array_equal(selected.counts, windows.counts[rows])
+            assert np.array_equal(selected.labels_count, windows.labels_count[rows])
+        with pytest.raises(IndexError):
+            windows[5]
 
 
 class TestTimeFeatures:
@@ -231,16 +282,7 @@ class TestFreqFeatures:
         x = np.sin(2 * np.pi * 1.0 * np.arange(24) / 6.0)
         values = freq_features(x, 6.0)
         assert values[F["hf_power_ratio"]] == 0.0
-        window = Window(
-            start_ms=0,
-            transmitter_ids=("M1",),
-            sampling_hz=6.0,
-            samples=x[None, :],
-            counts=np.zeros(24, dtype=np.int64),
-            label_occupancy=False,
-            label_count=0,
-        )
-        matrix = build_feature_matrix([window])
+        matrix = build_feature_matrix(make_window(x[None, :], sampling_hz=6.0))
         assert matrix.diagnostics.hf_ratio_ill_posed
 
     def test_minimum_length_four(self):
@@ -321,24 +363,16 @@ class TestFeatureMatrix:
 
     def test_nonfinite_values_replaced_and_tallied(self):
         samples = np.array([[np.nan, -50.0, -51.0, -50.0, -52.0, -50.0, -49.0, -50.0]])
-        window = Window(
-            start_ms=0,
-            transmitter_ids=("M1",),
-            sampling_hz=20.0,
-            samples=samples,
-            counts=np.zeros(8, dtype=np.int64),
-            label_occupancy=False,
-            label_count=0,
-        )
-        matrix = build_feature_matrix([window])
+        matrix = build_feature_matrix(make_window(samples))
         assert np.all(np.isfinite(matrix.rows))
         assert matrix.diagnostics.nonfinite_replaced > 0
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(FeatureError):
-            build_feature_matrix([])
-        with pytest.raises(FeatureError):
-            build_raw_matrix([])
+    def test_empty_block_gives_empty_matrices(self):
+        empty = random_windows(0, 3, 2, 20)[:0]
+        features = build_feature_matrix(empty)
+        assert features.rows.shape == (0, 2 * 56)
+        assert features.labels_count.shape == features.labels_occupancy.shape == (0,)
+        assert build_raw_matrix(empty).rows.shape == (0, 2)
 
     def test_csv_bytes_match_the_per_value_writer(self):
         rows = np.array(
@@ -381,24 +415,32 @@ class TestRawMatrix:
         assert np.array_equal(matrix.labels_occupancy, np.array(counts[:60]) > 0)
 
 
-def make_window(samples, sampling_hz=20.0):
-    """One window over ``samples`` (n_transmitters, L), all labels 0."""
-    samples = np.asarray(samples, dtype=np.float64)
-    return Window(
-        start_ms=0,
-        transmitter_ids=tuple(f"M{i}" for i in range(samples.shape[0])),
+def make_windows(samples, sampling_hz=20.0):
+    """A block over ``samples`` (n_windows, n_transmitters, L), all counts 0."""
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    n_windows, n_tx, length = samples.shape
+    return Windows(
+        transmitter_ids=tuple(f"M{i}" for i in range(n_tx)),
         sampling_hz=sampling_hz,
         samples=samples,
-        counts=np.zeros(samples.shape[1], dtype=np.int64),
-        label_occupancy=False,
-        label_count=0,
+        counts=np.zeros((n_windows, length), dtype=np.int64),
     )
+
+
+def make_window(samples, sampling_hz=20.0):
+    """A block of one window over ``samples`` (n_transmitters, L)."""
+    return make_windows(np.asarray(samples)[None], sampling_hz)
 
 
 def random_windows(seed, n_windows, n_tx, length, sampling_hz=20.0):
     rng = np.random.default_rng(seed)
-    samples = rng.integers(-90, -40, size=(n_windows, n_tx, length))
-    return [make_window(s, sampling_hz) for s in samples]
+    return make_windows(rng.integers(-90, -40, size=(n_windows, n_tx, length)), sampling_hz)
+
+
+def join(*blocks):
+    """The windows of ``blocks`` in order, as one block (they share transmitters and rate)."""
+    samples = np.concatenate([b.samples for b in blocks])
+    return make_windows(samples, blocks[0].sampling_hz)
 
 
 def assert_matches_reference(windows):
@@ -432,7 +474,7 @@ class TestBlockMatchesReference:
         st.sampled_from([3.0, 7.0, 20.0, 45.0, 200.0]),
     )
     def test_arbitrary_float_windows_match_reference(self, samples, sampling_hz):
-        windows = [make_window(s, sampling_hz) for s in samples]
+        windows = make_windows(samples, sampling_hz)
         got = build_feature_matrix(windows).rows
         want, _ = reference.feature_rows(windows)
         # Only the masked sums ("sum below/above" a percentile) add in another
@@ -447,7 +489,7 @@ class TestBlockMatchesReference:
         assert np.array_equal(got[:, exact], want[:, exact])
 
     def test_constant_window_moments_and_ar_are_zero(self):
-        windows = [make_window(np.full((2, 20), -42.0)), *random_windows(1, 2, 2, 20)]
+        windows = join(make_window(np.full((2, 20), -42.0)), random_windows(1, 2, 2, 20))
         matrix = assert_matches_reference(windows)
         for name in ("skewness", "kurtosis", "ar_1", "ar_2", "ar_3", "ar_4"):
             assert matrix.rows[0, T[name]] == 0.0
@@ -458,7 +500,8 @@ class TestBlockMatchesReference:
         # block would space them as k / 9 * 0.7, a few just below, once any row
         # of the block is constant.
         spread = np.linspace(0.0, 0.7, N_ECDF_POINTS)[None, :]
-        matrix = assert_matches_reference([make_window(np.full((1, 10), -42.0)), make_window(spread)])
+        constant = make_window(np.full((1, 10), -42.0))
+        matrix = assert_matches_reference(join(constant, make_window(spread)))
         ecdf = [matrix.rows[1, T[f"ecdf_{j}"]] for j in range(1, N_ECDF_POINTS + 1)]
         assert ecdf == [j / N_ECDF_POINTS for j in range(1, N_ECDF_POINTS + 1)]
 
@@ -470,9 +513,7 @@ class TestBlockMatchesReference:
             2.0**-1074
         }
         windows = random_windows(2, 4, 2, 20)
-        samples = windows[2].samples.copy()
-        samples[1] = singular
-        windows[2] = make_window(samples)
+        windows.samples[2, 1] = singular
         assert_matches_reference(windows)
 
         # Force the batched solve to fail, as LAPACK builds that flag a singular
@@ -501,19 +542,16 @@ class TestBlockMatchesReference:
         assert features[T["tw_variance"]] > 0.0
         assert features[T["kurtosis"]] == 0.0
         assert features[ar].tolist() == [0.0] * 4
-        windows = [
-            make_window(np.stack([singular, -np.arange(20.0)])),
-            *random_windows(5, 1, 2, 20),
-        ]
+        windows = join(
+            make_window(np.stack([singular, -np.arange(20.0)])), random_windows(5, 1, 2, 20)
+        )
         matrix = assert_matches_reference(windows)
         assert matrix.rows[0, ar].tolist() == [0.0] * 4
         assert np.all(matrix.rows[0, [FEATURES_PER_TRANSMITTER + c for c in ar]] != 0.0)
 
     def test_nan_sample_tally_matches_reference(self):
         windows = random_windows(3, 3, 2, 20)
-        samples = windows[1].samples.copy()
-        samples[0, 5] = np.nan
-        windows[1] = make_window(samples)
+        windows.samples[1, 0, 5] = np.nan
         matrix = assert_matches_reference(windows)
         assert matrix.diagnostics.nonfinite_replaced > 0
         assert np.all(np.isfinite(matrix.rows))
@@ -528,13 +566,10 @@ class TestBlockMatchesReference:
         samples = np.array([1.3e103, 0.0, 0.0, 0.0])
         with pytest.raises(FeatureError, match="sample variance 3.17e\\+205 is too large"):
             time_features(samples)
-        windows = [make_window(np.full((2, 4), -50.0)), make_window(np.stack([samples, -np.ones(4)]))]
+        windows = join(
+            make_window(np.full((2, 4), -50.0)), make_window(np.stack([samples, -np.ones(4)]))
+        )
         with pytest.raises(FeatureError, match="kurtosis denominator, overflows float64"):
-            build_feature_matrix(windows)
-
-    def test_unequal_window_lengths_rejected(self):
-        windows = [*random_windows(4, 2, 2, 20), *random_windows(5, 1, 2, 21)]
-        with pytest.raises(FeatureError, match="differ in length"):
             build_feature_matrix(windows)
 
     def test_windows_under_four_samples_rejected_naming_length_and_rate(self):
