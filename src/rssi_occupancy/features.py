@@ -29,26 +29,29 @@ transmitters, L)`` float64 array of samples, one reshape and transpose of
 the dataset's RSSI column, with the records' counts beside it and the
 window labels as vectorised properties. ``build_feature_matrix`` views that
 array as one ``(windows x transmitters, L)`` block and computes each feature
-as a column, reducing along the last axis; ``time_features`` and
-``freq_features`` are the same block functions on a single row. The block
-gives the same bits as computing the definitions one vector at a time
-(``tests/features_reference.py``): the same numpy reductions over each
-contiguous row, autocovariances as stacked row @ column products,
-one LAPACK solve per 4x4 Toeplitz system (row by row, with a least-squares
-fallback, if any system in the block is singular), ECDF thresholds spaced as
-``np.linspace`` spaces them for one row, and the skewness and kurtosis
-denominators variance**1.5 and variance**2 taken with Python's scalar float
-``pow``, since numpy's vectorized power differs in the last bit. Their
-numerators, the means of the cubed and fourth-power deviations, take ``pow``
-once per distinct deviation of a row: one argsort per chunk of rows lines
-equal deviations up, and the powers go back to sample order before they are
-summed. The median comes from the same sorted rows, with the same bits. The
-percentiles do not: where a row holds both -0.0 and 0.0, the sign of a zero
-``np.percentile`` returns depends on where those zeros sit, so they are
-taken from the unsorted rows. The one exception is the four "sum
-below/above" features: they add exact zeros in place of the unselected
-samples, which changes nothing on integer-valued samples such as RSSI but
-may round a sum of other floats differently.
+as a column, reducing along the last axis. It runs on chunks of rows
+(``_CHUNK_BYTES`` of samples) written into one preallocated output, so its
+temporaries are bounded by a chunk; every feature is a function of its row
+alone, so the chunks give the bits of one pass over the block.
+``time_features`` and ``freq_features`` are the same block functions on a
+single row. The block gives the same bits as computing the definitions one
+vector at a time (``tests/features_reference.py``): the same numpy
+reductions over each contiguous row, autocovariances as stacked row @ column
+products, one LAPACK solve per 4x4 Toeplitz system (row by row, with a
+least-squares fallback, if any system in the chunk is singular), ECDF
+thresholds spaced as ``np.linspace`` spaces them for one row, and the
+skewness and kurtosis denominators variance**1.5 and variance**2 taken with
+Python's scalar float ``pow``, since numpy's vectorized power differs in the
+last bit. Their numerators, the means of the cubed and fourth-power
+deviations, take ``pow`` once per distinct deviation of a row: one argsort
+per chunk lines equal deviations up, and the powers go back to sample order
+before they are summed. The median comes from the same sorted rows, with
+the same bits. The percentiles do not: where a row holds both -0.0 and 0.0,
+the sign of a zero ``np.percentile`` returns depends on where those zeros
+sit, so they are taken from the unsorted rows. The one exception is the
+four "sum below/above" features: they add exact zeros in place of the
+unselected samples, which changes nothing on integer-valued samples such as
+RSSI but may round a sum of other floats differently.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ N_DWT_LEVELS = 3
 N_SUB_BANDS = 4
 HF_CUTOFF_HZ = 3.5
 MIN_FEATURE_LENGTH = 4  # the shortest vector the frequency features take
-_SORT_CHUNK_BYTES = 1 << 18  # samples per argsort in _sorted_moments_and_median: 256 KiB
+_CHUNK_BYTES = 1 << 18  # samples per chunk of rows in build_feature_matrix: 256 KiB
 
 TIME_FEATURE_NAMES: tuple[str, ...] = (
     "max",
@@ -208,8 +211,10 @@ class FeatureMatrix:
         header = ",".join((*self.feature_names, "label_occupancy", "label_count"))
         lines = [header]
         labels = zip(self.labels_occupancy.tolist(), self.labels_count.tolist())
-        for row, (occupied, count) in zip(self.rows.tolist(), labels):
-            lines.append(f"{','.join(map(repr, row))},{'true' if occupied else 'false'},{count}")
+        for row, (occupied, count) in zip(self.rows, labels):  # a row of Python floats at a time
+            lines.append(
+                f"{','.join(map(repr, row.tolist()))},{'true' if occupied else 'false'},{count}"
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -307,34 +312,28 @@ def _sorted_moments_and_median(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row: the means of the cubed and of the fourth-power deviations, and the median.
 
-    One argsort per chunk of rows (``_SORT_CHUNK_BYTES`` of samples). Along a
-    sorted row equal deviations sit side by side, so ``pow`` runs once per
-    distinct deviation, told apart by its bits so that -0.0 and 0.0 stay
-    apart. The powers go back to sample order before ``np.mean`` adds them:
-    the same values in the same order as ``np.mean(deviations**3, axis=1)``.
-    ``np.median`` of a sorted row is that of the row, since the median adds
-    its middle values to +0.0 and no sign of zero survives that.
+    One argsort of the rows. Along a sorted row equal deviations sit side by
+    side, so ``pow`` runs once per distinct deviation, told apart by its bits
+    so that -0.0 and 0.0 stay apart. The powers go back to sample order before
+    ``np.mean`` adds them: the same values in the same order as
+    ``np.mean(deviations**3, axis=1)``. ``np.median`` of a sorted row is that
+    of the row, since the median adds its middle values to +0.0 and no sign of
+    zero survives that.
     """
-    n_rows, length = x.shape
-    third, fourth, median = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
-    step = max(1, _SORT_CHUNK_BYTES // (8 * length))
-    for lo in range(0, n_rows, step):
-        rows = slice(lo, lo + step)
-        order = np.argsort(x[rows], axis=1)
-        ordered = np.take_along_axis(x[rows], order, axis=1)
-        deviations = ordered - mean[rows, None]
-        bits = deviations.view(np.int64)
-        new = np.empty(deviations.shape, dtype=bool)
-        new[:, 0] = True
-        np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
-        distinct = deviations[new]
-        # inverse[i, j]: the index in ``distinct`` of sample j of row i
-        inverse = np.empty_like(order)
-        np.put_along_axis(inverse, order, (np.cumsum(new) - 1).reshape(new.shape), axis=1)
-        third[rows] = np.mean((distinct**3)[inverse], axis=1)
-        fourth[rows] = np.mean((distinct**4)[inverse], axis=1)
-        median[rows] = np.median(ordered, axis=1)
-    return third, fourth, median
+    order = np.argsort(x, axis=1)
+    ordered = np.take_along_axis(x, order, axis=1)
+    deviations = ordered - mean[:, None]
+    bits = deviations.view(np.int64)
+    new = np.empty(deviations.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    distinct = deviations[new]
+    # inverse[i, j]: the index in ``distinct`` of sample j of row i
+    inverse = np.empty_like(order)
+    np.put_along_axis(inverse, order, (np.cumsum(new) - 1).reshape(new.shape), axis=1)
+    third = np.mean((distinct**3)[inverse], axis=1)
+    fourth = np.mean((distinct**4)[inverse], axis=1)
+    return third, fourth, np.median(ordered, axis=1)
 
 
 def _time_block(x: np.ndarray) -> np.ndarray:
@@ -506,11 +505,22 @@ def build_feature_matrix(windows: Windows) -> FeatureMatrix:
         for feat in (*TIME_FEATURE_NAMES, *FREQ_FEATURE_NAMES)
     )
     check_featurizable(length, windows.sampling_hz)
-    # one C-contiguous (windows x transmitters, L) block, one row per sample vector
+    # one C-contiguous (windows x transmitters, L) block, one row per sample vector,
+    # featurized a chunk of rows at a time: every feature is a function of its row
     block = windows.samples.reshape(-1, length)
-    features = np.concatenate(
-        [_time_block(block), _freq_block(block, windows.sampling_hz)], axis=1
-    )
+    features = np.empty((block.shape[0], FEATURES_PER_TRANSMITTER))
+    n_time = len(TIME_FEATURE_NAMES)
+    step = max(1, _CHUNK_BYTES // (8 * length))
+    try:
+        for lo in range(0, block.shape[0], step):
+            chunk = slice(lo, lo + step)
+            features[chunk, :n_time] = _time_block(block[chunk])
+            features[chunk, n_time:] = _freq_block(block[chunk], windows.sampling_hz)
+    except FeatureError:
+        # Raise what one pass over the whole block raises: a variance error comes
+        # first, and it names the largest finite variance of the block.
+        _time_block(block)
+        raise
     rows = features.reshape(n_windows, len(names))
 
     diagnostics = FeatureDiagnostics(hf_ratio_ill_posed=not hf_ratio_defined(windows.sampling_hz))

@@ -190,7 +190,8 @@ def _solve_dual(
         grad_v -= 1.0
         alpha_next = grad_v / lipschitz
         np.subtract(velocity, alpha_next, out=alpha_next)
-        alpha_next.clip(0.0, upper, out=alpha_next)  # +0.0 where np.maximum would keep -0.0
+        # clipped as tests/svm_reference.py clips: np.clip keeps -0.0, np.maximum(x, 0.0) gives +0.0
+        alpha_next.clip(0.0, upper, out=alpha_next)
         step = alpha_next - alpha
         restart = (_rowdot(grad_v, step) > 0)[:, None]  # non-descent
         step *= _MOMENTUM[since]

@@ -1,5 +1,6 @@
 """Dataset construction checks, ingestion, serialization round-trips and dedup."""
 
+import contextlib
 import re
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rssi_occupancy import dataset as dataset_module
 from rssi_occupancy.dataset import (
     DatasetError,
     DatasetMeta,
@@ -405,10 +407,23 @@ def assert_parses_like_reference(text, meta):
         assert parse_dataset(text, meta) == expected
 
 
+@contextlib.contextmanager
+def small_blocks(block_lines, scan_bytes):
+    """Decode ``block_lines`` lines and search ``scan_bytes`` bytes for line ends at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+        patch.setattr(dataset_module, "_SCAN_BYTES", scan_bytes)
+        yield
+
+
 @settings(max_examples=400, deadline=None)
-@given(dataset_csvs())
-def test_parse_matches_line_by_line_reference(case):
+@given(dataset_csvs(), st.integers(1, 4), st.integers(1, 64))
+def test_parse_matches_line_by_line_reference(case, block_lines, scan_bytes):
     assert_parses_like_reference(*case)
+    # blocks of a few lines and slices of a few bytes: their edges fall beside blank,
+    # respelled and bad lines, inside "\r\n", and before a missing final newline
+    with small_blocks(block_lines, scan_bytes):
+        assert_parses_like_reference(*case)
 
 
 @pytest.mark.parametrize("change", CORRUPTIONS, ids=repr)
@@ -418,7 +433,24 @@ def test_each_corruption_of_a_canonical_line_matches_reference(change):
     for i, text in change.items():
         fields[i] = text
     lines[2] = ",".join(fields)
-    assert_parses_like_reference("\n".join(lines) + "\n", parse_sidecar(COLLECTION_SIDECAR))
+    text, sidecar = "\n".join(lines) + "\n", parse_sidecar(COLLECTION_SIDECAR)
+    assert_parses_like_reference(text, sidecar)
+    for block_lines, scan_bytes in ((1, 7), (2, 50)):  # the bad line alone, and at a block's end
+        with small_blocks(block_lines, scan_bytes):
+            assert_parses_like_reference(text, sidecar)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 1 << 13])
+def test_mixed_breaks_are_numbered_as_splitlines_numbers_them(block_lines, monkeypatch):
+    # "\r\r\n" (CRLF endings converted twice) is two breaks, "\r" then "\r\n", so
+    # every line after one is numbered one further on; the bad line is line 6
+    sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
+    text = "timestamp,M1,occupancy,count\r\r\n0,-50,false,0\r\r\n1,-50,false,0\r\n2,x,false,0\n"
+    monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+    assert_parses_like_reference(text, sidecar)
+    with pytest.raises(DatasetError, match="line 6: non-integer RSSI 'x'"):
+        parse_dataset(text, sidecar)
+    assert_parses_like_reference(text.replace("x", "-50"), sidecar)
 
 
 def test_first_of_two_bad_lines_is_named():
@@ -490,8 +522,10 @@ def test_empty_body_round_trips_without_warnings():
 
 
 def test_parse_peak_memory_is_a_few_times_the_text():
-    # The columnar parse peaks near 5.7x the text, which holds 48 bytes a row; an
-    # (n, 23) int64 digit matrix alone would add 3.8x, and a unicode cell array more.
+    # The text holds 48 bytes a row. Beside it the parse holds its UTF-8 bytes, the
+    # line ends and the output columns, and decodes a block of lines at a time: it
+    # peaks near 3.9x the text here, where one block's temporaries still count, and
+    # near 2.6x at 120,000 rows.
     rng = np.random.default_rng(8)
     n = 20_000
     dataset = RssiDataset(
@@ -509,4 +543,4 @@ def test_parse_peak_memory_is_a_few_times_the_text():
     finally:
         tracemalloc.stop()
     assert parsed == dataset
-    assert peak < 8 * len(text)
+    assert peak < 4.3 * len(text), peak / len(text)

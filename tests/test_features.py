@@ -1,5 +1,7 @@
 """Segmentation and the time/frequency feature catalog."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -577,6 +579,79 @@ class TestBlockMatchesReference:
             build_feature_matrix(random_windows(6, 2, 1, 3, sampling_hz=3.0))
 
 
+def per_row_features(windows):
+    """The feature rows from time_features and freq_features, one sample vector at a time."""
+    vectors = [
+        np.concatenate([time_features(x), freq_features(x, windows.sampling_hz)])
+        for x in windows.samples.reshape(-1, windows.samples.shape[2])
+    ]
+    return np.reshape(vectors, (len(windows), -1))
+
+
+def chunks_of(rows, length):
+    """The ``_CHUNK_BYTES`` that makes chunks of ``rows`` sample vectors of ``length``."""
+    return rows * 8 * length
+
+
+class TestChunks:
+    """build_feature_matrix runs a chunk of rows at a time, with the bits of one pass."""
+
+    def test_several_chunks_match_per_row_features(self, monkeypatch):
+        # 15 rows in chunks of 4; row 7 is singular (autocovariances 2**-1074), in chunk 1 only
+        tiny = 2.0**-537
+        windows = random_windows(7, 5, 3, 20)
+        windows.samples[2, 1] = np.array([tiny] * 10 + [-tiny] * 10)
+        want = per_row_features(windows)
+        monkeypatch.setattr(features, "_CHUNK_BYTES", chunks_of(4, 20))
+        matrix = build_feature_matrix(windows)
+        assert matrix.rows.tobytes() == want.tobytes()
+        assert matrix.diagnostics.nonfinite_replaced == 0
+
+        # A batched solve that fails on chunk 1 alone, as LAPACK builds that flag a
+        # singular block do: that chunk solves row by row, the others stay batched.
+        solve = np.linalg.solve
+        batched_calls = []
+
+        def failing_on_chunk_1(a, b):
+            if np.ndim(a) == 3:
+                batched_calls.append(len(a))
+                if len(batched_calls) == 2:
+                    raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_on_chunk_1)
+        assert build_feature_matrix(windows).rows.tobytes() == want.tobytes()
+        assert batched_calls == [4, 3, 4, 3]  # the singular row's variance**2 underflows: no solve
+
+    def test_variance_overflow_names_the_largest_variance_of_the_block(self, monkeypatch):
+        # both rows' variance**2 overflows; the second, in a later chunk, has the larger variance
+        samples = np.array([[1.3e103, 0.0, 0.0, 0.0], [-1.0] * 4, [2e103, 0.0, 0.0, 0.0]])
+        windows = make_windows(samples[:, None, :])
+        messages = []
+        for chunk_bytes in (chunks_of(1, 4), chunks_of(3, 4)):
+            monkeypatch.setattr(features, "_CHUNK_BYTES", chunk_bytes)
+            with pytest.raises(FeatureError) as raised:
+                build_feature_matrix(windows)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("sample variance 7.5e+205 is too large to featurize")
+
+    def test_peak_memory_is_bounded_by_a_chunk(self):
+        # 600 one-second windows at 200 Hz of 4 transmitters: 14 chunks of samples.
+        # Whole-block temporaries would take ~3x the samples; in chunks the output,
+        # one chunk's temporaries and the window labels' stay under 1.4x.
+        windows = random_windows(3, 600, 4, 200, sampling_hz=200.0)
+        build_feature_matrix(windows[:1])  # first-call allocations (FFT plans) do not count
+        tracemalloc.start()
+        try:
+            build_feature_matrix(windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert windows.samples.nbytes > 10 * features._CHUNK_BYTES
+        assert peak < 1.5 * windows.samples.nbytes, peak / windows.samples.nbytes
+
+
 def former_moments_and_median(x, mean):
     """The expressions the sorted rows replace, on the unsorted rows."""
     deviations = x - mean[:, None]
@@ -625,8 +700,12 @@ class TestSortedRowMoments:
                     patch.setattr(features, "_sorted_moments_and_median", former_moments_and_median)
                     assert block.tobytes() == features._time_block(x).tobytes(), kind
 
-                # one row per chunk, and the whole block as one chunk
+                # build_feature_matrix in chunks of one row, and the whole block as one chunk
+                if length < features.MIN_FEATURE_LENGTH:
+                    continue
+                want = np.where(np.isfinite(block), block, 0.0)  # as the matrix replaces them
                 for chunk_bytes in (1, x.nbytes):
                     with monkeypatch.context() as patch:
-                        patch.setattr(features, "_SORT_CHUNK_BYTES", chunk_bytes)
-                        assert block.tobytes() == features._time_block(x).tobytes(), (kind, chunk_bytes)
+                        patch.setattr(features, "_CHUNK_BYTES", chunk_bytes)
+                        rows = build_feature_matrix(make_windows(x[:, None, :])).rows
+                    assert want.tobytes() == rows[:, : len(T)].tobytes(), (kind, chunk_bytes)
