@@ -48,6 +48,15 @@ class _ArtifactWriter:
             raise
         self.written.append(path)
 
+    def write_all(self, *pairs: tuple[str | Path, str]) -> None:
+        """Write each (path, text) in order; if one fails, remove every file written."""
+        try:
+            for path, text in pairs:
+                self.write(path, text)
+        except Exception:
+            self.rollback()
+            raise
+
     def rollback(self) -> None:
         for path in self.written:
             try:
@@ -97,13 +106,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         _effective_seed(None, scenario.seed)
     dataset = simulate(scenario)
-    writer = _ArtifactWriter()
-    try:
-        writer.write(args.out, serialize_dataset(dataset))
-        writer.write(args.sidecar or _default_sidecar(args.out), serialize_sidecar(dataset))
-    except Exception:
-        writer.rollback()
-        raise
+    _ArtifactWriter().write_all(
+        (args.out, serialize_dataset(dataset)),
+        (args.sidecar or _default_sidecar(args.out), serialize_sidecar(dataset)),
+    )
     print(f"wrote {len(dataset)} records to {args.out}")
     return 0
 
@@ -118,12 +124,7 @@ def _cmd_featurize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, args.sidecar)
     windows = segment(dataset, args.window_s)
     matrix = build_feature_matrix(windows)
-    writer = _ArtifactWriter()
-    try:
-        writer.write(args.out, matrix.to_csv())
-    except Exception:
-        writer.rollback()
-        raise
+    _ArtifactWriter().write_all((args.out, matrix.to_csv()))
     print(f"wrote {matrix.n_rows} windows x {matrix.n_features} features to {args.out}")
     return 0
 
@@ -151,14 +152,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "seed": seed,
         "split": args.split,
     }
-    writer = _ArtifactWriter()
     scores_path = args.scores_csv or str(Path(args.out).with_suffix(".scores.csv"))
-    try:
-        writer.write(args.out, report.to_json())
-        writer.write(scores_path, report.scores_csv())
-    except Exception:
-        writer.rollback()
-        raise
+    _ArtifactWriter().write_all((args.out, report.to_json()), (scores_path, report.scores_csv()))
     print(report.summary())
     print(f"cadence: {report.prediction_cadence}")
     print(f"report: {args.out}")

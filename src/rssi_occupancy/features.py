@@ -56,7 +56,7 @@ RSSI but may round a sum of other floats differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,23 +189,14 @@ class FeatureMatrix:
 
     def take_rows(self, indices: np.ndarray) -> "FeatureMatrix":
         indices = np.asarray(indices)
-        return FeatureMatrix(
-            feature_names=self.feature_names,
-            rows=self.rows[indices],
-            labels_occupancy=self.labels_occupancy[indices],
-            labels_count=self.labels_count[indices],
-            diagnostics=self.diagnostics,
-        )
+        return replace(self, rows=self.rows[indices],
+                       labels_occupancy=self.labels_occupancy[indices],
+                       labels_count=self.labels_count[indices])
 
     def take_columns(self, indices: np.ndarray) -> "FeatureMatrix":
         indices = np.asarray(indices)
-        return FeatureMatrix(
-            feature_names=tuple(self.feature_names[i] for i in indices),
-            rows=self.rows[:, indices],
-            labels_occupancy=self.labels_occupancy,
-            labels_count=self.labels_count,
-            diagnostics=self.diagnostics,
-        )
+        return replace(self, feature_names=tuple(self.feature_names[i] for i in indices),
+                       rows=self.rows[:, indices])
 
     def to_csv(self) -> str:
         header = ",".join((*self.feature_names, "label_occupancy", "label_count"))

@@ -10,13 +10,11 @@ depends on the order nodes are grown in: a forest capped at depth d is the
 deeper forest of the same seed cut at depth d, and on integer-valued
 targets (head counts, the 0/1 occupancy indicator) it equals the forest
 grown node by node. The forest predicts the mean of its trees, and
-boosting the base plus its shrunken rounds: both descend all their trees
-at once, one step per pass through one flat child table whose leaves loop
-to themselves, for as many passes as the deepest tree has levels (see
-``trees``), and add the leaf values in tree order. The selector ranks
-splits on the indicator by variance reduction, half the two-class Gini
-decrease. Tree counts and depths must be integers >= 1 (a depth may be
-None: unbounded).
+boosting the base plus its shrunken rounds: each is one call to
+``trees.leaf_sum``, which descends all the trees at once and adds their
+leaf values in tree order. The selector ranks splits on the indicator by
+variance reduction, half the two-class Gini decrease. Tree counts and
+depths must be integers >= 1 (a depth may be None: unbounded).
 
 Gradient boosting (Friedman, 2001) fits one regression tree per round to
 the residuals under squared loss, with shrinkage 0.1; the recorded training
@@ -32,9 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import (
-    DecisionTree, _leaf_values, _LevelSearch, forest_predict, grow_forest, grow_trees,
-)
+from .trees import DecisionTree, _LevelSearch, grow_forest, grow_trees, leaf_sum
 
 LEARNING_RATE = 0.1
 
@@ -75,7 +71,7 @@ class RandomForest:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return forest_predict(self.trees, X)
+        return leaf_sum(self.trees, X) / len(self.trees)
 
 
 class GradientBoosting:
@@ -110,10 +106,4 @@ class GradientBoosting:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        acc = np.full(X.shape[0], self.base_)
-        for rows, values in _leaf_values(self.trees, X):
-            part = acc[rows]
-            for round_values in values:  # in round order
-                part += LEARNING_RATE * round_values
-        return acc
+        return leaf_sum(self.trees, X, base=self.base_, scale=LEARNING_RATE)

@@ -1,10 +1,20 @@
-"""k-nearest-neighbour classifiers: plain majority vote and distance-weighted."""
+"""k-nearest-neighbour classifiers: plain majority vote and distance-weighted.
+
+``squared_distances`` is the one pairwise distance: the SVM's RBF kernel uses it too.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 _WEIGHT_EPS = 1e-9  # keeps 1/(d + eps) finite for exact duplicates
+
+
+def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a - b|**2 for each row a of ``A`` and b of ``B``: |a|**2 + |b|**2 - 2ab, clipped at 0."""
+    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
 
 
 class NearestNeighbors:
@@ -33,17 +43,8 @@ class NearestNeighbors:
         return self
 
     def _neighbor_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        train = self.X_
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            + np.sum(train**2, axis=1)[None, :]
-            - 2.0 * X @ train.T
-        )
-        np.maximum(d2, 0.0, out=d2)
-        if self.k < train.shape[0]:
-            part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        else:
-            part = np.tile(np.arange(train.shape[0]), (X.shape[0], 1))
+        d2 = squared_distances(X, self.X_)
+        part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
         rows = np.arange(X.shape[0])[:, None]
         picked = d2[rows, part]
         # stable order: by distance, then training index, for deterministic votes

@@ -9,13 +9,19 @@ ordinary least squares on all rows.
 The Theil-Sen estimator aggregates least-squares fits on random subsets with
 the spatial median (Weiszfeld iteration).
 
-Both skip a degenerate subset: one whose design (features and intercept)
-has a lower rank than the whole training design. An exactly dependent
-feature column, such as an interquartile range kept beside both quartiles,
-lowers both ranks alike, so it does not make every subset degenerate.
+Both draw through one sampler, ``_subset_solutions``: from the estimator's
+seed, random subsets of d + 1 rows (d features), each with its least-squares
+solution, or None for a degenerate subset: one whose design (features and
+intercept) has a lower rank than the whole training design. Both skip the
+degenerate ones. An exactly dependent feature column, such as an
+interquartile range kept beside both quartiles, lowers both ranks alike, so
+it does not make every subset degenerate.
 """
 
 from __future__ import annotations
+
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -24,6 +30,24 @@ from .linear import Affine, _least_squares
 RANSAC_TRIALS = 100
 _WEISZFELD_MAX_ITER = 500
 _WEISZFELD_TOL = 1e-10
+
+
+def _subset_solutions(X: np.ndarray, y: np.ndarray, seed: int) -> Iterator[np.ndarray | None]:
+    """Endlessly, the solution [w..., b] on a random subset of d + 1 rows, or None if degenerate.
+
+    Raises ValueError at once if ``X`` has fewer than d + 1 rows.
+    """
+    n, d = X.shape
+    if n < d + 1:
+        raise ValueError(f"need at least {d + 1} rows, got {n}")
+    full_rank = _least_squares(X, y)[1]
+    rng = np.random.default_rng(seed)
+
+    def solve(subset: np.ndarray) -> np.ndarray | None:
+        solution, rank = _least_squares(X[subset], y[subset])
+        return solution if rank >= full_rank else None
+
+    return (solve(rng.choice(n, size=d + 1, replace=False)) for _ in count())
 
 
 class RansacRegression(Affine):
@@ -39,22 +63,15 @@ class RansacRegression(Affine):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RansacRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
-        min_samples = d + 1
-        if n < min_samples:
-            raise ValueError(f"need at least {min_samples} rows, got {n}")
+        solutions = _subset_solutions(X, y, self.seed)
         threshold = float(np.quantile(np.abs(y - np.median(y)), self.residual_quantile))
         if threshold <= 0:
             threshold = 1e-12
 
-        full_rank = _least_squares(X, y)[1]
-        rng = np.random.default_rng(self.seed)
         best: tuple[int, float] | None = None
         best_mask: np.ndarray | None = None
-        for _ in range(RANSAC_TRIALS):
-            subset = rng.choice(n, size=min_samples, replace=False)
-            solution, rank = _least_squares(X[subset], y[subset])
-            if rank < full_rank:
+        for solution in islice(solutions, RANSAC_TRIALS):
+            if solution is None:
                 continue
             residuals = np.abs(X @ solution[:-1] + solution[-1] - y)
             mask = residuals <= threshold
@@ -99,21 +116,8 @@ class TheilSenRegression(Affine):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "TheilSenRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        n, d = X.shape
-        subset_size = d + 1
-        if n < subset_size:
-            raise ValueError(f"need at least {subset_size} rows, got {n}")
-
-        full_rank = _least_squares(X, y)[1]
-        rng = np.random.default_rng(self.seed)
-        solutions = []
-        attempts = 0
-        while len(solutions) < self.n_subsets and attempts < 10 * self.n_subsets:
-            attempts += 1
-            subset = rng.choice(n, size=subset_size, replace=False)
-            solution, rank = _least_squares(X[subset], y[subset])
-            if rank >= full_rank:
-                solutions.append(solution)
+        drawn = islice(_subset_solutions(X, y, self.seed), 10 * self.n_subsets)
+        solutions = list(islice((s for s in drawn if s is not None), self.n_subsets))
         if not solutions:
             raise ValueError("every sampled subset was rank-deficient")
 

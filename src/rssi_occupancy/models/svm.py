@@ -52,6 +52,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .neighbors import squared_distances
+
 KERNELS = ("linear", "poly", "rbf")
 LOSSES = ("hinge", "squared_hinge")
 
@@ -85,13 +87,7 @@ def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.
     if kind == "poly":
         return (gamma * (A @ B.T) + _COEF0) ** _DEGREE
     if kind == "rbf":
-        sq = (
-            np.sum(A**2, axis=1)[:, None]
-            + np.sum(B**2, axis=1)[None, :]
-            - 2.0 * A @ B.T
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-gamma * sq)
+        return np.exp(-gamma * squared_distances(A, B))
     raise ValueError(f"unknown kernel {kind!r}")
 
 

@@ -88,14 +88,17 @@ search, and which way depends on how the nodes fall into chunks. So a change
 to ``_CHUNK_CELLS`` may move boosting's output: at 45 Hz, a bound of 1 moves
 its counting-features CV RMSE from 0.0847 to 0.0794.
 
-Prediction: every tree prediction is one descent, ``_leaf_values``. The
-trees' nodes lie end to end in one child table, where a leaf's children are
-itself, and each pass moves all (tree, row) pairs of a chunk of rows by one
-gather-compare-gather step: right where the row's value is not ``<=`` the
-threshold (NaN goes right), and a pair at a leaf stays. After as many passes
-as the deepest tree has levels (``DecisionTree.depth``), every pair is at its
-leaf. A chunk holds at most ``_CHUNK_CELLS`` pairs, or one row, and its leaf
-values are added tree by tree, so sums keep the bits of a per-tree loop.
+Prediction: every tree prediction is one call to ``leaf_sum``, which adds
+``scale`` times each tree's leaf value to ``base`` per row: one tree with
+``base`` -0.0 (``-0.0 + v`` is ``v``, signed zeros included), a forest's
+sum, and boosting's base plus its shrunken rounds. The trees' nodes lie end
+to end in one child table, where a leaf's children are itself, and each pass
+moves all (tree, row) pairs of a chunk of rows by one gather-compare-gather
+step: right where the row's value is not ``<=`` the threshold (NaN goes
+right), and a pair at a leaf stays. After as many passes as the deepest tree
+has levels (``DecisionTree.depth``), every pair is at its leaf. A chunk
+holds at most ``_CHUNK_CELLS`` pairs, or one row, and its leaf values are
+added tree by tree, so sums keep the bits of a per-tree loop.
 """
 
 from __future__ import annotations
@@ -123,26 +126,13 @@ class DecisionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The leaf value of each row."""
-        X = np.asarray(X, dtype=np.float64)
-        leaf_values = np.empty(X.shape[0])
-        for rows, values in _leaf_values([self], X):
-            leaf_values[rows] = values[0]
-        return leaf_values
+        return leaf_sum([self], X, base=-0.0)
 
 
-def forest_predict(trees: Sequence[DecisionTree], X: np.ndarray) -> np.ndarray:
-    """The mean of the trees' predictions for each row of ``X``, summed in tree order."""
+def leaf_sum(trees: Sequence[DecisionTree], X: np.ndarray, base: float = 0.0,
+             scale: float = 1.0) -> np.ndarray:
+    """Per row of ``X``, ``base`` plus ``scale`` times each tree's leaf value, in tree order."""
     X = np.asarray(X, dtype=np.float64)
-    total = np.zeros(X.shape[0])
-    for rows, values in _leaf_values(trees, X):
-        part = total[rows]
-        for tree_values in values:
-            part += tree_values
-    return total / len(trees)
-
-
-def _leaf_values(trees: Sequence[DecisionTree], X: np.ndarray):
-    """Per chunk of m rows of ``X``: its slice, and the trees' leaf values, (n_trees, m)."""
     n = X.shape[0]
     columns = X.T.ravel()  # X[i, j] is columns[j * n + i]
     sizes = [tree.feature.size for tree in trees]
@@ -156,6 +146,7 @@ def _leaf_values(trees: Sequence[DecisionTree], X: np.ndarray):
         column_start[root + inner] = tree.feature[inner] * n
         threshold_or_value[root + inner] = tree.threshold[inner]  # a leaf keeps its value
     passes = max(tree.depth for tree in trees)
+    total = np.full(n, base)
     step = max(1, _CHUNK_CELLS // len(trees))
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
@@ -163,7 +154,10 @@ def _leaf_values(trees: Sequence[DecisionTree], X: np.ndarray):
         for _ in range(passes):
             right = ~(columns[column_start[at] + row] <= threshold_or_value[at])
             at = child[2 * at + right]
-        yield slice(start, start + rows.size), threshold_or_value[at].reshape(len(trees), -1)
+        part = total[start : start + rows.size]
+        for tree_values in threshold_or_value[at].reshape(len(trees), -1):
+            part += scale * tree_values
+    return total
 
 
 def grow_forest(

@@ -19,7 +19,7 @@ the single top column is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,13 +70,7 @@ def apply_scaler(matrix: FeatureMatrix, params: ScalerParams) -> FeatureMatrix:
         )
     iqr = params.q3 - params.q1
     divisor = np.where(iqr > 0, iqr, 1.0)
-    return FeatureMatrix(
-        feature_names=matrix.feature_names,
-        rows=(matrix.rows - params.q2) / divisor,
-        labels_occupancy=matrix.labels_occupancy,
-        labels_count=matrix.labels_count,
-        diagnostics=matrix.diagnostics,
-    )
+    return replace(matrix, rows=(matrix.rows - params.q2) / divisor)
 
 
 def _duplicate_groups(rows: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -28,9 +28,11 @@ from rssi_occupancy.models import (
 )
 from rssi_occupancy.models import ensembles as ensembles_module
 from rssi_occupancy.models import linear as linear_module
+from rssi_occupancy.models import robust as robust_module
 from rssi_occupancy.models import svm as svm_module
 from rssi_occupancy.models import trees as trees_module
 from rssi_occupancy.models.ensembles import LEARNING_RATE
+from rssi_occupancy.models.robust import RansacRegression, TheilSenRegression
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,22 @@ class TestNeighbors:
         y = np.array([True, False, True])
         with pytest.raises(Exception):
             fit(ModelSpec("knn", {"k": 11}), X, y)
+
+    @pytest.mark.parametrize("family", ["knn", "wknn"])
+    def test_k_equal_to_the_rows_votes_over_every_row(self, family):
+        rng = np.random.default_rng(44)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 3, 30)
+        probe = np.vstack([X[:5], rng.normal(size=(25, 3)) * 2])  # some at a training row
+        model = fit(ModelSpec(family, {"k": X.shape[0]}), X, y)
+        classes = np.unique(y)
+        want = []
+        for row in probe:
+            distance = np.sqrt(np.sum((X - row) ** 2, axis=1))
+            weight = 1.0 / (distance + 1e-9) if family == "wknn" else np.ones(X.shape[0])
+            votes = [weight[y == c].sum() for c in classes]
+            want.append(classes[int(np.argmax(votes))])  # ties: the smallest class
+        assert np.array_equal(model.predict(probe), want)
 
 
 class TestDiscriminant:
@@ -435,6 +453,67 @@ class TestRobustModels:
     def test_theil_sen_needs_enough_rows(self):
         with pytest.raises(Exception):
             fit(ModelSpec("theil_sen"), np.zeros((2, 4)), np.array([1.0, 2.0]))
+
+    @staticmethod
+    def mostly_degenerate(seed):
+        """95 copies of one row and 5 others: most subsets of 3 rows have rank < 3."""
+        rng = np.random.default_rng(seed)
+        X = np.vstack([np.zeros((95, 2)), rng.normal(size=(5, 2))])
+        return X, rng.normal(size=100)
+
+    def test_ransac_draws_as_the_former_loop(self):
+        X, y = self.mostly_degenerate(52)
+        model = RansacRegression(seed=9).fit(X, y)
+        # the former loop, which drew and solved its own subsets
+        threshold = float(np.quantile(np.abs(y - np.median(y)), 0.5))
+        full_rank = linear_module._least_squares(X, y)[1]
+        rng = np.random.default_rng(9)
+        best = best_mask = None
+        skipped = 0
+        for _ in range(robust_module.RANSAC_TRIALS):
+            subset = rng.choice(100, size=3, replace=False)
+            solution, rank = linear_module._least_squares(X[subset], y[subset])
+            if rank < full_rank:
+                skipped += 1
+                continue
+            residuals = np.abs(X @ solution[:-1] + solution[-1] - y)
+            mask = residuals <= threshold
+            score = (int(mask.sum()), -float(np.sum(residuals[mask] ** 2)))
+            if best is None or score > best:
+                best, best_mask = score, mask
+        assert 0 < skipped < robust_module.RANSAC_TRIALS
+        solution = linear_module._least_squares(X[best_mask], y[best_mask])[0]
+        assert model.coef_.tobytes() == solution[:-1].tobytes()
+        assert model.intercept_ == float(solution[-1])
+        assert model.n_inliers_ == int(best_mask.sum())
+
+    def test_theil_sen_draws_as_the_former_loop(self):
+        X, y = self.mostly_degenerate(53)
+        model = TheilSenRegression(n_subsets=10, seed=9).fit(X, y)
+        # the former loop, which drew and solved its own subsets
+        full_rank = linear_module._least_squares(X, y)[1]
+        rng = np.random.default_rng(9)
+        solutions, attempts = [], 0
+        while len(solutions) < 10 and attempts < 100:
+            attempts += 1
+            subset = rng.choice(100, size=3, replace=False)
+            solution, rank = linear_module._least_squares(X[subset], y[subset])
+            if rank >= full_rank:
+                solutions.append(solution)
+        assert attempts == 100 and 0 < len(solutions) < 10  # the attempt cap ends the draws
+        solution = robust_module.spatial_median(np.vstack(solutions))
+        assert model.coef_.tobytes() == solution[:-1].tobytes()
+        assert model.intercept_ == float(solution[-1])
+
+    @pytest.mark.parametrize("model", [RansacRegression(), TheilSenRegression(n_subsets=1)])
+    def test_robust_fit_errors(self, model):
+        with pytest.raises(ValueError, match="need at least 5 rows, got 2"):
+            model.fit(np.zeros((2, 4)), np.array([1.0, 2.0]))
+        # one row of 10,001 differs: nearly every pair of rows has rank 1
+        X = np.zeros((10_001, 1))
+        X[0] = 1.0
+        with pytest.raises(ValueError, match="every sampled subset was rank-deficient"):
+            model.fit(X, np.arange(10_001.0))
 
     @pytest.mark.parametrize("family", ["ransac", "theil_sen"])
     def test_exactly_dependent_column_still_fits(self, family):
@@ -787,10 +866,9 @@ class TestBootstrapWeights:
         first = unit[0]
         # the first tree with each node's number as its value: the descent gives each row's leaf
         numbered = trees_module.DecisionTree(first.feature, first.threshold, first.left,
-                                             first.right, np.arange(first.value.size), None,
-                                             first.depth)
-        chunks = trees_module._leaf_values([numbered], X[copies[0]])
-        leaf = np.concatenate([values[0] for _, values in chunks])
+                                             first.right, np.arange(first.value.size, dtype=float),
+                                             None, first.depth)
+        leaf = numbered.predict(X[copies[0]])
         (at,) = set(leaf[copies[0] == 7])
         assert at > 0 and np.all(copies[0][leaf == at] == 7)
 
