@@ -84,7 +84,8 @@ def _load_dataset(path: str, sidecar: str | None):
     _require_file(path)
     _require_file(sidecar)
     meta = parse_sidecar(Path(sidecar).read_text(encoding="utf-8"))
-    return parse_dataset(Path(path).read_text(encoding="utf-8"), meta)
+    with open(path, encoding="utf-8") as csv_file:  # read a chunk at a time, never whole
+        return parse_dataset(csv_file, meta)
 
 
 def _effective_seed(seed: int | None, fallback: int | None = None) -> int:
@@ -123,7 +124,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_featurize(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args.dataset, args.sidecar)
     windows = segment(dataset, args.window_s)
+    del dataset  # the windows hold all that featurize reads
     matrix = build_feature_matrix(windows)
+    del windows
     _ArtifactWriter().write_all((args.out, matrix.to_csv()))
     print(f"wrote {matrix.n_rows} windows x {matrix.n_features} features to {args.out}")
     return 0

@@ -19,15 +19,19 @@ arithmetic; every other line takes the per-line checks, ``strptime``
 included. The first bad line is then checked again on its own, so the error
 names the same line and says the same as a line-by-line pass.
 
-The bulk decode runs on blocks of ``_BLOCK_LINES`` lines, each written into
-the preallocated output columns, and line ends are found a slice of
-``_SCAN_BYTES`` at a time, so the parse's temporaries are bounded by a block,
-not by the text. Beside the text it is given, a parse holds the text's UTF-8
-bytes, the line ends and the columns: it peaks near 2.6x the text on 120,000
-rows of four transmitters (near 3.9x on 20,000, where a block's temporaries
-still count). Text with line breaks other than ``\n`` is first rewritten
-with ``\n`` breaks, through a list of its lines; that copy is dropped once
-the text is encoded.
+The text, or an open text file, is read ``_CHUNK_CHARS`` characters at a
+time. Each chunk is cut after its last ``\\n`` and the partial line is
+carried into the next; a piece with line breaks other than ``\\n`` has them
+rewritten, through a list of its lines, and the piece is encoded to UTF-8.
+Lines keep the numbers ``str.splitlines`` gives them, across chunk edges
+too. The bulk decode runs on blocks of ``_BLOCK_LINES`` lines of a piece and
+writes them straight into the output columns, which grow in place a piece
+at a time and are never copied whole. So a parse holds the columns plus a
+chunk, not the text: reading a file, it peaks near 6.4 chunks above the
+columns whatever the file's length; given the text, near 1.2x the text on
+120,000 rows of four transmitters (2.2x on 20,000, where a chunk still
+counts). A byte that a file cannot decode is reported with its line, found
+by decoding the file again from its start.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import calendar
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -119,17 +123,23 @@ class RssiDataset:
                 f"column shapes timestamps_ms {timestamps.shape}, rssi {rssi.shape}, "
                 f"counts {counts.shape} do not fit (n,), (n, {len(ids)}), (n,)"
             )
-        for bad, problem in (
-            (np.diff(timestamps, prepend=timestamps[:1]) < 0, "timestamp decreases"),
-            (((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any(axis=1), "RSSI outside dBm range"),
-            (counts < 0, "negative count"),
-        ):
-            if bad.any():
-                i = int(bad.argmax())
-                raise DatasetError(
-                    f"record {i}: {problem} (timestamp_ms {timestamps[i]}, "
-                    f"rssi {rssi[i].tolist()}, count {counts[i]})"
-                )
+        # Reductions first, so a valid dataset is checked without row-sized
+        # temporaries; the mask that locates the first bad record is built on failure.
+        decreases = timestamps[1:] < timestamps[:-1]
+        if decreases.any():
+            bad, problem = np.append(False, decreases), "timestamp decreases"
+        elif rssi.size and (rssi.min() < RSSI_MIN or rssi.max() > RSSI_MAX):
+            bad = ((rssi < RSSI_MIN) | (rssi > RSSI_MAX)).any(axis=1)
+            problem = "RSSI outside dBm range"
+        elif counts.size and counts.min() < 0:
+            bad, problem = counts < 0, "negative count"
+        else:
+            return
+        i = int(bad.argmax())
+        raise DatasetError(
+            f"record {i}: {problem} (timestamp_ms {timestamps[i]}, "
+            f"rssi {rssi[i].tolist()}, count {counts[i]})"
+        )
 
     def __len__(self) -> int:
         return self.timestamps_ms.shape[0]
@@ -183,9 +193,9 @@ _OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # The canonical timestamp, one letter per digit; every other character is literal.
 _STAMP_LAYOUT = "dd/mm/yyyy HH:MM:SS.fff"
 
-# Body lines decoded at a time, and bytes searched for line ends at a time.
+# Body lines decoded at a time, and characters read from the source at a time.
 _BLOCK_LINES = 1 << 13
-_SCAN_BYTES = 1 << 20
+_CHUNK_CHARS = 1 << 18
 
 
 def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
@@ -422,109 +432,202 @@ def _decode_rows(
     return canonical
 
 
-def parse_dataset(csv_text: str, meta: DatasetMeta) -> RssiDataset:
-    """Parse the dataset CSV against its sidecar.
+def _encoded_lines(text: str) -> bytes:
+    """``text``, which ends in a line break, in UTF-8 with every line break written as ``\\n``."""
+    if any(char in text for char in _OTHER_LINE_BREAKS):
+        text = "\n".join(text.splitlines()) + "\n"
+    # Lines may hold any character but '\n'; UTF-8 keeps every other character above ASCII.
+    return text.encode("utf-8", "surrogatepass")
 
-    Raises :class:`DatasetError` with the offending line number on the first
-    malformed row, label inconsistency, RSSI out of [-127, 0], epoch-ms
-    timestamp or count beyond int64, timestamp disorder, or MAC mismatch
-    against the sidecar.
+
+def _pieces(source: str | TextIO) -> Iterator[bytes]:
+    """The lines of ``source``, as ``str.splitlines`` finds them, in UTF-8 pieces of whole lines.
+
+    The source is read ``_CHUNK_CHARS`` characters at a time. Each piece runs
+    to the last ``\\n`` of a chunk, and each of its lines ends in ``\\n``;
+    what follows is carried into the next piece. A byte that the file cannot
+    decode raises :class:`DatasetError` once the lines before it are given out.
     """
-    if any(char in csv_text for char in _OTHER_LINE_BREAKS):
-        csv_text = "\n".join(csv_text.splitlines())
-    # Lines are numbered as str.splitlines numbers them, and may hold any
-    # character but '\n'; UTF-8 keeps every other character above ASCII.
-    data = csv_text.encode("utf-8", "surrogatepass")
-    del csv_text  # a rewritten copy of the caller's text is not needed past here
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # line i is data[ends[i - 1] + 1 : ends[i]]; the '\n' are found a slice at a time
-    ends = np.empty(data.count(b"\n") + (not data.endswith(b"\n")), dtype=np.int64)
-    found = 0
-    for lo in range(0, buf.size, _SCAN_BYTES):
-        breaks = np.flatnonzero(buf[lo : lo + _SCAN_BYTES] == ord("\n"))
-        ends[found : found + breaks.size] = breaks + lo
-        found += breaks.size
-    ends[found:] = buf.size  # a last line without its '\n'
-
-    def line(i: int) -> str:
-        start = ends[i - 1] + 1 if i else 0
-        return data[start : ends[i]].decode("utf-8", "surrogatepass")
-
-    header_index = next((i for i in range(ends.size) if line(i).strip()), None)
-    if header_index is None:
-        raise DatasetError("empty input: no header row")
-
-    header_lineno = header_index + 1
-    fields = [f.strip() for f in line(header_index).split(",")]
-    if len(fields) < 4 or fields[0] != "timestamp" or fields[-2:] != ["occupancy", "count"]:
-        raise DatasetError(
-            "header must be 'timestamp,<mac_1>,...,<mac_n>,occupancy,count'", header_lineno
-        )
-    macs = fields[1:-2]
-    if len(set(macs)) != len(macs):
-        raise DatasetError("duplicate MAC column in header", header_lineno)
-    for mac in macs:
-        if mac not in meta.distance_by_mac:
-            raise DatasetError(f"MAC {mac!r} not present in sidecar", header_lineno)
-    extra = set(meta.distance_by_mac) - set(macs)
-    if extra:
-        raise DatasetError(
-            f"sidecar lists MACs absent from the CSV header: {sorted(extra)}", header_lineno
-        )
-
-    transmitters = tuple(
-        TransmitterMeta(id=mac, distance_cm=int(meta.distance_by_mac[mac])) for mac in macs
-    )
-
-    # Body row i is line first + i, numbered first + i + 1. Blank and non-canonical
-    # lines get the per-line checks. Checked without the order, the first line that
-    # fails ends the scan: no later line can matter.
-    first = header_index + 1
-    n_rows = ends.size - first
-    timestamps = np.empty(n_rows, dtype=np.int64)
-    rssi = np.empty((n_rows, len(macs)), dtype=np.int64)
-    counts = np.empty(n_rows, dtype=np.int64)
-    blank: list[int] = []
-    end = n_rows
-    for lo in range(0, n_rows, _BLOCK_LINES):
-        block = slice(lo, lo + _BLOCK_LINES)
-        starts = ends[first - 1 : -1][block] + 1
-        canonical = _decode_rows(
-            buf, starts, ends[first:][block], timestamps[block], rssi[block], counts[block]
-        )
-        for i in (lo + np.flatnonzero(~canonical)).tolist():
-            raw = line(first + i)
-            if not raw.strip():
-                blank.append(i)
+    if isinstance(source, str):
+        chunks = (source[lo : lo + _CHUNK_CHARS] for lo in range(0, len(source), _CHUNK_CHARS))
+    else:
+        chunks = iter(lambda: source.read(_CHUNK_CHARS), "")
+    carry: list[str] = []  # the text since the last '\n'
+    lines = 0  # lines given out
+    try:
+        for chunk in chunks:
+            cut = chunk.rfind("\n") + 1
+            if not cut:
+                carry.append(chunk)
                 continue
-            try:
-                timestamps[i], rssi[i], counts[i] = _parse_row(raw, first + i + 1, macs, None)
-            except DatasetError:
-                end = i
-                break
-        if end < n_rows:
+            piece = _encoded_lines("".join([*carry, chunk[:cut]]))
+            carry = [chunk[cut:]]
+            del chunk
+            lines += piece.count(b"\n")
+            yield piece
+    except UnicodeDecodeError as error:
+        yield from _undecodable(source, error, lines)
+    tail = "".join(carry)
+    if tail:
+        yield _encoded_lines(tail + "\n")  # a '\r' that ends the text pairs with the '\n'
+
+
+def _undecodable(source: TextIO, error: UnicodeDecodeError, lines: int) -> Iterator[bytes]:
+    """Give out the lines after the first ``lines`` that precede the byte that failed, then raise.
+
+    The :class:`DatasetError` names the line of that byte, which is found by
+    decoding the file again from its start; a stream that cannot be read
+    again gets the error without a line.
+    """
+    bad = error.object[error.start : error.end]
+    message = f"not valid {error.encoding}: {bad!r} ({error.reason})"
+    try:
+        source.buffer.seek(0)
+        source.buffer.read().decode(source.encoding)
+    except UnicodeDecodeError as again:  # the same byte, at its offset in the file
+        before = (again.object[: again.start].decode(again.encoding) + "_").splitlines()
+        if len(before) - 1 > lines:
+            yield _encoded_lines("\n".join(before[lines:-1]) + "\n")
+        raise DatasetError(message, len(before)) from None
+    except (AttributeError, OSError):
+        pass
+    raise DatasetError(message) from None
+
+
+def _line(data: bytes, starts: np.ndarray, ends: np.ndarray, i: int) -> str:
+    return data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
+
+
+def _decode_block(
+    data: bytes,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    first_line: int,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+    written: int,
+    macs: list[str],
+) -> int:
+    """Write the records of the lines ``data[starts[i]:ends[i]]`` into the columns; return how many.
+
+    Line i is numbered ``first_line + i``; its record, if it holds one, goes
+    to the first free row from ``written`` on. The first bad line, or the
+    first record whose timestamp is below the one before it, raises what a
+    line-by-line pass would raise.
+    """
+    timestamps, rssi, counts = columns
+    rows = slice(written, written + starts.size)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    canonical = _decode_rows(buf, starts, ends, timestamps[rows], rssi[rows], counts[rows])
+
+    # Blank and non-canonical lines get the per-line checks. Checked without the
+    # order, the first line that fails ends the block: no later line can matter.
+    blank: list[int] = []
+    failed = starts.size
+    for i in np.flatnonzero(~canonical).tolist():
+        raw = _line(data, starts, ends, i)
+        if not raw.strip():
+            blank.append(i)
+            continue
+        try:
+            row = _parse_row(raw, first_line + i, macs, None)
+        except DatasetError:
+            failed = i
             break
-    rows = range(end)  # the body row of each record
-    timestamps, rssi, counts = timestamps[:end], rssi[:end], counts[:end]
+        timestamps[written + i], rssi[written + i], counts[written + i] = row
+    records = np.delete(np.arange(failed), blank)  # the line of each record
     if blank:
-        rows = np.delete(np.arange(end), blank)
-        timestamps, rssi, counts = timestamps[rows], rssi[rows], counts[rows]
-    decreases = timestamps[1:] < timestamps[:-1]
-    if decreases.any() or end < n_rows:
+        for column in columns:
+            column[written : written + records.size] = column[written + records]
+    before = min(written, 1)  # the record before the block, if any
+    stamps = timestamps[written - before : written + records.size]
+    decreases = np.flatnonzero(stamps[1:] < stamps[:-1])
+    if decreases.size or failed < starts.size:
         # The first bad line is the first decrease or the line that failed, whichever
         # comes first; its checks, now with the order, raise what a line-by-line pass would.
-        k = int(decreases.argmax()) + 1 if decreases.any() else len(rows)
-        i = int(rows[k]) if k < len(rows) else end
-        prev_ts = int(timestamps[k - 1]) if k else None
-        _parse_row(line(first + i), first + i + 1, macs, prev_ts)
+        k = int(decreases[0]) + 1 - before if decreases.size else records.size
+        i = int(records[k]) if k < records.size else failed
+        prev_ts = int(timestamps[written + k - 1]) if written + k else None
+        _parse_row(_line(data, starts, ends, i), first_line + i, macs, prev_ts)
+    return records.size
 
+
+def parse_dataset(source: str | TextIO, meta: DatasetMeta) -> RssiDataset:
+    """Parse the dataset CSV, as text or a text file open at its start, against its sidecar.
+
+    The text is read and decoded a chunk at a time into columns that grow
+    in place. Raises :class:`DatasetError` with the offending line number on
+    the first malformed row, label inconsistency, RSSI out of [-127, 0],
+    epoch-ms timestamp or count beyond int64, timestamp disorder, byte the
+    file cannot decode, or MAC mismatch against the sidecar.
+    """
+    macs: list[str] | None = None
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] = ()
+    written = 0  # records in the columns
+    lines = 0  # lines before the piece
+    for data in _pieces(source):
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        starts = np.empty_like(ends)  # line i of the piece is data[starts[i]:ends[i]]
+        starts[:1] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        first = 0  # the piece's first body line
+        if macs is None:
+            first = next(
+                (i for i in range(ends.size) if _line(data, starts, ends, i).strip()), None
+            )
+            if first is None:
+                lines += ends.size
+                continue
+            macs = _parse_header(_line(data, starts, ends, first), lines + first + 1, meta)
+            columns = (
+                np.empty(0, dtype=np.int64),
+                np.empty((0, len(macs)), dtype=np.int64),
+                np.empty(0, dtype=np.int64),
+            )
+            first += 1
+        _resize(columns, written + ends.size - first)
+        for lo in range(first, ends.size, _BLOCK_LINES):
+            block = slice(lo, lo + _BLOCK_LINES)
+            written += _decode_block(
+                data, starts[block], ends[block], lines + lo + 1, columns, written, macs
+            )
+        lines += ends.size
+    if macs is None:
+        raise DatasetError("empty input: no header row")
+    _resize(columns, written)
+    timestamps, rssi, counts = columns
     return RssiDataset(
-        transmitters=transmitters,
+        transmitters=tuple(
+            TransmitterMeta(id=mac, distance_cm=int(meta.distance_by_mac[mac])) for mac in macs
+        ),
         timestamps_ms=timestamps,
         rssi=rssi,
         counts=counts,
         sampling_hz=meta.sampling_hz,
     )
+
+
+def _resize(columns: tuple[np.ndarray, ...], rows: int) -> None:
+    """Grow or shrink each column in place to ``rows`` rows; the rows kept keep their values."""
+    for column in columns:
+        if column.shape[0] != rows:
+            column.resize((rows, *column.shape[1:]), refcheck=False)
+
+
+def _parse_header(header: str, line: int, meta: DatasetMeta) -> list[str]:
+    """The MAC columns of the CSV header on ``line``, checked against the sidecar."""
+    fields = [f.strip() for f in header.split(",")]
+    if len(fields) < 4 or fields[0] != "timestamp" or fields[-2:] != ["occupancy", "count"]:
+        raise DatasetError("header must be 'timestamp,<mac_1>,...,<mac_n>,occupancy,count'", line)
+    macs = fields[1:-2]
+    if len(set(macs)) != len(macs):
+        raise DatasetError("duplicate MAC column in header", line)
+    for mac in macs:
+        if mac not in meta.distance_by_mac:
+            raise DatasetError(f"MAC {mac!r} not present in sidecar", line)
+    extra = set(meta.distance_by_mac) - set(macs)
+    if extra:
+        raise DatasetError(f"sidecar lists MACs absent from the CSV header: {sorted(extra)}", line)
+    return macs
 
 
 def _encode_ints(values: np.ndarray) -> np.ndarray:

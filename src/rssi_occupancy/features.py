@@ -147,12 +147,20 @@ class Windows:
     @property
     def labels_count(self) -> np.ndarray:
         ordered = np.sort(self.counts, axis=1)
-        positions = np.arange(ordered.shape[1])
-        starts = np.ones(ordered.shape, dtype=bool)
-        starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        # at each position, how many equal counts end there; the last longest run wins
-        run = positions - np.maximum.accumulate(np.where(starts, positions, 0), axis=1) + 1
-        last_longest = np.argmax(run * ordered.shape[1] + positions, axis=1)
+        length = ordered.shape[1]
+        positions = np.arange(length)
+        # key = run * length + position, where run is how many equal counts end at
+        # the position: the last longest run has the largest key. Built in place.
+        key = np.empty(ordered.shape, dtype=np.int64)
+        flat = ordered.reshape(-1)  # compared as one contiguous run, without buffers
+        np.not_equal(flat[1:], flat[:-1], out=key.reshape(-1)[1:])
+        key[:, 0] = 0  # each row's first run starts at 0
+        key *= positions  # where a run starts, its position; elsewhere 0
+        np.maximum.accumulate(key, axis=1, out=key)  # where the run at each position starts
+        np.subtract(positions + 1, key, out=key)
+        key *= length
+        key += positions
+        last_longest = np.argmax(key, axis=1)
         return np.take_along_axis(ordered, last_longest[:, None], axis=1)[:, 0]
 
 

@@ -137,6 +137,18 @@ class TestValidate:
         expected = f"error: line 2: sampling_hz must be positive and finite, got {rate}\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("line", [500, 8000])
+    def test_undecodable_byte_exits_2_naming_its_line(self, tmp_path, dataset_files, capsys, line):
+        # 8,101 CRLF lines, more than one chunk: the error names the line, not an offset
+        lines = dataset_files.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b",\xff", 1)
+        csv = tmp_path / "x.csv"
+        csv.write_bytes(b"\r\n".join(lines))
+        (tmp_path / "x.sidecar").write_bytes(dataset_files.with_suffix(".sidecar").read_bytes())
+        assert cli.main(["validate", str(csv)]) == 2
+        expected = f"error: line {line}: not valid utf-8: b'\\xff' (invalid start byte)\n"
+        assert capsys.readouterr().err == expected
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         csv.write_text("timestamp,M1,occupancy,count\n")
@@ -156,6 +168,14 @@ class TestFeaturize:
         first = out.read_bytes()
         assert cli.main(args) == 0
         assert out.read_bytes() == first
+
+    def test_crlf_copy_writes_the_same_bytes(self, tmp_path, dataset_files):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(dataset_files.read_bytes().replace(b"\n", b"\r\n"))
+        (tmp_path / "crlf.sidecar").write_bytes(dataset_files.with_suffix(".sidecar").read_bytes())
+        assert cli.main(["featurize", str(dataset_files), "--out", str(tmp_path / "lf.out")]) == 0
+        assert cli.main(["featurize", str(crlf), "--out", str(tmp_path / "crlf.out")]) == 0
+        assert (tmp_path / "crlf.out").read_bytes() == (tmp_path / "lf.out").read_bytes()
 
     def test_too_short_dataset_fails(self, tmp_path):
         csv = tmp_path / "tiny.csv"

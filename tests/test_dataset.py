@@ -1,6 +1,7 @@
 """Dataset construction checks, ingestion, serialization round-trips and dedup."""
 
 import contextlib
+import io
 import re
 import tracemalloc
 import warnings
@@ -395,35 +396,147 @@ def dataset_csvs(draw):
     return text, meta_of(dataset)
 
 
+def open_text(data):
+    """``data`` (bytes) as the CLI opens a dataset file: strict UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def parse_file(text, meta):
+    with open_text(text.encode("utf-8")) as file:
+        return parse_dataset(file, meta)
+
+
 def assert_parses_like_reference(text, meta):
-    """The same dataset as the line-by-line parser, or the same error on the same line."""
+    """The same dataset as the line-by-line parser, or the same error on the same line.
+
+    The text is parsed as given and as a file holding it.
+    """
     try:
         expected = reference.parse_dataset(text, meta)
     except DatasetError as error:
-        with pytest.raises(DatasetError) as raised:
-            parse_dataset(text, meta)
-        assert (str(raised.value), raised.value.line) == (str(error), error.line)
+        for parse in (parse_dataset, parse_file):
+            with pytest.raises(DatasetError) as raised:
+                parse(text, meta)
+            assert (str(raised.value), raised.value.line) == (str(error), error.line)
     else:
         assert parse_dataset(text, meta) == expected
+        assert parse_file(text, meta) == expected
 
 
 @contextlib.contextmanager
-def small_blocks(block_lines, scan_bytes):
-    """Decode ``block_lines`` lines and search ``scan_bytes`` bytes for line ends at a time."""
+def small_pieces(block_lines, chunk_chars):
+    """Decode ``block_lines`` lines and read ``chunk_chars`` characters at a time."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
-        patch.setattr(dataset_module, "_SCAN_BYTES", scan_bytes)
+        patch.setattr(dataset_module, "_CHUNK_CHARS", chunk_chars)
         yield
 
 
 @settings(max_examples=400, deadline=None)
 @given(dataset_csvs(), st.integers(1, 4), st.integers(1, 64))
-def test_parse_matches_line_by_line_reference(case, block_lines, scan_bytes):
+def test_parse_matches_line_by_line_reference(case, block_lines, chunk_chars):
     assert_parses_like_reference(*case)
-    # blocks of a few lines and slices of a few bytes: their edges fall beside blank,
-    # respelled and bad lines, inside "\r\n", and before a missing final newline
-    with small_blocks(block_lines, scan_bytes):
+    # blocks of a few lines and chunks of a few characters: their edges fall beside
+    # blank, respelled and bad lines, inside "\r\n", and before a missing final newline
+    with small_pieces(block_lines, chunk_chars):
         assert_parses_like_reference(*case)
+
+
+M1_SIDECAR = "sampling_hz = 45\nM1 = 100\n"
+M1_LINES = [
+    "timestamp,M1,occupancy,count",
+    "26/08/2020 09:56:45.005,-50,false,0",
+    " 26/08/2020 09:56:45.010 , -51 , true , 1",
+    "26/08/2020 09:56:45.015,-52,true,2",
+    "1598435805020,-53,false,0",
+    "26/08/2020 09:56:45.025,-54,true,3",
+]
+
+
+def m1_text(newline="\n", *, end=True, line=None, text=None):
+    """M1_LINES joined by ``newline``, line ``line`` (1-based) replaced by ``text``."""
+    lines = list(M1_LINES)
+    if line is not None:
+        lines[line - 1] = text
+    return newline.join(lines) + (newline if end else "")
+
+
+# (text, the error it raises or None): each line break that str.splitlines knows,
+# blank lines, no final newline, and a bad line and a decrease that chunk edges cut
+BREAK_CASES = {
+    "crlf": (m1_text("\r\n"), None),
+    "cr": (m1_text("\r"), None),
+    "cr-crlf": (m1_text("\r\r\n"), None),
+    "file-separator": (m1_text("\x1c"), None),
+    "line-separator": (m1_text("\u2028"), None),
+    "mixed": ("\r\n".join(M1_LINES[:3]) + "\r" + "\x1c".join(M1_LINES[3:]) + "\u2028", None),
+    "blank-lines": ("\n \t\n" + m1_text("\n\n").replace("\n\n", "\n \n", 2), None),
+    "no-final-newline": (m1_text(end=False), None),
+    "no-final-newline-crlf": (m1_text("\r\n", end=False), None),
+    "final-cr": (m1_text() + "\r", None),
+    "bad-line": (m1_text(line=4, text="26/08/2020 09:56:45.015,-5x,true,2"),
+                 "line 4: non-integer RSSI '-5x' for M1"),
+    "bad-line-crlf": (m1_text("\r\n", line=4, text="26/08/2020 09:56:45.015,-52,yes,2"),
+                      "line 4: occupancy must be true/false, got 'yes'"),
+    "decrease": (m1_text(line=4, text="26/08/2020 09:56:45.000,-52,true,2"),
+                 "line 4: timestamp decreases (1598435805000 < 1598435805010)"),
+    "decrease-among-blank-lines": (m1_text("\n\n", line=4, text="1598435805000,-52,true,2"),
+                                   "line 7: timestamp decreases (1598435805000 < 1598435805010)"),
+}
+
+
+@pytest.mark.parametrize("case", BREAK_CASES, ids=str)
+def test_every_chunk_and_block_size_parses_like_reference(case):
+    text, message = BREAK_CASES[case]
+    sidecar = parse_sidecar(M1_SIDECAR)
+    if message is None:
+        assert parse_dataset(text, sidecar) == reference.parse_dataset(text, sidecar)
+    else:
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            parse_dataset(text, sidecar)
+    for chunk_chars in range(1, 65):  # edges at every character of the first lines
+        with small_pieces(chunk_chars % 4 + 1, chunk_chars):
+            assert_parses_like_reference(text, sidecar)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 5, 64, 1 << 18])
+def test_undecodable_byte_names_its_line(chunk_chars, monkeypatch):
+    monkeypatch.setattr(dataset_module, "_CHUNK_CHARS", chunk_chars)
+    sidecar = parse_sidecar(M1_SIDECAR)
+    message = "line {}: not valid utf-8: b'\\xff' (invalid start byte)"
+    for newline in ("\n", "\r\n", "\r"):
+        data = m1_text(newline).encode()
+        at = data.index(b"-53")  # line 5
+        with open_text(data[:at] + b"\xff" + data[at:]) as file:
+            with pytest.raises(DatasetError, match=re.escape(message.format(5))) as raised:
+                parse_dataset(file, sidecar)
+        assert raised.value.line == 5
+        # an earlier bad line is named first, wherever the chunks end
+        bad = data.replace(b"-51", b"-5x")
+        with open_text(bad[:at] + b"\xff" + bad[at:]) as file:
+            with pytest.raises(DatasetError, match="^line 3: non-integer RSSI '-5x' for M1$"):
+                parse_dataset(file, sidecar)
+        # and a later one is not reached
+        bad = data.replace(b"-54", b"-5x")
+        with open_text(bad[:at] + b"\xff" + bad[at:]) as file:
+            with pytest.raises(DatasetError, match=re.escape(message.format(5))):
+                parse_dataset(file, sidecar)
+    # a byte in the header's line, and a stream that cannot be read again
+    with open_text(b"time\xffstamp,M1,occupancy,count\n") as file:
+        with pytest.raises(DatasetError, match=re.escape(message.format(1))):
+            parse_dataset(file, sidecar)
+
+    class OneWay(io.BytesIO):
+        def seekable(self):
+            return False
+
+        def seek(self, *args):
+            raise io.UnsupportedOperation("seek")
+
+    with io.TextIOWrapper(OneWay(b"\xff"), encoding="utf-8") as file:
+        with pytest.raises(DatasetError, match="^not valid utf-8") as raised:
+            parse_dataset(file, sidecar)
+    assert raised.value.line is None
 
 
 @pytest.mark.parametrize("change", CORRUPTIONS, ids=repr)
@@ -435,8 +548,8 @@ def test_each_corruption_of_a_canonical_line_matches_reference(change):
     lines[2] = ",".join(fields)
     text, sidecar = "\n".join(lines) + "\n", parse_sidecar(COLLECTION_SIDECAR)
     assert_parses_like_reference(text, sidecar)
-    for block_lines, scan_bytes in ((1, 7), (2, 50)):  # the bad line alone, and at a block's end
-        with small_blocks(block_lines, scan_bytes):
+    for block_lines, chunk_chars in ((1, 7), (2, 50)):  # the bad line alone, and at a block's end
+        with small_pieces(block_lines, chunk_chars):
             assert_parses_like_reference(text, sidecar)
 
 
@@ -521,20 +634,23 @@ def test_empty_body_round_trips_without_warnings():
         assert parse_dataset(text.rstrip("\n"), meta_of(empty)) == empty
 
 
-def test_parse_peak_memory_is_a_few_times_the_text():
-    # The text holds 48 bytes a row. Beside it the parse holds its UTF-8 bytes, the
-    # line ends and the output columns, and decodes a block of lines at a time: it
-    # peaks near 3.9x the text here, where one block's temporaries still count, and
-    # near 2.6x at 120,000 rows.
+def random_dataset(n):
+    """``n`` records of four transmitters at 200 Hz: 48 bytes a row as text."""
     rng = np.random.default_rng(8)
-    n = 20_000
-    dataset = RssiDataset(
+    return RssiDataset(
         transmitters=tuple(TransmitterMeta(f"M{i}", 100) for i in range(4)),
         timestamps_ms=1_600_000_000_000 + 5 * np.arange(n),
         rssi=rng.integers(-127, 1, (n, 4)),
         counts=rng.integers(0, 4, n),
         sampling_hz=200.0,
     )
+
+
+def test_parse_peak_memory_is_a_few_times_the_text():
+    # Beside the text it is given, the parse holds the columns (as many bytes as the
+    # text) and one chunk of the text, encoded and decoded a block at a time: it peaks
+    # near 2.2x the text here, and near 1.2x at 120,000 rows.
+    dataset = random_dataset(20_000)
     text = serialize_dataset(dataset)
     tracemalloc.start()
     try:
@@ -544,3 +660,26 @@ def test_parse_peak_memory_is_a_few_times_the_text():
         tracemalloc.stop()
     assert parsed == dataset
     assert peak < 4.3 * len(text), peak / len(text)
+
+
+@pytest.mark.parametrize("n", [20_000, 120_000])
+def test_file_parse_peaks_at_the_columns_plus_a_few_chunks(n, tmp_path):
+    # The file is read a chunk at a time into columns grown in place: the parse holds
+    # the columns and what one chunk takes (the file object's buffers, the chunk, its
+    # UTF-8 bytes and one block's temporaries), near 6.4 chunks, never the whole file.
+    dataset = random_dataset(n)
+    path = tmp_path / "d.csv"
+    path.write_text(serialize_dataset(dataset), encoding="utf-8")
+    columns = sum(column.nbytes for column in (dataset.timestamps_ms, dataset.rssi, dataset.counts))
+    chunk = dataset_module._CHUNK_CHARS
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as file:
+            parsed = parse_dataset(file, meta_of(dataset))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == dataset
+    assert peak < columns + 8 * chunk, (peak - columns) / chunk
+    if n == 120_000:
+        assert path.stat().st_size > 20 * chunk  # holding the file would break the bound

@@ -124,6 +124,23 @@ class TestSegment:
         assert windows.labels_count.tolist() == want_count
         assert 0 < sum(want_occupancy) < 400
 
+    def test_count_labels_peak_near_two_copies_of_the_counts(self):
+        # 600 windows of 200 counts (960 kB): the sorted copy and one key array built in
+        # place, where temporaries once took ~4x the counts
+        rng = np.random.default_rng(17)
+        counts = rng.integers(0, 4, size=(600, 200))
+        windows = Windows(("M1",), 200.0, np.zeros((600, 1, 200)), counts)
+        tracemalloc.start()
+        try:
+            labels = windows.labels_count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1e6, peak
+        frequencies = map(np.bincount, counts)
+        want = [int(np.flatnonzero(freq == freq.max())[-1]) for freq in frequencies]  # ties: larger
+        assert labels.tolist() == want
+
     def test_huge_count_is_its_own_label(self):
         # a count of 10**12 is a valid int64; a bincount over it would ask for 7.28 TiB
         windows = segment(make_dataset([10**12] * 11 + [0] * 9, sampling_hz=20.0), 1.0)
