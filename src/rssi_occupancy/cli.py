@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dataset import parse_dataset, parse_sidecar, serialize_dataset, serialize_sidecar
+from .dataset import parse_dataset, parse_sidecar, read_text, serialize_dataset, serialize_sidecar
 from .evaluation import (
     KFOLD_CHOICES,
     REPRESENTATIONS,
@@ -79,11 +79,16 @@ def _require_file(path: str) -> None:
         raise _UsageError(f"no such file: {path}")
 
 
-def _load_dataset(path: str, sidecar: str | None):
-    sidecar = sidecar or _default_sidecar(path)
+def _read_text(path: str) -> str:
+    """A key-value file's text; a byte that is not UTF-8 is named by its line, as in the CSV."""
     _require_file(path)
-    _require_file(sidecar)
-    meta = parse_sidecar(Path(sidecar).read_text(encoding="utf-8"))
+    with open(path, encoding="utf-8") as file:
+        return read_text(file)
+
+
+def _load_dataset(path: str, sidecar: str | None):
+    _require_file(path)
+    meta = parse_sidecar(_read_text(sidecar or _default_sidecar(path)))
     with open(path, encoding="utf-8") as csv_file:  # read a chunk at a time, never whole
         return parse_dataset(csv_file, meta)
 
@@ -100,8 +105,7 @@ def _effective_seed(seed: int | None, fallback: int | None = None) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require_file(args.scenario)
-    scenario = load_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = load_scenario(_read_text(args.scenario))
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     else:

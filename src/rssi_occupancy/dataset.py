@@ -24,14 +24,16 @@ time. Each chunk is cut after its last ``\\n`` and the partial line is
 carried into the next; a piece with line breaks other than ``\\n`` has them
 rewritten, through a list of its lines, and the piece is encoded to UTF-8.
 Lines keep the numbers ``str.splitlines`` gives them, across chunk edges
-too. The bulk decode runs on blocks of ``_BLOCK_LINES`` lines of a piece and
-writes them straight into the output columns, which grow in place a piece
-at a time and are never copied whole. So a parse holds the columns plus a
-chunk, not the text: reading a file, it peaks near 6.4 chunks above the
-columns whatever the file's length; given the text, near 1.2x the text on
-120,000 rows of four transmitters (2.2x on 20,000, where a chunk still
-counts). A byte that a file cannot decode is reported with its line, found
-by decoding the file again from its start.
+too. Each piece is decoded in bulk straight into the output columns, which
+grow in place a piece at a time and are never copied whole. So a parse holds
+the columns plus a chunk, not the text. Reading a file of canonical lines, it
+peaks near 6.4 chunks above the columns whatever the file's length; given
+the text, near 1.2x the text on 120,000 rows of four transmitters (2.2x on
+20,000, where a chunk still counts). Shorter lines put more of them in a
+chunk, and the temporaries grow with the lines: a file of blank lines peaks
+near 15 MiB above the columns (one transmitter). A byte that a file cannot
+decode is reported with its line, found by decoding the file again from its
+start; :func:`read_text` reads the key-value files the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import calendar
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, Mapping, TextIO
+from typing import Callable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -193,8 +195,7 @@ _OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # The canonical timestamp, one letter per digit; every other character is literal.
 _STAMP_LAYOUT = "dd/mm/yyyy HH:MM:SS.fff"
 
-# Body lines decoded at a time, and characters read from the source at a time.
-_BLOCK_LINES = 1 << 13
+# Characters read from the source at a time.
 _CHUNK_CHARS = 1 << 18
 
 
@@ -271,17 +272,29 @@ def parse_timestamp(text: str, line: int | None = None) -> int:
     raise DatasetError(f"unparseable timestamp {text!r}", line)
 
 
-def parse_sidecar(text: str) -> DatasetMeta:
-    """Parse the key-value sidecar: ``sampling_hz = <hz>`` and ``<mac> = <cm>`` lines."""
-    sampling_hz: float | None = None
-    distances: dict[str, int] = {}
+def read_key_values(
+    text: str, error: Callable[[str, int], ValueError] = DatasetError
+) -> Iterator[tuple[int, str, str]]:
+    """The ``key = value`` lines of a key-value file, as (line, key, value), both sides stripped.
+
+    ``#`` starts a comment and blank lines are skipped; any other line without
+    ``=`` raises ``error(message, line)``.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise DatasetError(f"expected 'key = value', got {stripped!r}", lineno)
-        key, value = (part.strip() for part in stripped.split("=", 1))
+            raise error(f"expected 'key = value', got {stripped!r}", lineno)
+        key, value = stripped.split("=", 1)
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_sidecar(text: str) -> DatasetMeta:
+    """Parse the key-value sidecar: ``sampling_hz = <hz>`` and ``<mac> = <cm>`` lines."""
+    sampling_hz: float | None = None
+    distances: dict[str, int] = {}
+    for lineno, key, value in read_key_values(text):
         if key == "sampling_hz":
             try:
                 sampling_hz = float(value)
@@ -402,12 +415,8 @@ def _decode_rows(
     non-negative integer count, and nothing else (no spaces, no other
     spellings). Such a line passes every per-line check; the other lines,
     blank ones included, are left to :func:`_parse_row`, and what their rows
-    of the columns hold is undefined. Fields are decoded one column at a time,
-    and only the bytes from the first line's start to the last line's end are
-    read.
+    of the columns hold is undefined. Fields are decoded one column at a time.
     """
-    base = starts[0]
-    buf, starts, ends = buf[base : ends[-1]], starts - base, ends - base
     n = rssi.shape[1]
     commas = np.flatnonzero(buf == ord(","))
     first_comma = np.searchsorted(commas, starts)
@@ -494,82 +503,38 @@ def _undecodable(source: TextIO, error: UnicodeDecodeError, lines: int) -> Itera
     raise DatasetError(message) from None
 
 
+def read_text(source: TextIO) -> str:
+    """The text of an open file, each line break as ``\\n``, read as :func:`parse_dataset` reads.
+
+    So a byte that the file cannot decode raises :class:`DatasetError` naming its line.
+    """
+    return b"".join(_pieces(source)).decode("utf-8")
+
+
 def _line(data: bytes, starts: np.ndarray, ends: np.ndarray, i: int) -> str:
     return data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
-
-
-def _decode_block(
-    data: bytes,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    first_line: int,
-    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-    written: int,
-    macs: list[str],
-) -> int:
-    """Write the records of the lines ``data[starts[i]:ends[i]]`` into the columns; return how many.
-
-    Line i is numbered ``first_line + i``; its record, if it holds one, goes
-    to the first free row from ``written`` on. The first bad line, or the
-    first record whose timestamp is below the one before it, raises what a
-    line-by-line pass would raise.
-    """
-    timestamps, rssi, counts = columns
-    rows = slice(written, written + starts.size)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    canonical = _decode_rows(buf, starts, ends, timestamps[rows], rssi[rows], counts[rows])
-
-    # Blank and non-canonical lines get the per-line checks. Checked without the
-    # order, the first line that fails ends the block: no later line can matter.
-    blank: list[int] = []
-    failed = starts.size
-    for i in np.flatnonzero(~canonical).tolist():
-        raw = _line(data, starts, ends, i)
-        if not raw.strip():
-            blank.append(i)
-            continue
-        try:
-            row = _parse_row(raw, first_line + i, macs, None)
-        except DatasetError:
-            failed = i
-            break
-        timestamps[written + i], rssi[written + i], counts[written + i] = row
-    records = np.delete(np.arange(failed), blank)  # the line of each record
-    if blank:
-        for column in columns:
-            column[written : written + records.size] = column[written + records]
-    before = min(written, 1)  # the record before the block, if any
-    stamps = timestamps[written - before : written + records.size]
-    decreases = np.flatnonzero(stamps[1:] < stamps[:-1])
-    if decreases.size or failed < starts.size:
-        # The first bad line is the first decrease or the line that failed, whichever
-        # comes first; its checks, now with the order, raise what a line-by-line pass would.
-        k = int(decreases[0]) + 1 - before if decreases.size else records.size
-        i = int(records[k]) if k < records.size else failed
-        prev_ts = int(timestamps[written + k - 1]) if written + k else None
-        _parse_row(_line(data, starts, ends, i), first_line + i, macs, prev_ts)
-    return records.size
 
 
 def parse_dataset(source: str | TextIO, meta: DatasetMeta) -> RssiDataset:
     """Parse the dataset CSV, as text or a text file open at its start, against its sidecar.
 
-    The text is read and decoded a chunk at a time into columns that grow
-    in place. Raises :class:`DatasetError` with the offending line number on
-    the first malformed row, label inconsistency, RSSI out of [-127, 0],
-    epoch-ms timestamp or count beyond int64, timestamp disorder, byte the
-    file cannot decode, or MAC mismatch against the sidecar.
+    The text is read a chunk at a time, and each piece of whole lines is
+    decoded at once into columns that grow in place. Raises
+    :class:`DatasetError` with the offending line number on the first
+    malformed row, label inconsistency, RSSI out of [-127, 0], epoch-ms
+    timestamp or count beyond int64, timestamp disorder, byte the file cannot
+    decode, or MAC mismatch against the sidecar.
     """
     macs: list[str] | None = None
     columns: tuple[np.ndarray, np.ndarray, np.ndarray] = ()
     written = 0  # records in the columns
-    lines = 0  # lines before the piece
+    lines = 0  # lines before the piece's body lines
     for data in _pieces(source):
-        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
         starts = np.empty_like(ends)  # line i of the piece is data[starts[i]:ends[i]]
         starts[:1] = 0
         np.add(ends[:-1], 1, out=starts[1:])
-        first = 0  # the piece's first body line
         if macs is None:
             first = next(
                 (i for i in range(ends.size) if _line(data, starts, ends, i).strip()), None
@@ -583,13 +548,46 @@ def parse_dataset(source: str | TextIO, meta: DatasetMeta) -> RssiDataset:
                 np.empty((0, len(macs)), dtype=np.int64),
                 np.empty(0, dtype=np.int64),
             )
-            first += 1
-        _resize(columns, written + ends.size - first)
-        for lo in range(first, ends.size, _BLOCK_LINES):
-            block = slice(lo, lo + _BLOCK_LINES)
-            written += _decode_block(
-                data, starts[block], ends[block], lines + lo + 1, columns, written, macs
-            )
+            lines += first + 1
+            starts, ends = starts[first + 1 :], ends[first + 1 :]  # the body lines
+        # Body line i is line ``lines + 1 + i``; its record, if it holds one, goes to
+        # the first free row from ``written`` on.
+        _resize(columns, written + ends.size)
+        timestamps, rssi, counts = columns
+        rows = slice(written, written + ends.size)
+        held = _decode_rows(buf, starts, ends, timestamps[rows], rssi[rows], counts[rows])
+
+        # ``held`` marks the lines that hold a record: the canonical ones, then each other
+        # line that is not blank and passes the per-line checks (empty lines are passed
+        # over at once). Checked without the order, the first line that fails ends the
+        # parse: no later line can matter.
+        failed = ends.size
+        for i in np.flatnonzero(~held & (starts != ends)).tolist():
+            raw = _line(data, starts, ends, i)
+            if not raw.strip():
+                continue
+            try:
+                row = _parse_row(raw, lines + 1 + i, macs, None)
+            except DatasetError:
+                failed = i
+                break
+            timestamps[written + i], rssi[written + i], counts[written + i] = row
+            held[i] = True
+        records = np.flatnonzero(held[:failed])  # the line of each record
+        if records.size < failed:
+            for column in columns:
+                column[written : written + records.size] = column[written + records]
+        before = min(written, 1)  # the record before the piece, if any
+        stamps = timestamps[written - before : written + records.size]
+        decreases = np.flatnonzero(stamps[1:] < stamps[:-1])
+        if decreases.size or failed < ends.size:
+            # The first bad line is the first decrease or the line that failed, whichever
+            # comes first; its checks, now with the order, raise what a line-by-line pass would.
+            k = int(decreases[0]) + 1 - before if decreases.size else records.size
+            i = int(records[k]) if k < records.size else failed
+            prev_ts = int(timestamps[written + k - 1]) if written + k else None
+            _parse_row(_line(data, starts, ends, i), lines + 1 + i, macs, prev_ts)
+        written += records.size
         lines += ends.size
     if macs is None:
         raise DatasetError("empty input: no header row")

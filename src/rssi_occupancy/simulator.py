@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RSSI_MAX, RSSI_MIN, RssiDataset, TransmitterMeta
+from .dataset import RSSI_MAX, RSSI_MIN, RssiDataset, TransmitterMeta, read_key_values
 
 SUPPORTED_RATES_HZ = (20.0, 45.0, 100.0, 200.0)
 
@@ -209,13 +209,8 @@ def load_scenario(text: str) -> ScenarioConfig:
     }
     transmitters: list[tuple[str, int]] = []
     events: list[tuple[float, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ScenarioError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, value = (part.strip() for part in stripped.split("=", 1))
+    lines = read_key_values(text, lambda message, line: ScenarioError(f"line {line}: {message}"))
+    for lineno, key, value in lines:
         if key != "transmitter" and key != "event" and key not in _SCALAR_KEYS:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         try:

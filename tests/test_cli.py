@@ -33,6 +33,9 @@ event = 20 1
 event = 40 2
 """
 
+# A sidecar or scenario byte that is not UTF-8 is named by its line, as a dataset CSV byte is.
+UNDECODABLE_ON_LINE_3 = "error: line 3: not valid utf-8: b'\\xff' (invalid start byte)\n"
+
 
 @pytest.fixture
 def scenario_file(tmp_path):
@@ -87,6 +90,14 @@ class TestSimulate:
         )
         assert code == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_undecodable_scenario_byte_exits_2_naming_its_line(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_bytes(SCENARIO_TEXT.encode().replace(b"seed = 42", b"seed = \xff42"))
+        code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == UNDECODABLE_ON_LINE_3
+        assert not (tmp_path / "d.csv").exists()
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, scenario_file):
         out = tmp_path / "d.csv"
@@ -148,6 +159,17 @@ class TestValidate:
         assert cli.main(["validate", str(csv)]) == 2
         expected = f"error: line {line}: not valid utf-8: b'\\xff' (invalid start byte)\n"
         assert capsys.readouterr().err == expected
+
+    def test_undecodable_sidecar_byte_exits_2_naming_its_line(
+        self, tmp_path, dataset_files, capsys
+    ):
+        lines = dataset_files.with_suffix(".sidecar").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"= ", b"= \xff", 1)
+        csv = tmp_path / "x.csv"
+        csv.write_bytes(dataset_files.read_bytes())
+        (tmp_path / "x.sidecar").write_bytes(b"\n".join(lines))
+        assert cli.main(["validate", str(csv)]) == 2
+        assert capsys.readouterr().err == UNDECODABLE_ON_LINE_3
 
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"

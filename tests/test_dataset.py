@@ -24,6 +24,7 @@ from rssi_occupancy.dataset import (
     serialize_dataset,
     serialize_sidecar,
 )
+from rssi_occupancy.simulator import ScenarioError, load_scenario
 
 import dataset_reference as reference
 
@@ -329,6 +330,30 @@ def test_sidecar_rate_round_trips_exactly():
     assert serialize_sidecar(make_dataset([], sampling_hz=200.0)).startswith("sampling_hz = 200\n")
 
 
+# A key-value file with a comment line, blank lines, a trailing comment and CRLF breaks;
+# its second slot, left as {} for a line with or without '=', is line 5.
+KEY_VALUE_TEXT = "# written by hand\r\n\r\n{}   # the rate\r\n \t\r\n{}\r\n{}\r\n"
+
+
+def test_sidecar_and_scenario_read_key_value_lines_alike():
+    sidecar = KEY_VALUE_TEXT.format("sampling_hz = 45", "{}", "M1 = 100")
+    assert parse_sidecar(sidecar.format("M2=250")) == DatasetMeta(45.0, {"M2": 250, "M1": 100})
+    with pytest.raises(DatasetError) as raised:
+        parse_sidecar(sidecar.format("M2 250"))
+    assert type(raised.value) is DatasetError
+    message = "line 5: expected 'key = value', got 'M2 250'"
+    assert (str(raised.value), raised.value.line) == (message, 5)
+
+    scenario = KEY_VALUE_TEXT.format("sampling_hz = 45", "{}", "duration_s = 10")
+    config = load_scenario(scenario.format("transmitter =M1 100"))
+    assert config.transmitters == (("M1", 100),)
+    assert (config.sampling_hz, config.duration_s) == (45.0, 10.0)
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(scenario.format("transmitter M1 100"))
+    assert type(raised.value) is ScenarioError
+    assert str(raised.value) == "line 5: expected 'key = value', got 'transmitter M1 100'"
+
+
 def meta_of(dataset):
     return DatasetMeta(
         sampling_hz=dataset.sampling_hz,
@@ -424,21 +449,20 @@ def assert_parses_like_reference(text, meta):
 
 
 @contextlib.contextmanager
-def small_pieces(block_lines, chunk_chars):
-    """Decode ``block_lines`` lines and read ``chunk_chars`` characters at a time."""
+def small_pieces(chunk_chars):
+    """Read ``chunk_chars`` characters at a time, so each piece holds a line or a few."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
         patch.setattr(dataset_module, "_CHUNK_CHARS", chunk_chars)
         yield
 
 
 @settings(max_examples=400, deadline=None)
-@given(dataset_csvs(), st.integers(1, 4), st.integers(1, 64))
-def test_parse_matches_line_by_line_reference(case, block_lines, chunk_chars):
+@given(dataset_csvs(), st.integers(1, 64))
+def test_parse_matches_line_by_line_reference(case, chunk_chars):
     assert_parses_like_reference(*case)
-    # blocks of a few lines and chunks of a few characters: their edges fall beside
+    # chunks of a few characters, so pieces of a line or a few: their edges fall beside
     # blank, respelled and bad lines, inside "\r\n", and before a missing final newline
-    with small_pieces(block_lines, chunk_chars):
+    with small_pieces(chunk_chars):
         assert_parses_like_reference(*case)
 
 
@@ -494,8 +518,10 @@ def test_every_chunk_and_block_size_parses_like_reference(case):
     else:
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             parse_dataset(text, sidecar)
-    for chunk_chars in range(1, 65):  # edges at every character of the first lines
-        with small_pieces(chunk_chars % 4 + 1, chunk_chars):
+    # Chunk edges at every character of the first lines, so the pieces decoded at once
+    # hold no line, one or two: a piece edge falls after every line.
+    for chunk_chars in range(1, 65):
+        with small_pieces(chunk_chars):
             assert_parses_like_reference(text, sidecar)
 
 
@@ -548,18 +574,20 @@ def test_each_corruption_of_a_canonical_line_matches_reference(change):
     lines[2] = ",".join(fields)
     text, sidecar = "\n".join(lines) + "\n", parse_sidecar(COLLECTION_SIDECAR)
     assert_parses_like_reference(text, sidecar)
-    for block_lines, chunk_chars in ((1, 7), (2, 50)):  # the bad line alone, and at a block's end
-        with small_pieces(block_lines, chunk_chars):
+    for chunk_chars in (7, 120):  # the bad line alone in a piece, and at a 2-line piece's end
+        with small_pieces(chunk_chars):
             assert_parses_like_reference(text, sidecar)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 1 << 13])
-def test_mixed_breaks_are_numbered_as_splitlines_numbers_them(block_lines, monkeypatch):
+@pytest.mark.parametrize("chunk_chars", [1, 2, 1 << 13])
+def test_mixed_breaks_are_numbered_as_splitlines_numbers_them(chunk_chars, monkeypatch):
     # "\r\r\n" (CRLF endings converted twice) is two breaks, "\r" then "\r\n", so
-    # every line after one is numbered one further on; the bad line is line 6
+    # every line after one is numbered one further on; the bad line is line 6. Chunks of
+    # 1 and 2 characters make a piece of every line (2 cuts the first "\r\r\n" after
+    # its "\r\r"), and 8,192 makes one piece of the text.
     sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
     text = "timestamp,M1,occupancy,count\r\r\n0,-50,false,0\r\r\n1,-50,false,0\r\n2,x,false,0\n"
-    monkeypatch.setattr(dataset_module, "_BLOCK_LINES", block_lines)
+    monkeypatch.setattr(dataset_module, "_CHUNK_CHARS", chunk_chars)
     assert_parses_like_reference(text, sidecar)
     with pytest.raises(DatasetError, match="line 6: non-integer RSSI 'x'"):
         parse_dataset(text, sidecar)
@@ -683,3 +711,33 @@ def test_file_parse_peaks_at_the_columns_plus_a_few_chunks(n, tmp_path):
     assert peak < columns + 8 * chunk, (peak - columns) / chunk
     if n == 120_000:
         assert path.stat().st_size > 20 * chunk  # holding the file would break the bound
+
+
+# Lines shorter than a canonical line's 33 characters put more of them in a chunk, and the
+# parse's temporaries grow with the lines of a piece: a header, then blank lines or short
+# epoch-ms lines (one transmitter), several chunks of each, and the most the parse may
+# hold above the columns. Measured: 14.8 MiB given the text and 15.3 MiB from a file for
+# the blank lines (262,144 of them a chunk), 2.3 and 2.8 MiB for the epoch-ms lines.
+SHORT_LINES = {
+    "blank": ("\n" * 1_000_000, 15.5),
+    "epoch-ms": ("".join(f"{i},-50,false,0\n" for i in range(20_000)), 3.0),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_LINES)
+def test_short_lines_peak_at_what_a_piece_of_them_takes(case):
+    body, bound_mib = SHORT_LINES[case]
+    text = M1_LINES[0] + "\n" + body
+    meta = parse_sidecar(M1_SIDECAR)
+    expected = reference.parse_dataset(text, meta)
+    columns = sum(getattr(expected, name).nbytes for name in ("timestamps_ms", "rssi", "counts"))
+    with open_text(text.encode("utf-8")) as file:
+        for source in (text, file):
+            tracemalloc.start()
+            try:
+                parsed = parse_dataset(source, meta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert parsed == expected
+            assert peak - columns < bound_mib * 2**20, (peak - columns) / 2**20
