@@ -13,9 +13,10 @@ Timestamps are serialized as ``DD/MM/YYYY HH:MM:SS.mmm`` (UTC, years
 0001-9999). Parsing accepts that form, with or without a millisecond part of
 one to six digits, with one-digit day, month, hour, minute or second fields,
 and plain epoch milliseconds; those and the counts must fit int64. Canonical
-lines (the serialized form exactly, with no spaces) are decoded a column at a
-time from the bytes of the text, with the calendar done in integer
-arithmetic; every other line takes the per-line checks, ``strptime``
+lines (the serialized form exactly, with no spaces, or with a timestamp of
+epoch milliseconds written as an optional '-' and 1-18 digits) are decoded
+a column at a time from the bytes of the text, with the calendar done in
+integer arithmetic; every other line takes the per-line checks, ``strptime``
 included. The first bad line is then checked again on its own, so the error
 names the same line and says the same as a line-by-line pass.
 
@@ -410,12 +411,13 @@ def _decode_rows(
 ) -> np.ndarray:
     """Decode the lines ``buf[starts:ends]`` in bulk into the columns; return which are canonical.
 
-    A line is canonical when it has n + 3 fields, a canonical timestamp,
-    integer RSSI in range, a ``true``/``false`` occupancy that agrees with a
-    non-negative integer count, and nothing else (no spaces, no other
-    spellings). Such a line passes every per-line check; the other lines,
-    blank ones included, are left to :func:`_parse_row`, and what their rows
-    of the columns hold is undefined. Fields are decoded one column at a time.
+    A line is canonical when it has n + 3 fields, a canonical timestamp or
+    epoch milliseconds of '-'? and 1-18 digits, integer RSSI in range, a
+    ``true``/``false`` occupancy that agrees with a non-negative integer
+    count, and nothing else (no spaces, no other spellings). Such a line
+    passes every per-line check; the other lines, blank ones included, are
+    left to :func:`_parse_row`, and what their rows of the columns hold is
+    undefined. Fields are decoded one column at a time.
     """
     n = rssi.shape[1]
     commas = np.flatnonzero(buf == ord(","))
@@ -428,6 +430,9 @@ def _decode_rows(
     right = commas[first_comma]
     timestamps[rows], ok = _decode_stamps(buf, left)
     ok &= right - left == len(_STAMP_LAYOUT)
+    epoch = np.flatnonzero(~ok)  # the other stamps may be epoch milliseconds
+    if epoch.size:
+        timestamps[rows[epoch]], ok[epoch] = _decode_ints(buf, left[epoch], right[epoch])
     for j in range(n):
         left, right = right + 1, commas[first_comma + j + 1]
         rssi[rows, j], field_ok = _decode_ints(buf, left, right)

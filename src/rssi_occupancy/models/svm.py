@@ -17,15 +17,16 @@ binary.
 Lockstep solving. The solver's unit of work is every binary machine of one
 kernel on one training set: in a grid search, a fold's (loss, C) configs
 times their one-vs-rest classes. ``fit_lockstep`` runs each such batch of B
-problems as one loop. A step makes one stacked matvec against the batch's
-single Gram matrix, broadcast over a ``(B, m, m)`` view rather than copied,
-its gemvs writing into one ``(B, m, 1)`` output buffer, and does every other
-update on ``(B, m)`` arrays, in place where a step owns the array. Each
-problem keeps its own step size, convergence test, ``converged`` flag and
-count of steps since its last restart; FISTA's momentum (t_k - 1)/t_{k+1}
-depends on that count k alone, so it is read from a table computed once at
-import (``_MOMENTUM``), with the float operations of a one-problem loop. A
-problem that converges leaves the batch: its iterate is stored as it stood
+problems as one loop. A step makes one stacked matvec with the batch's
+kernel, each factor broadcast over the problems rather than copied and its
+gemvs writing into a buffer made once, and does every other update on
+``(B, m)`` arrays: the step sizes and box bounds are held whole, so the
+divide and the clip take arrays of one shape, and each result is written
+into a buffer the loop owns. Each problem keeps its own step size,
+convergence test, ``converged`` flag and count of steps since its last
+restart; FISTA's momentum (t_k - 1)/t_{k+1} depends on that count k alone,
+so it is read from a table computed once at import (``_MOMENTUM``), with the
+float operations of a one-problem loop. A problem that converges leaves the batch: its iterate is stored as it stood
 and its row is dropped from the stacked arrays, so no step is spent on it
 while the others run on (problems of one batch converge hundreds of
 iterations apart). The loop ends when the batch is empty or at the iteration
@@ -33,16 +34,26 @@ cap. ``fit_lockstep`` is the only way a classifier is fitted; a single fit
 is the batch of one.
 
 A batch gives every problem the bits it would get alone. Each product with
-the Gram matrix is a BLAS gemv per row (``A @ v[..., None]``), each inner
+a kernel factor is a BLAS gemv per row (``A @ v[..., None]``), each inner
 product a ddot per row, and each row sum numpy's pairwise sum of that row,
 all as on one 1-D vector. The batch never turns its matvecs into one
 matrix-matrix product: GEMM blocks its sums in another order, and a
 machine's bits would then depend on the batch it was fitted in. The hinge
 dual shares one kernel matrix K across one-vs-rest labels: ``Q v`` is taken as
 ``y * (K (y * v))``, which rounds as ``((y y^T) * K) v`` does because y is
-+-1 and rounding is symmetric in sign. Squared hinge shifts K's diagonal by
-1/(2C): the batch holds one shifted copy of K per distinct C, broadcast over
-the problems that use it.
++-1 and rounding is symmetric in sign.
+
+The linear kernel's K = XX^T + 1 has rank at most d + 1, often far below m:
+it is Z Z^T with Z = [X, 1], m x (d + 1). So a linear batch never forms K:
+it takes ``K s`` as ``Z (Z^T s)``, two thin gemvs that cost O(m d), not O(m^2)
+(linear SVM solvers keep the factor for this reason: Hsieh et al., ICML
+2008, the method behind LIBLINEAR). Z^T is held C-contiguous; a gemv on the
+strided view ``Z.T`` runs another BLAS kernel, which rounds differently.
+Squared hinge adds its diagonal 1/(2C) as the term ``v * (1 / (2C))`` of its
+own rows, which the batch keeps last, so every problem of a linear batch
+shares one run of gemvs. For poly and RBF, squared hinge shifts K's diagonal
+by 1/(2C): the batch holds one shifted copy of K per distinct C, broadcast
+over the problems that use it.
 """
 
 from __future__ import annotations
@@ -82,8 +93,6 @@ _MOMENTUM = _momentum_table(_MAX_ITER)
 
 
 def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    if kind == "linear":
-        return A @ B.T
     if kind == "poly":
         return (gamma * (A @ B.T) + _COEF0) ** _DEGREE
     if kind == "rbf":
@@ -143,18 +152,36 @@ class _BinarySVM:
 
 
 def _dual_matvec(
-    matrices: list[np.ndarray], which: np.ndarray, Y: np.ndarray
+    chains: list[tuple[np.ndarray, ...]], which: np.ndarray, Y: np.ndarray, shift: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``Q v`` of each row: ``y * (matrices[which] (y * v))``, one stacked gemv per run of rows."""
-    cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), which.size]
-    runs = [(matrices[which[a]], a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    out = np.empty(Y.shape + (1,))
+    """``Q v`` of each row: ``y * (F_k ... F_1 (y * v))``, the F those of ``chains[which]``.
+
+    Each factor's product is one stacked gemv per run of rows with one chain.
+    The last ``shift.size`` rows add ``shift * v``, each its own ``shift``.
+    The returned array is a buffer that the next call overwrites.
+    """
+    n, m = Y.shape
+    cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), n]
+    runs = [(chains[which[a]], a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    signed = np.empty((n, m, 1))
+    stages = [np.empty((n, F.shape[0], 1)) for F in chains[0]]  # every chain has these shapes
+    out = np.empty((n, m))
+    tail = n - shift.size
+    shift = np.repeat(shift[:, None], m, axis=1)
 
     def matvec(V: np.ndarray) -> np.ndarray:
-        signed = (Y * V)[..., None]
-        for A, a, b in runs:
-            np.matmul(A, signed[a:b], out=out[a:b])
-        return Y * out[..., 0]
+        np.multiply(Y, V, out=signed[..., 0])
+        for chain, a, b in runs:
+            vectors = signed[a:b]
+            for F, stage in zip(chain, stages):
+                np.matmul(F, vectors, out=stage[a:b])
+                vectors = stage[a:b]
+        np.multiply(Y, stages[-1][..., 0], out=out)
+        if tail < n:
+            term = signed[tail:, :, 0]  # free once the first factor has read it
+            np.multiply(V[tail:], shift, out=term)
+            out[tail:] += term
+        return out
 
     return matvec
 
@@ -164,19 +191,29 @@ def _solve_dual(
     labels: np.ndarray,
 ) -> list[_BinarySVM]:
     n_problems, m = labels.shape
-    K = _kernel_matrix(kernel, X, X, gamma) + 1.0
-    # K for hinge; squared hinge shifts its diagonal, one copy per distinct C
-    shifts = list(dict.fromkeys(C[squared].tolist()))
-    matrices = [K, *(K + np.eye(m) / (2.0 * c) for c in shifts)]
-    which = np.array([shifts.index(c) + 1 if sq else 0 for sq, c in zip(squared, C.tolist())])
-    Y = labels
-    matvec = _dual_matvec(matrices, which, Y)
-    upper = np.where(squared, np.inf, C)[:, None]
-    lipschitz = (_spectral_norm(matvec, n_problems, m) * 1.05)[:, None]
+    rows = np.argsort(squared, kind="stable")  # the problem of each row; squared hinge last
+    squared, C, Y = squared[rows], C[rows], labels[rows]
+    if kernel == "linear":
+        # K = XX^T + 1 = ZZ^T with Z = [X, 1], a product of two thin gemvs; squared
+        # hinge adds its diagonal 1/(2C) as a term of its own rows
+        Z = np.column_stack([X, np.ones(m)])
+        chains = [(np.ascontiguousarray(Z.T), Z)]  # Z.T's strided view would gemv differently
+        which = np.zeros(n_problems, dtype=np.intp)
+        shift = 1.0 / (2.0 * C[squared])
+    else:
+        K = _kernel_matrix(kernel, X, X, gamma) + 1.0
+        # K for hinge; squared hinge shifts its diagonal, one copy per distinct C
+        shifts = list(dict.fromkeys(C[squared].tolist()))
+        chains = [(K,), *((K + np.eye(m) / (2.0 * c),) for c in shifts)]
+        which = np.array([shifts.index(c) + 1 if sq else 0 for sq, c in zip(squared, C.tolist())])
+        shift = np.empty(0)
+    matvec = _dual_matvec(chains, which, Y, shift)
+    # held whole, so the step's divide and clip take arrays of one shape
+    upper = np.repeat(np.where(squared, np.inf, C)[:, None], m, axis=1)
+    lipschitz = np.repeat((_spectral_norm(matvec, n_problems, m) * 1.05)[:, None], m, axis=1)
 
-    rows = np.arange(n_problems)  # the problem of each row still in the batch
-    alpha = np.zeros((n_problems, m))
-    velocity = alpha
+    # the iterate, the velocity, and two buffers that the step writes and then swaps in
+    alpha, velocity, alpha_next, step = np.zeros((4, n_problems, m))
     since = np.zeros((n_problems, 1), dtype=np.intp)  # steps since each problem's last restart
     pg0 = None
     final = np.zeros((n_problems, m))
@@ -184,22 +221,24 @@ def _solve_dual(
     for iteration in range(_MAX_ITER):
         grad_v = matvec(velocity)
         grad_v -= 1.0
-        alpha_next = grad_v / lipschitz
+        np.divide(grad_v, lipschitz, out=alpha_next)
         np.subtract(velocity, alpha_next, out=alpha_next)
         # clipped as tests/svm_reference.py clips: np.clip keeps -0.0, np.maximum(x, 0.0) gives +0.0
         alpha_next.clip(0.0, upper, out=alpha_next)
-        step = alpha_next - alpha
+        np.subtract(alpha_next, alpha, out=step)
         restart = (_rowdot(grad_v, step) > 0)[:, None]  # non-descent
         step *= _MOMENTUM[since]
         step += alpha_next
         np.copyto(step, alpha_next, where=restart)
-        velocity = step
+        alpha, velocity, alpha_next, step = alpha_next, step, alpha, velocity
         since += 1
         since[restart] = 0
-        alpha = alpha_next
         if iteration % 10 == 9:
-            grad = matvec(alpha) - 1.0
-            gap = alpha - np.clip(alpha - grad, 0.0, upper)
+            grad = matvec(alpha)
+            grad -= 1.0
+            gap = np.subtract(alpha, grad, out=alpha_next)
+            gap.clip(0.0, upper, out=gap)
+            np.subtract(alpha, gap, out=gap)
             pg = np.sqrt(_rowdot(gap, gap))
             if pg0 is None:
                 pg0 = np.maximum(pg, 1.0)
@@ -210,10 +249,12 @@ def _solve_dual(
                 if done.all():
                     break
                 live = ~done
+                shift = shift[live[live.size - shift.size :]]
                 rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which = (
                     a[live] for a in (rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which)
                 )
-                matvec = _dual_matvec(matrices, which, Y)
+                alpha_next, step = np.empty_like(alpha), np.empty_like(alpha)
+                matvec = _dual_matvec(chains, which, Y, shift)
     else:  # the iteration cap: the problems still in the batch end unconverged
         final[rows] = alpha
 

@@ -6,7 +6,9 @@ kernel in lockstep: accelerated projected gradient on the dual box QP, with
 its own Python loop over one problem. The tests compare the lockstep solver
 against them bit for bit: weights, intercepts, support rows, dual
 coefficients, convergence flags and predictions. Kernels and iteration cap
-follow ``models.svm``.
+follow ``models.svm``, and so does the linear dual's product, which
+``models.svm`` takes through the factor ``[X, 1]`` of the Gram matrix
+(:func:`linear_dual_product`); the other kernels build ``Q`` whole.
 """
 
 from __future__ import annotations
@@ -45,6 +47,25 @@ def _scale_gamma(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * variance)
 
 
+def linear_dual_product(X: np.ndarray, y: np.ndarray, loss: str, C: float):
+    """``v -> Q v`` of the linear dual: ``Q = (y y^T) * (X X^T + 1)``, plus ``I / (2C)`` if squared.
+
+    Taken as ``models.svm`` takes it: ``X X^T + 1 = Z Z^T`` with ``Z = [X, 1]``,
+    so ``Q v = y * (Z (Z^T (y * v)))``, plus ``v * (1 / (2C))`` for squared
+    hinge. ``Z^T`` is made contiguous: a gemv on the strided view ``Z.T``
+    runs another BLAS kernel, which rounds differently.
+    """
+    Z = np.column_stack([X, np.ones(X.shape[0])])
+    Zt = np.ascontiguousarray(Z.T)
+    shift = 1.0 / (2.0 * C)
+
+    def product(v: np.ndarray) -> np.ndarray:
+        q = y * (Z @ (Zt @ (y * v)))
+        return q + v * shift if loss == "squared_hinge" else q
+
+    return product
+
+
 def _spectral_norm(matvec, dim: int, iterations: int = 30) -> float:
     v = np.full(dim, 1.0 / np.sqrt(dim))
     norm = 1.0
@@ -80,14 +101,16 @@ class _BinarySVM:
 
     def _fit_dual(self, X: np.ndarray, y: np.ndarray) -> None:
         m = X.shape[0]
-        K = _kernel_matrix(self.kernel, X, X, self.gamma) + 1.0
-        Q = (y[:, None] * y[None, :]) * K
-        if self.loss == "squared_hinge":
-            Q = Q + np.eye(m) / (2.0 * self.C)
-            upper = np.inf
+        if self.kernel == "linear":
+            Q_dot = linear_dual_product(X, y, self.loss, self.C)
         else:
-            upper = self.C
-        lipschitz = _spectral_norm(lambda v: Q @ v, m) * 1.05
+            K = _kernel_matrix(self.kernel, X, X, self.gamma) + 1.0
+            Q = (y[:, None] * y[None, :]) * K
+            if self.loss == "squared_hinge":
+                Q = Q + np.eye(m) / (2.0 * self.C)
+            Q_dot = Q.__matmul__
+        upper = np.inf if self.loss == "squared_hinge" else self.C
+        lipschitz = _spectral_norm(Q_dot, m) * 1.05
 
         def project(a: np.ndarray) -> np.ndarray:
             return np.clip(a, 0.0, upper)
@@ -98,7 +121,7 @@ class _BinarySVM:
         pg0: float | None = None
         self.converged = False
         for iteration in range(_MAX_ITER):
-            grad_v = Q @ velocity - 1.0
+            grad_v = Q_dot(velocity) - 1.0
             alpha_next = project(velocity - grad_v / lipschitz)
             if grad_v @ (alpha_next - alpha) > 0:  # restart momentum on non-descent
                 t_prev = 1.0
@@ -109,7 +132,7 @@ class _BinarySVM:
                 t_prev = t_next
             alpha = alpha_next
             if iteration % 10 == 9:
-                grad = Q @ alpha - 1.0
+                grad = Q_dot(alpha) - 1.0
                 pg = float(np.linalg.norm(alpha - project(alpha - grad)))
                 if pg0 is None:
                     pg0 = max(pg, 1.0)

@@ -525,6 +525,53 @@ def test_every_chunk_and_block_size_parses_like_reference(case):
             assert_parses_like_reference(text, sidecar)
 
 
+def stamped_text(stamps):
+    """An M1 dataset with one line per timestamp field, each as given."""
+    lines = [M1_LINES[0]]
+    for i, stamp in enumerate(stamps):
+        lines.append(f"{stamp},-{50 + i % 20},{'true' if i % 3 else 'false'},{i % 3}")
+    return "\n".join(lines) + "\n"
+
+
+# Epoch-ms stamps beside canonical ones: '-'? and 1-18 digits are decoded in bulk; a sign,
+# an underscore, padding or a 19th digit takes the per-line checks, which int() accepts
+EPOCH_CASES = {
+    "mixed": ["1598435805000", "26/08/2020 09:56:45.005", "001598435805006", "+1598435805007",
+              "1_598_435_805_008", " 1598435805009 ", "0000001598435805010",
+              "26/08/2020 09:56:45.011", "1598435805011"],
+    "signs-and-zeros": ["-999999999999999999", "-5", "-0", "0", "000", "7", "999999999999999999",
+                        "1000000000000000000"],
+    "decrease-after-canonical": ["26/08/2020 09:56:45.011", "1598435805010"],
+    "decrease-after-epoch": ["1598435805012", "26/08/2020 09:56:45.011"],
+    "decrease-after-per-line": ["+1598435805012", "1598435805011"],
+    "bad-rssi-on-epoch-line": ["1598435805000", "1598435805001,-5x"],
+    **{f"bad-stamp-{text!r}": ["1598435805000", text] for text in ("-", "", "--5", "5-", "1.5")},
+}
+
+
+@pytest.mark.parametrize("case", EPOCH_CASES, ids=str)
+def test_epoch_ms_beside_canonical_stamps_parses_like_reference(case):
+    text = stamped_text(EPOCH_CASES[case])
+    sidecar = parse_sidecar(M1_SIDECAR)
+    assert_parses_like_reference(text, sidecar)
+    for chunk_chars in (1, 7, 40):
+        with small_pieces(chunk_chars):
+            assert_parses_like_reference(text, sidecar)
+
+
+def test_epoch_ms_lines_take_the_bulk_decode(monkeypatch):
+    stamps = ["-999999999999999999", *map(str, range(-1000, 20_000, 7)), "999999999999999999"]
+    text = stamped_text(stamps)
+    sidecar = parse_sidecar(M1_SIDECAR)
+    expected = reference.parse_dataset(text, sidecar)
+
+    def per_line(*args):
+        raise AssertionError(f"a valid line took the per-line checks: {args[:2]}")
+
+    monkeypatch.setattr(dataset_module, "_parse_row", per_line)
+    assert parse_dataset(text, sidecar) == expected
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 5, 64, 1 << 18])
 def test_undecodable_byte_names_its_line(chunk_chars, monkeypatch):
     monkeypatch.setattr(dataset_module, "_CHUNK_CHARS", chunk_chars)

@@ -5,6 +5,7 @@ boosting's level-wise trees checked against its sorted search, and the
 lockstep SVM solver checked bit for bit against `svm_reference`."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,23 @@ class TestSvm:
         model = fit(ModelSpec("svm", {"kernel": "linear", "loss": "squared_hinge", "C": 1.0}), X, y)
         assert np.mean(model.predict(X) == y) > 0.95
 
+    @pytest.mark.parametrize("loss", ("hinge", "squared_hinge"))
+    def test_linear_fit_builds_no_gram_matrix(self, loss):
+        # the linear dual multiplies by Z = [X, 1], so a fit holds O(m (d + 1)) floats,
+        # where one m x m Gram matrix alone takes 8 m^2 bytes (32 MB here)
+        rng = np.random.default_rng(5)
+        m, d = 2000, 8
+        X = rng.normal(size=(m, d))
+        y = X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=m) > 0
+        tracemalloc.start()
+        try:
+            model = fit(ModelSpec("svm", {"kernel": "linear", "loss": loss}), X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.inner.machines[0].converged
+        assert peak < 8 * m * (d + 1) * 8, peak / (m * (d + 1) * 8)  # measured: 3.9x
+
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -348,6 +366,22 @@ class TestLockstepSvmMatchesReference:
         for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
             assert_svm_matches_reference(model, params, X, y, probe)
 
+    def test_reference_linear_product_is_the_dense_dual_product(self):
+        # the reference's factored product solves the QP that (y y^T) * (X X^T + 1) states
+        rng = np.random.default_rng(50)
+        for m, d in ((30, 2), (200, 12)):
+            X = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=d)
+            y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+            dense = (y[:, None] * y[None, :]) * (X @ X.T + 1.0)
+            for loss in svm_module.LOSSES:
+                for C in (0.01, 1.0, 10.0, 1e4):
+                    Q = dense + np.eye(m) / (2.0 * C) if loss == "squared_hinge" else dense
+                    product = svm_reference.linear_dual_product(X, y, loss, C)
+                    for v in (rng.uniform(0.0, C, size=m), rng.normal(size=m)):
+                        want = Q @ v
+                        error = np.linalg.norm(product(v) - want)
+                        assert error <= 1e-12 * np.linalg.norm(want), (m, loss, C)
+
     def test_spectral_norm_of_a_vanishing_problem_is_one(self):
         # the zero operator vanishes at once, the nilpotent one a step later
         operators = np.array([np.zeros((2, 2)), 2.0 * np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
@@ -390,12 +424,23 @@ class TestSvmMomentumTable:
         assert table.shape == (svm_module._MAX_ITER,)
 
     def test_momentum_past_step_2705_without_restart(self):
-        # this problem's momentum runs past k = 2705, where glibc's pow(t, 2) and t * t first
-        # round apart; a table built from t * t gives weights that differ from the reference's
+        # this problem's momentum runs past k = 2705 (to 6,145), where glibc's pow(t, 2) and
+        # t * t first round apart; its weights absorb the difference, so it checks the table
+        # through a long run, and the next test is the one a t * t table fails
         rng = np.random.default_rng(17)
         X = rng.normal(size=(90, 4))
         y = X[:, 0] + 0.3 * rng.normal(size=90) > 0
         params = {"kernel": "linear", "loss": "squared_hinge", "C": 1e4}
+        model = fit(ModelSpec("svm", params), X, y)
+        assert assert_svm_matches_reference(model, params, X, y, rng.normal(size=(20, 4))) == [True]
+
+    def test_momentum_past_step_2705_differs_from_t_times_t(self):
+        # this problem's momentum runs to k = 3,163; a table built from t * t gives weights
+        # that differ from the reference's, which builds it from pow(t, 2)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(90, 4))
+        y = X[:, 0] + 0.3 * rng.normal(size=90) > 0
+        params = {"kernel": "linear", "loss": "squared_hinge", "C": 3e3}
         model = fit(ModelSpec("svm", params), X, y)
         assert assert_svm_matches_reference(model, params, X, y, rng.normal(size=(20, 4))) == [True]
 
