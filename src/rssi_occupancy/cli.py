@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import secrets
 import sys
 from pathlib import Path
 
@@ -31,6 +30,10 @@ from .features import build_feature_matrix, segment
 from .simulator import load_scenario, simulate
 
 
+# Characters encoded and written at a time, so a write never holds a UTF-8 copy of the text.
+_WRITE_CHARS = 1 << 18
+
+
 class _ArtifactWriter:
     """Writes output files atomically and removes them all if a later step fails."""
 
@@ -41,7 +44,9 @@ class _ArtifactWriter:
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            with open(tmp, "w", encoding="utf-8") as file:
+                for lo in range(0, len(text), _WRITE_CHARS):
+                    file.write(text[lo : lo + _WRITE_CHARS])
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -99,7 +104,8 @@ def _effective_seed(seed: int | None, fallback: int | None = None) -> int:
     if fallback is not None:
         print(f"seed: {fallback} (from scenario)", file=sys.stderr)
         return fallback
-    chosen = secrets.randbits(32)
+    # os.urandom is the source of secrets.randbits; importing secrets would load OpenSSL
+    chosen = int.from_bytes(os.urandom(4), "big")
     print(f"seed: {chosen} (randomly selected)", file=sys.stderr)
     return chosen
 

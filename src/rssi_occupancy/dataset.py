@@ -26,15 +26,17 @@ carried into the next; a piece with line breaks other than ``\\n`` has them
 rewritten, through a list of its lines, and the piece is encoded to UTF-8.
 Lines keep the numbers ``str.splitlines`` gives them, across chunk edges
 too. Each piece is decoded in bulk straight into the output columns, which
-grow in place a piece at a time and are never copied whole. So a parse holds
-the columns plus a chunk, not the text. Reading a file of canonical lines, it
-peaks near 6.4 chunks above the columns whatever the file's length; given
-the text, near 1.2x the text on 120,000 rows of four transmitters (2.2x on
-20,000, where a chunk still counts). Shorter lines put more of them in a
-chunk, and the temporaries grow with the lines: a file of blank lines peaks
-near 15 MiB above the columns (one transmitter). A byte that a file cannot
-decode is reported with its line, found by decoding the file again from its
-start; :func:`read_text` reads the key-value files the same way.
+grow in place a piece at a time and are never copied whole; the RSSI column
+is int8, and each value is checked before it is stored in it. So a parse
+holds the columns plus a chunk, not the text. Reading a file of canonical
+lines, it peaks near 6.7 chunks above the columns whatever the file's
+length; given the text, near 0.63x the text on 120,000 rows of four
+transmitters (1.7x on 20,000, where a chunk still counts). Shorter lines put
+more of them in a chunk, and the temporaries grow with the lines: a file of
+blank lines peaks near 15 MiB above the columns (one transmitter). A byte
+that a file cannot decode is reported with its line, found by decoding the
+file again from its start; :func:`read_text` reads the key-value files the
+same way.
 """
 
 from __future__ import annotations
@@ -91,10 +93,12 @@ class RssiDataset:
     Record ``i`` is ``timestamps_ms[i]``, the RSSI row ``rssi[i]`` (one
     value per transmitter, in transmitter order) and the occupant count
     ``counts[i]``; occupancy is derived as ``counts > 0``. The columns are
-    read-only int64 views. Construction checks the column shapes, unique
+    read-only views: timestamps and counts int64, RSSI int8, which holds
+    [-127, 0] dBm exactly. Construction checks the column shapes, unique
     transmitter ids, positive distances and rate, non-decreasing timestamps,
     RSSI in [-127, 0] dBm and non-negative counts, and raises
-    :class:`DatasetError` naming the first bad record.
+    :class:`DatasetError` naming the first bad record. The RSSI column is
+    checked as given and narrowed after: a cast first would wrap -300 to -44.
     """
 
     transmitters: tuple[TransmitterMeta, ...]
@@ -112,14 +116,15 @@ class RssiDataset:
                 raise DatasetError(f"{t.id}: distance_cm must be positive, got {t.distance_cm}")
         if not 0 < self.sampling_hz < np.inf:  # NaN fails too
             raise DatasetError(f"sampling_hz must be positive and finite, got {self.sampling_hz}")
+        columns = []
         for name in _COLUMNS:
             column = np.asarray(getattr(self, name))
             if column.size and column.dtype.kind not in "iu":
                 raise DatasetError(f"{name} must hold integers, got dtype {column.dtype}")
-            column = column.astype(np.int64, copy=False).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        timestamps, rssi, counts = self.timestamps_ms, self.rssi, self.counts
+            columns.append(column)
+        timestamps, rssi, counts = columns
+        timestamps = timestamps.astype(np.int64, copy=False)
+        counts = counts.astype(np.int64, copy=False)
         n = timestamps.size
         if timestamps.ndim != 1 or rssi.shape != (n, len(ids)) or counts.shape != (n,):
             raise DatasetError(
@@ -137,6 +142,11 @@ class RssiDataset:
         elif counts.size and counts.min() < 0:
             bad, problem = counts < 0, "negative count"
         else:
+            rssi = rssi.astype(np.int8, copy=False)  # all in [-127, 0], so the cast is exact
+            for name, column in zip(_COLUMNS, (timestamps, rssi, counts)):
+                column = column.view()
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
             return
         i = int(bad.argmax())
         raise DatasetError(
@@ -435,8 +445,9 @@ def _decode_rows(
         timestamps[rows[epoch]], ok[epoch] = _decode_ints(buf, left[epoch], right[epoch])
     for j in range(n):
         left, right = right + 1, commas[first_comma + j + 1]
-        rssi[rows, j], field_ok = _decode_ints(buf, left, right)
-        ok &= field_ok & (rssi[rows, j] >= RSSI_MIN) & (rssi[rows, j] <= RSSI_MAX)
+        value, field_ok = _decode_ints(buf, left, right)
+        ok &= field_ok & (value >= RSSI_MIN) & (value <= RSSI_MAX)
+        rssi[rows, j] = value  # checked before it is stored: the int8 cast wraps -300 to -44
     left, right = right + 1, commas[first_comma + n + 1]
     occupied = _spells(buf, left, right, b"true")
     ok &= occupied | _spells(buf, left, right, b"false")
@@ -550,7 +561,7 @@ def parse_dataset(source: str | TextIO, meta: DatasetMeta) -> RssiDataset:
             macs = _parse_header(_line(data, starts, ends, first), lines + first + 1, meta)
             columns = (
                 np.empty(0, dtype=np.int64),
-                np.empty((0, len(macs)), dtype=np.int64),
+                np.empty((0, len(macs)), dtype=np.int8),
                 np.empty(0, dtype=np.int64),
             )
             lines += first + 1
@@ -695,8 +706,8 @@ def deduplicate(dataset: RssiDataset) -> RssiDataset:
     First occurrence wins; order is preserved.
     """
     # Any order that groups equal keys will do. lexsort is stable, so each group
-    # starts with its first record; RSSI in [-127, 0] fits int8, which sorts by radix.
-    order = np.lexsort([dataset.counts, *dataset.rssi.astype(np.int8).T])
+    # starts with its first record; the int8 RSSI columns sort by radix.
+    order = np.lexsort([dataset.counts, *dataset.rssi.T])
     ranked = np.column_stack((dataset.rssi, dataset.counts))[order]
     first_of_run = np.ones(len(order), dtype=bool)
     first_of_run[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)

@@ -25,12 +25,13 @@ Conventions that tests rely on:
   feature matrix diagnostics flag that case.
 
 ``segment`` returns one ``Windows`` block: a C-contiguous ``(windows,
-transmitters, L)`` float64 array of samples, one reshape and transpose of
-the dataset's RSSI column, with the records' counts beside it and the
-window labels as vectorised properties. ``build_feature_matrix`` views that
-array as one ``(windows x transmitters, L)`` block and computes each feature
-as a column, reducing along the last axis. It runs on chunks of rows
-(``_CHUNK_BYTES`` of samples) written into one preallocated output, so its
+transmitters, L)`` int8 array of samples, one reshape and transpose of the
+dataset's RSSI column, with the records' counts beside it and the window
+labels as vectorised properties. ``build_feature_matrix`` views that array
+as one ``(windows x transmitters, L)`` block and computes each feature as a
+column, reducing along the last axis. It runs on chunks of rows
+(``_CHUNK_BYTES`` of float64 samples), each converted into one reused
+float64 buffer, and writes them into one preallocated output, so its
 temporaries are bounded by a chunk; every feature is a function of its row
 alone, so the chunks give the bits of one pass over the block.
 ``time_features`` and ``freq_features`` are the same block functions on a
@@ -118,7 +119,8 @@ class FeatureError(ValueError):
 class Windows:
     """Consecutive fixed-length windows as one block, with their labels.
 
-    ``samples[i, j]`` is window i's sample vector of transmitter j.
+    ``samples[i, j]`` is window i's sample vector of transmitter j: int8
+    RSSI from :func:`segment`, though any real dtype featurizes the same.
     ``counts`` keeps the per-record occupant counts so the raw-representation
     path can label every sample exactly; ``labels_*`` are the majority labels
     of each window's records (occupancy ties break to True, count ties to the
@@ -127,7 +129,7 @@ class Windows:
 
     transmitter_ids: tuple[str, ...]
     sampling_hz: float
-    samples: np.ndarray  # (n_windows, n_transmitters, L) float64, C-contiguous
+    samples: np.ndarray  # (n_windows, n_transmitters, L) int8, C-contiguous
     counts: np.ndarray  # (n_windows, L) int64
 
     def __len__(self) -> int:
@@ -214,7 +216,8 @@ class FeatureMatrix:
             lines.append(
                 f"{','.join(map(repr, row.tolist()))},{'true' if occupied else 'false'},{count}"
             )
-        return "\n".join(lines) + "\n"
+        lines.append("")  # ends the text in '\n' without a second copy of it
+        return "\n".join(lines)
 
 
 def window_length(window_s: float, sampling_hz: float) -> int:
@@ -257,7 +260,7 @@ def segment(dataset: RssiDataset, window_s: float = 1.0) -> Windows:
     return Windows(
         transmitter_ids=dataset.transmitter_ids(),
         sampling_hz=dataset.sampling_hz,
-        samples=np.ascontiguousarray(samples, dtype=np.float64),
+        samples=np.ascontiguousarray(samples),
         counts=dataset.counts[:n].reshape(n_windows, length),
     )
 
@@ -319,20 +322,28 @@ def _sorted_moments_and_median(
     of the row, since the median adds its middle values to +0.0 and no sign of
     zero survives that.
     """
+    # Each row-sized temporary is dropped, or written over, once it is used: a chunk
+    # whose temporaries outgrow twice glibc's mmap threshold gives its heap back and
+    # faults it in again on the next chunk.
     order = np.argsort(x, axis=1)
-    ordered = np.take_along_axis(x, order, axis=1)
-    deviations = ordered - mean[:, None]
+    deviations = np.take_along_axis(x, order, axis=1)  # the sorted rows, until the median
+    median = np.median(deviations, axis=1)
+    deviations -= mean[:, None]
     bits = deviations.view(np.int64)
     new = np.empty(deviations.shape, dtype=bool)
     new[:, 0] = True
     np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
     distinct = deviations[new]
+    del deviations, bits
+    ranks = np.cumsum(new)
+    ranks -= 1
     # inverse[i, j]: the index in ``distinct`` of sample j of row i
     inverse = np.empty_like(order)
-    np.put_along_axis(inverse, order, (np.cumsum(new) - 1).reshape(new.shape), axis=1)
+    np.put_along_axis(inverse, order, ranks.reshape(new.shape), axis=1)
+    del order, ranks
     third = np.mean((distinct**3)[inverse], axis=1)
     fourth = np.mean((distinct**4)[inverse], axis=1)
-    return third, fourth, np.median(ordered, axis=1)
+    return third, fourth, median
 
 
 def _time_block(x: np.ndarray) -> np.ndarray:
@@ -510,15 +521,18 @@ def build_feature_matrix(windows: Windows) -> FeatureMatrix:
     features = np.empty((block.shape[0], FEATURES_PER_TRANSMITTER))
     n_time = len(TIME_FEATURE_NAMES)
     step = max(1, _CHUNK_BYTES // (8 * length))
+    buffer = np.empty((min(step, len(block)), length))  # each chunk's rows, as float64
     try:
         for lo in range(0, block.shape[0], step):
             chunk = slice(lo, lo + step)
-            features[chunk, :n_time] = _time_block(block[chunk])
-            features[chunk, n_time:] = _freq_block(block[chunk], windows.sampling_hz)
+            x = buffer[: min(step, len(block) - lo)]
+            np.copyto(x, block[chunk])
+            features[chunk, :n_time] = _time_block(x)
+            features[chunk, n_time:] = _freq_block(x, windows.sampling_hz)
     except FeatureError:
         # Raise what one pass over the whole block raises: a variance error comes
         # first, and it names the largest finite variance of the block.
-        _time_block(block)
+        _time_block(block.astype(np.float64))
         raise
     rows = features.reshape(n_windows, len(names))
 
@@ -540,9 +554,10 @@ def build_raw_matrix(windows: Windows) -> FeatureMatrix:
     """One row per record: the raw per-transmitter RSSI vector, labels per record."""
     names = tuple(f"{mac}/rssi" for mac in windows.transmitter_ids)
     counts = windows.counts.reshape(-1)
+    by_record = windows.samples.transpose(0, 2, 1)  # (windows, L, transmitters)
     return FeatureMatrix(
         feature_names=names,
-        rows=windows.samples.transpose(0, 2, 1).reshape(-1, len(names)),
+        rows=by_record.astype(np.float64, order="C").reshape(-1, len(names)),  # one copy
         labels_occupancy=counts > 0,
         labels_count=counts,
         diagnostics=FeatureDiagnostics(),

@@ -161,7 +161,7 @@ def simulate(config: ScenarioConfig) -> RssiDataset:
                 2.0 * math.pi * freq * t + phase
             ) * active
         clipped = np.clip(signal, RSSI_MIN, RSSI_MAX)
-        columns.append(np.rint(clipped).astype(np.int64))
+        columns.append(np.rint(clipped).astype(np.int8))  # clipped to [-127, 0]: int8 holds it
 
     transmitters = tuple(
         TransmitterMeta(id=mac, distance_cm=int(distance)) for mac, distance in config.transmitters

@@ -1,6 +1,10 @@
 """CLI subcommands: artifact writing, exit codes, determinism."""
 
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,11 +82,12 @@ class TestSimulate:
         assert out.read_bytes() == first
         assert "wrote 2700 records" in capsys.readouterr().out
 
-    def test_row_count_matches_duration_times_rate(self, tmp_path, scenario_file):
+    def test_row_count_matches_duration_times_rate(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "d.csv"
         cli.main(["simulate", "--scenario", str(scenario_file), "--out", str(out)])
         lines = out.read_text().splitlines()
         assert len(lines) == 2701  # header + 60 s * 45 Hz
+        assert "seed: 42 (from scenario)" in capsys.readouterr().err  # no --seed: the one used
 
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         code = cli.main(
@@ -287,7 +292,21 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        assert "seed:" in capsys.readouterr().err
+        drawn = re.search(r"seed: (\d+) \(randomly selected\)", capsys.readouterr().err)
+        assert drawn and int(drawn.group(1)) < 2**32
+
+    def test_importing_the_cli_loads_no_openssl(self):
+        # The seed comes from os.urandom: importing secrets would load hashlib's OpenSSL.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "import rssi_occupancy.cli; print(sorted(sys.modules))"
+        )
+        modules = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert "'rssi_occupancy.cli'" in modules
+        assert "'_hashlib'" not in modules
 
     @pytest.mark.parametrize(
         "window_s, message",

@@ -131,6 +131,22 @@ class TestParse:
         with pytest.raises(DatasetError, match="line 2.*outside"):
             parse_dataset("timestamp,M1,occupancy,count\n1,-200,true,1\n", sidecar)
 
+    # An int8 cast wraps these back into range (-300 to -44, -256 to 0); -200 wraps to 56,
+    # outside it, so it cannot show a check made after the cast.
+    @pytest.mark.parametrize("value", ["-300", "-256"])
+    @pytest.mark.parametrize("line", ["20,{},true,1", "20, {},true,1"], ids=("bulk", "per-line"))
+    def test_rssi_that_int8_wraps_into_range_rejected(self, value, line):
+        sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
+        text = f"timestamp,M1,occupancy,count\n0,-50,true,1\n{line.format(value)}\n"
+        with pytest.raises(DatasetError, match=f"^line 3: RSSI {value} for M1 outside"):
+            parse_dataset(text, sidecar)
+
+    def test_rssi_column_is_int8(self):
+        sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
+        dataset = parse_dataset("timestamp,M1,occupancy,count\n0,-127,true,1\n1,0,true,1\n", sidecar)
+        assert dataset.rssi.dtype == np.int8
+        assert dataset.rssi.tolist() == [[-127], [0]]
+
     def test_unknown_mac_in_header(self):
         sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\n")
         with pytest.raises(DatasetError, match="line 1.*not present in sidecar"):
@@ -253,6 +269,23 @@ class TestConstruction:
         rows = [(0, (-50, -60), 0), (1, (-50, 3), 0)]
         with pytest.raises(DatasetError, match=r"record 1: RSSI outside .* rssi \[-50, 3\]"):
             make_dataset(rows)
+
+    @pytest.mark.parametrize("value", [-300, -256, 300])  # an int8 cast gives -44, 0 and 44
+    def test_rssi_that_int8_wraps_into_range_rejected(self, value):
+        with pytest.raises(DatasetError, match=rf"record 0: RSSI outside .* rssi \[{value}\]"):
+            RssiDataset(
+                transmitters=(TransmitterMeta("M1", 10),),
+                timestamps_ms=[0],
+                rssi=[[value]],
+                counts=[0],
+                sampling_hz=45.0,
+            )
+
+    def test_rssi_is_narrowed_to_int8_without_change(self):
+        dataset = make_dataset([(0, (-127, 0), 1), (1, (-50, -60), 0)])
+        assert dataset.rssi.dtype == np.int8
+        assert dataset.rssi.tolist() == [[-127, 0], [-50, -60]]
+        assert dataset.timestamps_ms.dtype == dataset.counts.dtype == np.int64
 
     def test_negative_count_rejected(self):
         with pytest.raises(DatasetError, match=r"record 2: negative count .*count -1\)"):
@@ -377,7 +410,7 @@ def respellings(stamp, timestamp_ms):
 
 # One corrupted row each: {field: new text}; -1 is the count, -2 the occupancy.
 CORRUPTIONS = [
-    *({1: text} for text in ["abc", "-200", "5", "-50.0", "", "−50", "-５０", "é"]),
+    *({1: text} for text in ["abc", "-200", "-300", "-256", "5", "-50.0", "", "−50", "-５０", "é"]),
     *({-2: text} for text in ["TRUE", "yes", "True "]),
     *({-1: text} for text in ["x", "٣"]),
     {-2: "false", -1: "-1"},  # a negative count that agrees with its occupancy
@@ -722,9 +755,9 @@ def random_dataset(n):
 
 
 def test_parse_peak_memory_is_a_few_times_the_text():
-    # Beside the text it is given, the parse holds the columns (as many bytes as the
-    # text) and one chunk of the text, encoded and decoded a block at a time: it peaks
-    # near 2.2x the text here, and near 1.2x at 120,000 rows.
+    # Beside the text it is given, the parse holds the columns (0.42x the text, with
+    # int8 RSSI) and one chunk of the text, encoded and decoded a block at a time: it
+    # peaks near 1.7x the text here, and near 0.63x at 120,000 rows.
     dataset = random_dataset(20_000)
     text = serialize_dataset(dataset)
     tracemalloc.start()
@@ -741,7 +774,7 @@ def test_parse_peak_memory_is_a_few_times_the_text():
 def test_file_parse_peaks_at_the_columns_plus_a_few_chunks(n, tmp_path):
     # The file is read a chunk at a time into columns grown in place: the parse holds
     # the columns and what one chunk takes (the file object's buffers, the chunk, its
-    # UTF-8 bytes and one block's temporaries), near 6.4 chunks, never the whole file.
+    # UTF-8 bytes and one block's temporaries), near 6.7 chunks, never the whole file.
     dataset = random_dataset(n)
     path = tmp_path / "d.csv"
     path.write_text(serialize_dataset(dataset), encoding="utf-8")

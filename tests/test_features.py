@@ -430,6 +430,8 @@ class TestRawMatrix:
         assert matrix.feature_names == ("AA:00/rssi", "AA:01/rssi")
         assert matrix.rows.shape == (60, 2)
         assert np.array_equal(matrix.rows, rssi[:60].astype(float))
+        assert windows.samples.dtype == np.int8  # the RSSI column's block, one copy of it
+        assert matrix.rows.dtype == np.float64 and matrix.rows.flags.c_contiguous
         assert np.array_equal(matrix.labels_count, np.array(counts[:60]))
         assert np.array_equal(matrix.labels_occupancy, np.array(counts[:60]) > 0)
 
@@ -639,6 +641,31 @@ class TestChunks:
         monkeypatch.setattr(np.linalg, "solve", failing_on_chunk_1)
         assert build_feature_matrix(windows).rows.tobytes() == want.tobytes()
         assert batched_calls == [4, 3, 4, 3]  # the singular row's variance**2 underflows: no solve
+
+    def test_int8_samples_featurize_as_their_float64_values(self, monkeypatch):
+        # 15 int8 rows in chunks of 4, the last of 3, each converted into one reused buffer
+        windows = random_windows(26, 5, 3, 20)
+        narrow = Windows(
+            windows.transmitter_ids, windows.sampling_hz, windows.samples.astype(np.int8),
+            windows.counts,
+        )
+        want = per_row_features(windows)
+        monkeypatch.setattr(features, "_CHUNK_BYTES", chunks_of(4, 20))
+        assert build_feature_matrix(narrow).rows.tobytes() == want.tobytes()
+
+    def test_time_block_temporaries_peak_under_five_chunks(self):
+        # The sorted moments drop each row-sized temporary once it is used: 4.7 chunks
+        # measured, where they held 7.4. A chunk whose temporaries outgrow twice glibc's
+        # mmap threshold gives its heap back and faults it in again on the next chunk.
+        chunk = random_windows(5, 41, 4, 200).samples.reshape(-1, 200)[:163]
+        features._time_block(chunk)  # first-call allocations do not count
+        tracemalloc.start()
+        try:
+            features._time_block(chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * chunk.nbytes, peak / chunk.nbytes
 
     def test_variance_overflow_names_the_largest_variance_of_the_block(self, monkeypatch):
         # both rows' variance**2 overflows; the second, in a later chunk, has the larger variance
