@@ -17,21 +17,23 @@ binary.
 Lockstep solving. The solver's unit of work is every binary machine of one
 kernel on one training set: in a grid search, a fold's (loss, C) configs
 times their one-vs-rest classes. ``fit_lockstep`` runs each such batch of B
-problems as one loop. A step makes one stacked matvec with the batch's
-kernel, each factor broadcast over the problems rather than copied and its
-gemvs writing into a buffer made once, and does every other update on
-``(B, m)`` arrays: the step sizes and box bounds are held whole, so the
-divide and the clip take arrays of one shape, and each result is written
-into a buffer the loop owns. Each problem keeps its own step size,
-convergence test, ``converged`` flag and count of steps since its last
-restart; FISTA's momentum (t_k - 1)/t_{k+1} depends on that count k alone,
-so it is read from a table computed once at import (``_MOMENTUM``), with the
-float operations of a one-problem loop. A problem that converges leaves the batch: its iterate is stored as it stood
-and its row is dropped from the stacked arrays, so no step is spent on it
-while the others run on (problems of one batch converge hundreds of
-iterations apart). The loop ends when the batch is empty or at the iteration
-cap. ``fit_lockstep`` is the only way a classifier is fitted; a single fit
-is the batch of one.
+problems as one loop. Every problem of a batch multiplies by the same chain
+of kernel factors, ``(Z^T, Z)`` for the linear kernel and ``(K,)``
+otherwise, so a step makes one stacked matvec, each factor broadcast over
+the problems rather than copied and its gemvs writing into a buffer made
+once, and does every other update on ``(B, m)`` arrays: the step sizes and
+box bounds are held whole, so the divide and the clip take arrays of one
+shape, and each result is written into a buffer the loop owns. Each problem
+keeps its own step size, convergence test, ``converged`` flag and count of
+steps since its last restart; FISTA's momentum (t_k - 1)/t_{k+1} depends on
+that count k alone, so it is read from a table computed once at import
+(``_MOMENTUM``), with the float operations of a one-problem loop. A problem
+that converges leaves the batch: its iterate is stored as it stood and its
+row is dropped from the stacked arrays, so no step is spent on it while the
+others run on (problems of one batch converge hundreds of iterations apart).
+The loop ends when the batch is empty or at the iteration cap.
+``fit_lockstep`` is the only way a classifier is fitted; a single fit is the
+batch of one.
 
 A batch gives every problem the bits it would get alone. Each product with
 a kernel factor is a BLAS gemv per row (``A @ v[..., None]``), each inner
@@ -39,9 +41,12 @@ product a ddot per row, and each row sum numpy's pairwise sum of that row,
 all as on one 1-D vector. The batch never turns its matvecs into one
 matrix-matrix product: GEMM blocks its sums in another order, and a
 machine's bits would then depend on the batch it was fitted in. The hinge
-dual shares one kernel matrix K across one-vs-rest labels: ``Q v`` is taken as
-``y * (K (y * v))``, which rounds as ``((y y^T) * K) v`` does because y is
-+-1 and rounding is symmetric in sign.
+dual shares one kernel matrix K (which includes the bias's +1) across
+one-vs-rest labels: ``Q v`` is taken as ``y * (K (y * v))``, which rounds as
+``((y y^T) * K) v`` does because y is +-1 and rounding is symmetric in sign.
+Squared hinge adds its diagonal 1/(2C) as the term ``v * (1 / (2C))`` of its
+own rows, which the batch keeps last, never as a shifted copy of K; so a
+batch holds one kernel whatever its losses and C values.
 
 The linear kernel's K = XX^T + 1 has rank at most d + 1, often far below m:
 it is Z Z^T with Z = [X, 1], m x (d + 1). So a linear batch never forms K:
@@ -49,11 +54,6 @@ it takes ``K s`` as ``Z (Z^T s)``, two thin gemvs that cost O(m d), not O(m^2)
 (linear SVM solvers keep the factor for this reason: Hsieh et al., ICML
 2008, the method behind LIBLINEAR). Z^T is held C-contiguous; a gemv on the
 strided view ``Z.T`` runs another BLAS kernel, which rounds differently.
-Squared hinge adds its diagonal 1/(2C) as the term ``v * (1 / (2C))`` of its
-own rows, which the batch keeps last, so every problem of a linear batch
-shares one run of gemvs. For poly and RBF, squared hinge shifts K's diagonal
-by 1/(2C): the batch holds one shifted copy of K per distinct C, broadcast
-over the problems that use it.
 """
 
 from __future__ import annotations
@@ -93,11 +93,20 @@ _MOMENTUM = _momentum_table(_MAX_ITER)
 
 
 def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """The kernel of each row of ``A`` with each row of ``B``, plus 1 (the regularized bias)."""
     if kind == "poly":
-        return (gamma * (A @ B.T) + _COEF0) ** _DEGREE
-    if kind == "rbf":
-        return np.exp(-gamma * squared_distances(A, B))
-    raise ValueError(f"unknown kernel {kind!r}")
+        K = A @ B.T
+        K *= gamma
+        K += _COEF0
+        K **= _DEGREE
+    elif kind == "rbf":
+        K = squared_distances(A, B)
+        K *= -gamma
+        np.exp(K, out=K)
+    else:
+        raise ValueError(f"unknown kernel {kind!r}")
+    K += 1.0
+    return K
 
 
 def _scale_gamma(X: np.ndarray) -> float:
@@ -147,36 +156,31 @@ class _BinarySVM:
         X = np.asarray(X, dtype=np.float64)
         if self.w is not None:
             return X @ self.w + self.b
-        K = _kernel_matrix(self.kernel, X, self.support_rows, self.gamma) + 1.0
-        return K @ self.dual_coef
+        return _kernel_matrix(self.kernel, X, self.support_rows, self.gamma) @ self.dual_coef
 
 
 def _dual_matvec(
-    chains: list[tuple[np.ndarray, ...]], which: np.ndarray, Y: np.ndarray, shift: np.ndarray
+    chain: tuple[np.ndarray, ...], Y: np.ndarray, shift: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``Q v`` of each row: ``y * (F_k ... F_1 (y * v))``, the F those of ``chains[which]``.
+    """``Q v`` of each row: ``y * (F_k ... F_1 (y * v))``, the F those of ``chain``.
 
-    Each factor's product is one stacked gemv per run of rows with one chain.
-    The last ``shift.size`` rows add ``shift * v``, each its own ``shift``.
-    The returned array is a buffer that the next call overwrites.
+    Each factor's product is one stacked matmul, a gemv per row. The last
+    ``shift.size`` rows add ``shift * v``, each its own ``shift``. The returned
+    array is a buffer that the next call overwrites.
     """
     n, m = Y.shape
-    cuts = [0, *(np.flatnonzero(np.diff(which)) + 1).tolist(), n]
-    runs = [(chains[which[a]], a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     signed = np.empty((n, m, 1))
-    stages = [np.empty((n, F.shape[0], 1)) for F in chains[0]]  # every chain has these shapes
+    stages = [np.empty((n, F.shape[0], 1)) for F in chain]
     out = np.empty((n, m))
     tail = n - shift.size
     shift = np.repeat(shift[:, None], m, axis=1)
 
     def matvec(V: np.ndarray) -> np.ndarray:
         np.multiply(Y, V, out=signed[..., 0])
-        for chain, a, b in runs:
-            vectors = signed[a:b]
-            for F, stage in zip(chain, stages):
-                np.matmul(F, vectors, out=stage[a:b])
-                vectors = stage[a:b]
-        np.multiply(Y, stages[-1][..., 0], out=out)
+        vectors = signed
+        for F, stage in zip(chain, stages):
+            vectors = np.matmul(F, vectors, out=stage)
+        np.multiply(Y, vectors[..., 0], out=out)
         if tail < n:
             term = signed[tail:, :, 0]  # free once the first factor has read it
             np.multiply(V[tail:], shift, out=term)
@@ -194,20 +198,13 @@ def _solve_dual(
     rows = np.argsort(squared, kind="stable")  # the problem of each row; squared hinge last
     squared, C, Y = squared[rows], C[rows], labels[rows]
     if kernel == "linear":
-        # K = XX^T + 1 = ZZ^T with Z = [X, 1], a product of two thin gemvs; squared
-        # hinge adds its diagonal 1/(2C) as a term of its own rows
+        # K = XX^T + 1 = ZZ^T with Z = [X, 1], a product of two thin gemvs
         Z = np.column_stack([X, np.ones(m)])
-        chains = [(np.ascontiguousarray(Z.T), Z)]  # Z.T's strided view would gemv differently
-        which = np.zeros(n_problems, dtype=np.intp)
-        shift = 1.0 / (2.0 * C[squared])
+        chain = (np.ascontiguousarray(Z.T), Z)  # Z.T's strided view would gemv differently
     else:
-        K = _kernel_matrix(kernel, X, X, gamma) + 1.0
-        # K for hinge; squared hinge shifts its diagonal, one copy per distinct C
-        shifts = list(dict.fromkeys(C[squared].tolist()))
-        chains = [(K,), *((K + np.eye(m) / (2.0 * c),) for c in shifts)]
-        which = np.array([shifts.index(c) + 1 if sq else 0 for sq, c in zip(squared, C.tolist())])
-        shift = np.empty(0)
-    matvec = _dual_matvec(chains, which, Y, shift)
+        chain = (_kernel_matrix(kernel, X, X, gamma),)
+    shift = 1.0 / (2.0 * C[squared])  # squared hinge's diagonal 1/(2C), a term of its own rows
+    matvec = _dual_matvec(chain, Y, shift)
     # held whole, so the step's divide and clip take arrays of one shape
     upper = np.repeat(np.where(squared, np.inf, C)[:, None], m, axis=1)
     lipschitz = np.repeat((_spectral_norm(matvec, n_problems, m) * 1.05)[:, None], m, axis=1)
@@ -250,11 +247,11 @@ def _solve_dual(
                     break
                 live = ~done
                 shift = shift[live[live.size - shift.size :]]
-                rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which = (
-                    a[live] for a in (rows, alpha, velocity, since, pg0, lipschitz, upper, Y, which)
+                rows, alpha, velocity, since, pg0, lipschitz, upper, Y = (
+                    a[live] for a in (rows, alpha, velocity, since, pg0, lipschitz, upper, Y)
                 )
                 alpha_next, step = np.empty_like(alpha), np.empty_like(alpha)
-                matvec = _dual_matvec(chains, which, Y, shift)
+                matvec = _dual_matvec(chain, Y, shift)
     else:  # the iteration cap: the problems still in the batch end unconverged
         final[rows] = alpha
 

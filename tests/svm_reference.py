@@ -6,9 +6,10 @@ kernel in lockstep: accelerated projected gradient on the dual box QP, with
 its own Python loop over one problem. The tests compare the lockstep solver
 against them bit for bit: weights, intercepts, support rows, dual
 coefficients, convergence flags and predictions. Kernels and iteration cap
-follow ``models.svm``, and so does the linear dual's product, which
-``models.svm`` takes through the factor ``[X, 1]`` of the Gram matrix
-(:func:`linear_dual_product`); the other kernels build ``Q`` whole.
+follow ``models.svm``, and so does the dual's product (:func:`dual_product`):
+the linear kernel's is taken through the factor ``[X, 1]`` of the Gram
+matrix, the other kernels build ``Q`` whole for the hinge part, and squared
+hinge adds its diagonal ``1/(2C)`` as the term ``v * (1 / (2C))``.
 """
 
 from __future__ import annotations
@@ -47,23 +48,27 @@ def _scale_gamma(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * variance)
 
 
-def linear_dual_product(X: np.ndarray, y: np.ndarray, loss: str, C: float):
-    """``v -> Q v`` of the linear dual: ``Q = (y y^T) * (X X^T + 1)``, plus ``I / (2C)`` if squared.
+def dual_product(kernel: str, X: np.ndarray, y: np.ndarray, loss: str, C: float, gamma: float):
+    """``v -> Q v`` of the dual: ``Q = (y y^T) * (K + 1)``, plus ``I / (2C)`` if squared.
 
-    Taken as ``models.svm`` takes it: ``X X^T + 1 = Z Z^T`` with ``Z = [X, 1]``,
-    so ``Q v = y * (Z (Z^T (y * v)))``, plus ``v * (1 / (2C))`` for squared
-    hinge. ``Z^T`` is made contiguous: a gemv on the strided view ``Z.T``
-    runs another BLAS kernel, which rounds differently.
+    Taken as ``models.svm`` takes it. The linear kernel's ``X X^T + 1`` is
+    ``Z Z^T`` with ``Z = [X, 1]``, so its hinge part is ``y * (Z (Z^T (y * v)))``;
+    ``Z^T`` is made contiguous, since a gemv on the strided view ``Z.T`` runs
+    another BLAS kernel, which rounds differently. The other kernels take
+    ``(y y^T) * (K + 1)`` whole. Squared hinge adds ``v * (1 / (2C))``.
     """
-    Z = np.column_stack([X, np.ones(X.shape[0])])
-    Zt = np.ascontiguousarray(Z.T)
+    if kernel == "linear":
+        Z = np.column_stack([X, np.ones(X.shape[0])])
+        Zt = np.ascontiguousarray(Z.T)
+
+        def hinge(v: np.ndarray) -> np.ndarray:
+            return y * (Z @ (Zt @ (y * v)))
+    else:
+        hinge = ((y[:, None] * y[None, :]) * (_kernel_matrix(kernel, X, X, gamma) + 1.0)).__matmul__
+    if loss != "squared_hinge":
+        return hinge
     shift = 1.0 / (2.0 * C)
-
-    def product(v: np.ndarray) -> np.ndarray:
-        q = y * (Z @ (Zt @ (y * v)))
-        return q + v * shift if loss == "squared_hinge" else q
-
-    return product
+    return lambda v: hinge(v) + v * shift
 
 
 def _spectral_norm(matvec, dim: int, iterations: int = 30) -> float:
@@ -101,14 +106,7 @@ class _BinarySVM:
 
     def _fit_dual(self, X: np.ndarray, y: np.ndarray) -> None:
         m = X.shape[0]
-        if self.kernel == "linear":
-            Q_dot = linear_dual_product(X, y, self.loss, self.C)
-        else:
-            K = _kernel_matrix(self.kernel, X, X, self.gamma) + 1.0
-            Q = (y[:, None] * y[None, :]) * K
-            if self.loss == "squared_hinge":
-                Q = Q + np.eye(m) / (2.0 * self.C)
-            Q_dot = Q.__matmul__
+        Q_dot = dual_product(self.kernel, X, y, self.loss, self.C, self.gamma)
         upper = np.inf if self.loss == "squared_hinge" else self.C
         lipschitz = _spectral_norm(Q_dot, m) * 1.05
 
