@@ -165,7 +165,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "seed": seed,
         "split": args.split,
     }
-    scores_path = args.scores_csv or str(Path(args.out).with_suffix(".scores.csv"))
+    scores_path = str(Path(args.out).with_suffix(".scores.csv"))
     _ArtifactWriter().write_all((args.out, report.to_json()), (scores_path, report.scores_csv()))
     print(report.summary())
     print(f"cadence: {report.prediction_cadence}")
@@ -211,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--window-s", type=float, default=1.0, dest="window_s")
     p_eval.add_argument("--split", choices=SPLIT_MODES, default="random")
     p_eval.add_argument("--out", required=True, help="output report JSON")
-    p_eval.add_argument("--scores-csv", default=None, help="per-config scores CSV path")
     p_eval.set_defaults(func=_cmd_evaluate)
     return parser
 

@@ -13,7 +13,7 @@ Regression test metrics are computed on the unrounded estimates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -56,55 +56,22 @@ class PipelineStageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def p(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def n(self) -> int:
-        return self.tn + self.fp
-
-    @property
-    def total(self) -> int:
-        return self.p + self.n
-
-
-@dataclass(frozen=True)
 class ClassificationMetrics:
     precision: float
     specificity: float
     recall: float
     accuracy: float
-    counts: ConfusionCounts
+    tp: int
+    fp: int
+    tn: int
+    fn: int
     degenerate: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "specificity": self.specificity,
-            "recall": self.recall,
-            "accuracy": self.accuracy,
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "tn": self.counts.tn,
-            "fn": self.counts.fn,
-            "degenerate": list(self.degenerate),
-        }
 
 
 @dataclass(frozen=True)
 class RegressionMetrics:
     rmse: float
     mae: float
-
-    def as_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae}
 
 
 def classification_metrics(pred: np.ndarray, truth: np.ndarray) -> ClassificationMetrics:
@@ -122,7 +89,6 @@ def classification_metrics(pred: np.ndarray, truth: np.ndarray) -> Classificatio
     fp = int(np.count_nonzero(pred & ~truth))
     tn = int(np.count_nonzero(~pred & ~truth))
     fn = int(np.count_nonzero(~pred & truth))
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
     degenerate: list[str] = []
 
@@ -135,13 +101,15 @@ def classification_metrics(pred: np.ndarray, truth: np.ndarray) -> Classificatio
     precision = ratio(tp, tp + fp, "precision")
     specificity = ratio(tn, fp + tn, "specificity")
     recall = ratio(tp, tp + fn, "recall")
-    accuracy = (tp + tn) / counts.total
     return ClassificationMetrics(
         precision=precision,
         specificity=specificity,
         recall=recall,
-        accuracy=accuracy,
-        counts=counts,
+        accuracy=(tp + tn) / pred.size,
+        tp=tp,
+        fp=fp,
+        tn=tn,
+        fn=fn,
         degenerate=tuple(degenerate),
     )
 
@@ -169,7 +137,8 @@ def holdout_split(
 
     Classification splits are stratified on the occupancy label: each class
     gets the floor of its share, and leftover rows go to the largest
-    remainders, ties to the earlier class. Regression splits are plain random.
+    remainders, ties to the earlier class. A regression split is the
+    stratified split of one class.
     ``mode="chronological"`` takes the first rows as training data instead,
     for callers worried about temporal leakage.
     """
@@ -184,22 +153,19 @@ def holdout_split(
         train_idx = np.arange(n_train)
     else:
         rng = np.random.default_rng(seed)
-        if task == "classification":
-            labels = matrix.labels_occupancy
-            members = {c: np.flatnonzero(labels == c) for c in np.unique(labels)}
-            for c, rows in members.items():
-                if rows.size < 2:
-                    raise EvaluationError(
-                        f"stratified split impossible: class {c} has {rows.size} member(s)"
-                    )
-            exact = HOLDOUT_RATIO * np.array([rows.size for rows in members.values()])
-            take = np.floor(exact).astype(np.int64)
-            take[np.argsort(take - exact, kind="stable")[: n_train - take.sum()]] += 1
-            train_idx = np.concatenate(
-                [rng.permutation(rows)[:t] for rows, t in zip(members.values(), take)]
-            )
-        else:
-            train_idx = rng.permutation(n)[:n_train]
+        labels = matrix.labels_occupancy if task == "classification" else np.zeros(n, dtype=bool)
+        members = {c: np.flatnonzero(labels == c) for c in np.unique(labels)}
+        for c, rows in members.items():
+            if rows.size < 2:
+                raise EvaluationError(
+                    f"stratified split impossible: class {c} has {rows.size} member(s)"
+                )
+        exact = HOLDOUT_RATIO * np.array([rows.size for rows in members.values()])
+        take = np.floor(exact).astype(np.int64)
+        take[np.argsort(take - exact, kind="stable")[: n_train - take.sum()]] += 1
+        train_idx = np.concatenate(
+            [rng.permutation(rows)[:t] for rows, t in zip(members.values(), take)]
+        )
     in_train = np.zeros(n, dtype=bool)
     in_train[train_idx] = True
     return matrix.take_rows(np.flatnonzero(in_train)), matrix.take_rows(np.flatnonzero(~in_train))
@@ -353,7 +319,7 @@ class FamilyResult:
             ],
             "best_params": _json_params(self.search.best_params),
             "best_cv_score": self.search.best_score,
-            "test": self.test_metrics.as_dict(),
+            "test": asdict(self.test_metrics),
         }
 
 
@@ -507,6 +473,7 @@ def run_pipeline(
 
     y_train = train.labels_for(model_task)
     y_test = test.labels_for(model_task)
+    score_test = classification_metrics if model_task == "classification" else regression_metrics
 
     family_results: list[FamilyResult] = []
     for family in families:
@@ -516,11 +483,8 @@ def run_pipeline(
         spec = ModelSpec(family=family, params=search.best_params, seed=config.seed)
         model = stage(f"final-fit[{family}]", fit, spec, train.rows, y_train)
         pred = stage(f"test-predict[{family}]", model.predict, test.rows)
-        if model_task == "classification":
-            metrics = classification_metrics(pred, test.labels_occupancy)
-        else:
-            metrics = regression_metrics(pred, y_test)
-        family_results.append(FamilyResult(family=family, search=search, test_metrics=metrics))
+        family_results.append(FamilyResult(family=family, search=search,
+                                           test_metrics=score_test(pred, y_test)))
 
     best = max(family_results, key=lambda r: r.search.best_score)
 

@@ -13,8 +13,8 @@ matrix against the 0/1 occupancy indicator (detection) or the head counts
 the mean importance are kept; on the indicator, that reduction is half the
 two-class Gini decrease. Exact duplicate columns are fitted once and share
 their importance equally, which keeps the ranking symmetric under feature
-duplication. The mask is never empty: if no column reaches the threshold
-the single top column is kept.
+duplication. The mask is never empty: the importances are finite and sum
+to 1, so the largest is at least their mean.
 """
 
 from __future__ import annotations
@@ -103,8 +103,6 @@ def select_features(train: FeatureMatrix, labels: np.ndarray, seed: int = 0) -> 
 
     # epsilon keeps exact-equality cases (uniform importances) in the mask
     kept = np.flatnonzero(importances >= importances.mean() - 1e-12)
-    if kept.size == 0:
-        kept = np.array([int(np.argmax(importances))], dtype=np.int64)
     return SelectionMask(kept=kept, importances=importances)
 
 

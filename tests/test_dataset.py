@@ -186,6 +186,41 @@ class TestParse:
         with pytest.raises(DatasetError, match="line 2.*bad distance"):
             parse_sidecar("sampling_hz = 45\nM1 = ten\n")
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("sampling_hz = fast\nM1 = 100\n", "bad sampling_hz 'fast'", 1),
+            ("sampling_hz = 45\nM1 = 100\nM1 = 200\n", "duplicate transmitter 'M1'", 3),
+            ("sampling_hz = 45\n# near\nM1 = 0\n", "distance_cm must be positive, got 0", 3),
+            ("sampling_hz = 45\n", "sidecar lists no transmitters", None),
+        ],
+        ids=["bad-rate", "duplicate-transmitter", "zero-distance", "no-transmitters"],
+    )
+    def test_sidecar_error_messages_and_lines(self, text, message, line):
+        with pytest.raises(DatasetError) as raised:
+            parse_sidecar(text)
+        assert raised.value.line == line
+        assert str(raised.value) == (message if line is None else f"line {line}: {message}")
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty input: no header row", None),
+            ("\n  \n\n", "empty input: no header row", None),
+            ("time,M1,M2,occupancy,count\n1,-50,-60,true,1\n",
+             "header must be 'timestamp,<mac_1>,...,<mac_n>,occupancy,count'", 1),
+            ("\ntimestamp,M1,M1,occupancy,count\n1,-50,-60,true,1\n",
+             "duplicate MAC column in header", 2),
+        ],
+        ids=["empty", "blank-lines", "header-not-timestamp", "duplicate-mac"],
+    )
+    def test_header_error_messages_and_lines(self, text, message, line):
+        sidecar = parse_sidecar("sampling_hz = 45\nM1 = 100\nM2 = 200\n")
+        with pytest.raises(DatasetError) as raised:
+            parse_dataset(text, sidecar)
+        assert raised.value.line == line
+        assert str(raised.value) == (message if line is None else f"line {line}: {message}")
+
     @pytest.mark.parametrize("rate", ("0", "-45", "inf", "nan"))
     def test_sidecar_rate_must_be_positive_and_finite(self, rate):
         message = f"sampling_hz must be positive and finite, got {rate}"

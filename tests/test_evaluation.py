@@ -1,5 +1,7 @@
 """Quality metrics, splits, grid search, and the end-to-end pipeline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ class TestClassificationMetrics:
         pred = np.array([True, True, True, False, False, False])
         truth = np.array([True, True, False, False, False, False])
         m = classification_metrics(pred, truth)
-        assert (m.counts.tp, m.counts.fp, m.counts.tn, m.counts.fn) == (2, 1, 3, 0)
+        assert (m.tp, m.fp, m.tn, m.fn) == (2, 1, 3, 0)
         assert m.precision == pytest.approx(2 / 3)
         assert m.specificity == pytest.approx(3 / 4)
         assert m.recall == 1.0
@@ -90,7 +92,7 @@ class TestClassificationMetrics:
             m = classification_metrics(pred, truth)
             for value in (m.precision, m.specificity, m.recall, m.accuracy):
                 assert 0.0 <= value <= 1.0
-            assert m.counts.p + m.counts.n == 30
+            assert m.tp + m.fp + m.tn + m.fn == 30
 
 
 class TestRegressionMetrics:
@@ -120,8 +122,12 @@ class TestRegressionMetrics:
         assert m.rmse == pytest.approx(m.mae, rel=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match="^cannot score empty vectors$"):
             regression_metrics(np.array([]), np.array([]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(EvaluationError, match=r"^length mismatch: \(1,\) vs \(2,\)$"):
+            regression_metrics(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestHoldout:
@@ -173,6 +179,15 @@ class TestHoldout:
         a_train, _ = holdout_split(matrix, "classification", seed=9)
         b_train, _ = holdout_split(matrix, "classification", seed=9)
         assert np.array_equal(a_train.rows, b_train.rows)
+
+    def test_regression_split_is_one_seeded_shuffle(self):
+        for n in range(4, 61):
+            matrix = make_matrix(np.arange(n, dtype=np.float64)[:, None], counts=np.arange(n) % 4)
+            for seed in range(6):
+                train, test = holdout_split(matrix, "regression", seed=seed)
+                expected = np.sort(np.random.default_rng(seed).permutation(n)[: round(0.75 * n)])
+                assert np.array_equal(train.rows[:, 0], expected), (n, seed)
+                assert np.array_equal(test.rows[:, 0], np.setdiff1d(np.arange(n), expected))
 
     def test_too_few_rows(self):
         with pytest.raises(EvaluationError):
@@ -487,6 +502,21 @@ class TestRunPipeline:
         config = PipelineConfig(families=("random_forest",), k=3, seed=7, grids=grids)
         report = run_pipeline(small_dataset, "counting", "features", config)
         assert report.family_results[0].test_metrics.mae <= 0.5
+
+    @pytest.mark.parametrize(
+        "task, family, keys",
+        [
+            ("detection", "lda", ["accuracy", "degenerate", "fn", "fp", "precision",
+                                  "recall", "specificity", "tn", "tp"]),
+            ("counting", "linear", ["mae", "rmse"]),
+        ],
+        ids=["detection", "counting"],
+    )
+    def test_report_test_block_keys(self, small_dataset, task, family, keys):
+        config = PipelineConfig(families=(family,), k=3, seed=7, grids={family: [{}]})
+        report = run_pipeline(small_dataset, task, "features", config)
+        test_block = json.loads(report.to_json())["families"][0]["test"]
+        assert sorted(test_block) == keys
 
     def test_counting_raw_cadence_noted(self, small_dataset):
         grids = {"linear": [{}]}
