@@ -20,7 +20,7 @@ the dataset invariants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class ScenarioError(ValueError):
 class PathLossParams:
     """Log-distance propagation: mean RSSI at d0 plus decay and shadowing."""
 
-    pl0_dbm_at_d0: float
-    d0_cm: float
-    exponent: float
-    shadow_sigma_db: float
+    pl0_dbm_at_d0: float = -45.0
+    d0_cm: float = 100.0
+    exponent: float = 2.0
+    shadow_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
         if self.d0_cm <= 0:
@@ -62,12 +62,9 @@ class BodyEffectParams:
     motion_amp_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.atten_db_per_person < 0:
-            raise ScenarioError("atten_db_per_person must be >= 0")
-        if self.extra_sigma_db_per_person < 0:
-            raise ScenarioError("extra_sigma_db_per_person must be >= 0")
-        if self.motion_amp_db < 0:
-            raise ScenarioError("motion_amp_db must be >= 0")
+        for field in fields(self):
+            if getattr(self, field.name) < 0:
+                raise ScenarioError(f"{field.name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,10 +102,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"schedule count must be >= 0, got {count}")
             previous = time_s
 
-    @property
-    def max_count(self) -> int:
-        return max((count for _, count in self.schedule), default=0)
-
 
 def mean_rssi(distance_cm: float, path_loss: PathLossParams) -> float:
     """Mean received power at ``distance_cm``: pl0 - 10*n*log10(d/d0)."""
@@ -139,7 +132,7 @@ def simulate(config: ScenarioConfig) -> RssiDataset:
 
     body = config.body_effect
     sigma = config.path_loss.shadow_sigma_db + body.extra_sigma_db_per_person * counts
-    max_count = config.max_count
+    max_count = max((count for _, count in config.schedule), default=0)
 
     root = np.random.SeedSequence(config.seed)
     # One child per transmitter for noise, one per transmitter for motion params.
@@ -175,17 +168,20 @@ def simulate(config: ScenarioConfig) -> RssiDataset:
     )
 
 
+# Each scalar key of a scenario file: the record it sets (None for the
+# ScenarioConfig itself), that record's field, and the field's type. A key the
+# file leaves out takes the field's default; sampling_hz and duration_s have none.
 _SCALAR_KEYS = {
-    "sampling_hz": float,
-    "duration_s": float,
-    "seed": int,
-    "pl0_dbm": float,
-    "d0_cm": float,
-    "exponent": float,
-    "shadow_sigma_db": float,
-    "atten_db_per_person": float,
-    "extra_sigma_db_per_person": float,
-    "motion_amp_db": float,
+    "sampling_hz": (None, "sampling_hz", float),
+    "duration_s": (None, "duration_s", float),
+    "seed": (None, "seed", int),
+    "pl0_dbm": ("path_loss", "pl0_dbm_at_d0", float),
+    "d0_cm": ("path_loss", "d0_cm", float),
+    "exponent": ("path_loss", "exponent", float),
+    "shadow_sigma_db": ("path_loss", "shadow_sigma_db", float),
+    "atten_db_per_person": ("body_effect", "atten_db_per_person", float),
+    "extra_sigma_db_per_person": ("body_effect", "extra_sigma_db_per_person", float),
+    "motion_amp_db": ("body_effect", "motion_amp_db", float),
 }
 
 
@@ -193,19 +189,11 @@ def load_scenario(text: str) -> ScenarioConfig:
     """Parse a plain-text key-value scenario description.
 
     Repeatable lines: ``transmitter = <mac> <distance_cm>`` and
-    ``event = <time_s> <count>``. Scalar lines: sampling_hz, duration_s,
-    seed, pl0_dbm, d0_cm, exponent, shadow_sigma_db, atten_db_per_person,
-    extra_sigma_db_per_person, motion_amp_db.
+    ``event = <time_s> <count>``. Every other key is a scalar line of
+    ``_SCALAR_KEYS``.
     """
-    scalars: dict[str, float | int] = {
-        "seed": 0,
-        "pl0_dbm": -45.0,
-        "d0_cm": 100.0,
-        "exponent": 2.0,
-        "shadow_sigma_db": 0.0,
-        "atten_db_per_person": 0.0,
-        "extra_sigma_db_per_person": 0.0,
-        "motion_amp_db": 0.0,
+    records: dict[str | None, dict[str, float | int]] = {
+        None: {}, "path_loss": {}, "body_effect": {}
     }
     transmitters: list[tuple[str, int]] = []
     events: list[tuple[float, int]] = []
@@ -221,29 +209,17 @@ def load_scenario(text: str) -> ScenarioConfig:
                 time_s, count = value.split()
                 events.append((float(time_s), int(count)))
             else:
-                scalars[key] = _SCALAR_KEYS[key](value)
+                record, field, kind = _SCALAR_KEYS[key]
+                records[record][field] = kind(value)
         except (ValueError, TypeError):
             raise ScenarioError(f"line {lineno}: bad value {value!r} for {key!r}") from None
     for required in ("sampling_hz", "duration_s"):
-        if required not in scalars:
+        if required not in records[None]:
             raise ScenarioError(f"scenario is missing {required!r}")
-    if not transmitters:
-        raise ScenarioError("scenario lists no transmitters")
     return ScenarioConfig(
         transmitters=tuple(transmitters),
-        sampling_hz=float(scalars["sampling_hz"]),
-        duration_s=float(scalars["duration_s"]),
         schedule=tuple(events),
-        path_loss=PathLossParams(
-            pl0_dbm_at_d0=float(scalars["pl0_dbm"]),
-            d0_cm=float(scalars["d0_cm"]),
-            exponent=float(scalars["exponent"]),
-            shadow_sigma_db=float(scalars["shadow_sigma_db"]),
-        ),
-        body_effect=BodyEffectParams(
-            atten_db_per_person=float(scalars["atten_db_per_person"]),
-            extra_sigma_db_per_person=float(scalars["extra_sigma_db_per_person"]),
-            motion_amp_db=float(scalars["motion_amp_db"]),
-        ),
-        seed=int(scalars["seed"]),
+        path_loss=PathLossParams(**records["path_loss"]),
+        body_effect=BodyEffectParams(**records["body_effect"]),
+        **records[None],
     )

@@ -334,6 +334,25 @@ class TestEvaluate:
         assert message in featurize_err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_stage_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # 60 s of an empty room at 20 Hz: dedup leaves too few windows to fit and score
+        scenario = tmp_path / "empty.cfg"
+        scenario.write_text(
+            SCENARIO_TEXT.replace("sampling_hz = 45", "sampling_hz = 20").split("event")[0]
+        )
+        data = tmp_path / "empty.csv"
+        assert cli.main(["simulate", "--scenario", str(scenario), "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.json"
+        code = cli.main(
+            ["evaluate", str(data), "--task", "detection", "--models", "lda", "--seed", "7",
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: stage '")
+        assert not out.exists()
+        assert not (tmp_path / "r.scores.csv").exists()
+
     def test_unknown_family_fails_cleanly(self, tmp_path, dataset_files, capsys):
         code = cli.main(
             [

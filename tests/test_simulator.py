@@ -8,6 +8,7 @@ import pytest
 
 from rssi_occupancy.dataset import serialize_dataset
 from rssi_occupancy.simulator import (
+    _SCALAR_KEYS,
     BodyEffectParams,
     PathLossParams,
     ScenarioConfig,
@@ -146,6 +147,47 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="duplicate"):
             make_config(transmitters=(("M1", 100), ("M1", 250)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PathLossParams(d0_cm=0.0), "d0_cm must be positive, got 0.0"),
+            (lambda: PathLossParams(exponent=0.5), "path-loss exponent must be >= 1, got 0.5"),
+            (lambda: PathLossParams(shadow_sigma_db=-1.0), "shadow_sigma_db must be >= 0"),
+            (
+                lambda: BodyEffectParams(atten_db_per_person=-1.0),
+                "atten_db_per_person must be >= 0",
+            ),
+            (
+                lambda: BodyEffectParams(extra_sigma_db_per_person=-1.0),
+                "extra_sigma_db_per_person must be >= 0",
+            ),
+            (lambda: BodyEffectParams(motion_amp_db=-1.0), "motion_amp_db must be >= 0"),
+            (lambda: make_config(transmitters=()), "scenario needs at least one transmitter"),
+            (
+                lambda: make_config(transmitters=(("M1", 100), ("M2", 0))),
+                "M2: distance_cm must be positive, got 0",
+            ),
+            (lambda: make_config(duration_s=0.0), "duration_s must be positive"),
+            (lambda: simulate(make_config(duration_s=0.02)), "duration too short for one sample"),
+        ],
+        ids=[
+            "d0_cm",
+            "exponent",
+            "shadow",
+            "atten",
+            "extra_sigma",
+            "motion",
+            "no_transmitter",
+            "distance",
+            "duration",
+            "under_one_sample",
+        ],
+    )
+    def test_check_message(self, build, message):
+        with pytest.raises(ScenarioError) as raised:
+            build()
+        assert str(raised.value) == message
+
 
 class TestScenarioFile:
     TEXT = """\
@@ -173,6 +215,65 @@ event = 30 2
         assert config.body_effect.atten_db_per_person == 6.0
         dataset = simulate(config)
         assert len(dataset) == 2700
+
+    REQUIRED = "sampling_hz = 45\nduration_s = 10\ntransmitter = M1 100\n"
+
+    # Each scalar key: its record (None for the scenario itself), field, text and value.
+    SCALARS = [
+        ("sampling_hz", None, "sampling_hz", "100", 100.0),
+        ("duration_s", None, "duration_s", "20", 20.0),
+        ("seed", None, "seed", "9", 9),
+        ("pl0_dbm", "path_loss", "pl0_dbm_at_d0", "-50", -50.0),
+        ("d0_cm", "path_loss", "d0_cm", "80", 80.0),
+        ("exponent", "path_loss", "exponent", "3", 3.0),
+        ("shadow_sigma_db", "path_loss", "shadow_sigma_db", "1.5", 1.5),
+        ("atten_db_per_person", "body_effect", "atten_db_per_person", "6", 6.0),
+        ("extra_sigma_db_per_person", "body_effect", "extra_sigma_db_per_person", "2", 2.0),
+        ("motion_amp_db", "body_effect", "motion_amp_db", "0.5", 0.5),
+    ]
+
+    def test_every_scalar_key_is_listed(self):
+        assert sorted(key for key, *_ in self.SCALARS) == sorted(_SCALAR_KEYS)
+
+    @pytest.mark.parametrize(
+        "key, record, field, text, value", SCALARS, ids=[key for key, *_ in SCALARS]
+    )
+    def test_one_key_sets_its_record_and_field(self, key, record, field, text, value):
+        lines = dict(line.split(" = ") for line in self.REQUIRED.splitlines())
+        lines[key] = text
+        config = load_scenario("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        base = load_scenario(self.REQUIRED)
+        if record is None:
+            expected = dataclasses.replace(base, **{field: value})
+            loaded = getattr(config, field)
+        else:
+            changed = dataclasses.replace(getattr(base, record), **{field: value})
+            expected = dataclasses.replace(base, **{record: changed})
+            loaded = getattr(getattr(config, record), field)
+        assert config == expected
+        assert type(loaded) is type(value)
+
+    def test_required_keys_alone_take_the_record_defaults(self):
+        config = load_scenario(self.REQUIRED)
+        assert config.path_loss == PathLossParams()
+        assert config.body_effect == BodyEffectParams()
+        assert config.seed == 0 and config.schedule == ()
+        defaults = """\
+seed = 0
+pl0_dbm = -45
+d0_cm = 100
+exponent = 2
+shadow_sigma_db = 0
+atten_db_per_person = 0
+extra_sigma_db_per_person = 0
+motion_amp_db = 0
+"""
+        assert load_scenario(self.REQUIRED + defaults) == config
+
+    def test_no_transmitter_line(self):
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario("sampling_hz = 45\nduration_s = 10\n")
+        assert str(raised.value) == "scenario needs at least one transmitter"
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ScenarioError, match="line 2.*unknown key"):
