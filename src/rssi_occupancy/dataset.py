@@ -307,6 +307,8 @@ def parse_sidecar(text: str) -> DatasetMeta:
     distances: dict[str, int] = {}
     for lineno, key, value in read_key_values(text):
         if key == "sampling_hz":
+            if sampling_hz is not None:
+                raise DatasetError("repeated key 'sampling_hz'", lineno)
             try:
                 sampling_hz = float(value)
             except ValueError:

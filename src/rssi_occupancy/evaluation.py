@@ -423,6 +423,8 @@ def run_pipeline(
     families = config.families or (
         CLASSIFIER_FAMILIES if task == "detection" else REGRESSOR_FAMILIES
     )
+    if len(set(families)) != len(families):
+        raise EvaluationError(f"a family is listed more than once: {list(families)}")
     model_task = "classification" if task == "detection" else "regression"
     for family in families:
         if family_task(family) != model_task:

@@ -1,20 +1,24 @@
 """Uniform fit/predict contract over the classifier and regressor families.
 
 ``_FAMILIES`` is the one place a family is defined: its task
-(classification or regression), default hyperparameters, documented grid
-and constructor, and for the SVM a batch fitter. ``ModelSpec`` names a
-family, a hyperparameter mapping (keys restricted to the family's defaults)
-and a seed. ``fit_grid`` is the one fitting entry: it fits the specs of one
-family on one training set, each into an immutable ``TrainedModel`` whose
-predictions are deterministic given (spec, seed, data), and yields them in
-spec order; ``fit`` is ``fit_grid`` of one spec. Fitted models live in
-memory only: the pipeline scores them on held-out data and nothing reloads
-them, so there is no model file format.
+(classification or regression), documented grid, constructor, whether the
+constructor takes the spec's seed, and for the SVM a batch fitter. The
+constructor is the one declaration of a hyperparameter's default and its
+check; the grid's axes name the hyperparameters. ``ModelSpec`` names a
+family, a hyperparameter mapping (keys restricted to the grid's axes; a
+key left out takes the constructor's default) and a seed. ``fit_grid`` is
+the one fitting entry: it fits the specs of one family on one training
+set, each into an immutable ``TrainedModel`` whose predictions are
+deterministic given (spec, seed, data), and yields them in spec order;
+``fit`` is ``fit_grid`` of one spec. Fitted models live in memory only:
+the pipeline scores them on held-out data and nothing reloads them, so
+there is no model file format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -25,15 +29,15 @@ from .ensembles import GradientBoosting, RandomForest
 from .linear import BayesianRidge, LeastSquares, RidgeRegression
 from .neighbors import NearestNeighbors
 from .robust import RansacRegression, TheilSenRegression
-from .svm import SupportVectorClassifier, fit_lockstep
+from .svm import KERNELS, LOSSES, SupportVectorClassifier, fit_lockstep
 
 
 @dataclass(frozen=True)
 class _Family:
     task: str
-    defaults: Mapping[str, object]
-    grid: tuple[Mapping[str, object], ...]
-    build: Callable[[dict, int], object]  # (resolved params, seed) -> unfitted model
+    grid: tuple[Mapping[str, object], ...]  # its axes are the hyperparameters a spec may set
+    model: Callable[..., object]  # (**params[, seed]) -> unfitted model; holds the defaults
+    seeded: bool = False  # the constructor takes the spec's seed
     fit_batch: Callable | None = None  # (unfitted models, X, *targets): fits them together
 
 
@@ -42,64 +46,30 @@ def _grid(**axes: Sequence) -> tuple[dict, ...]:
     return tuple(dict(zip(axes, values)) for values in product(*axes.values()))
 
 
+_K_GRID = _grid(k=(1, 3, 5, 11))
+_TREE_GRID = _grid(n_trees=(50, 200), depth=(4, 8, None))
+
 _FAMILIES: dict[str, _Family] = {
-    "knn": _Family(
-        "classification", {"k": 5}, _grid(k=(1, 3, 5, 11)),
-        lambda p, seed: NearestNeighbors(k=int(p["k"]), weighted=False),
-    ),
-    "wknn": _Family(
-        "classification", {"k": 5}, _grid(k=(1, 3, 5, 11)),
-        lambda p, seed: NearestNeighbors(k=int(p["k"]), weighted=True),
-    ),
-    "lda": _Family(
-        "classification", {}, _grid(), lambda p, seed: LinearDiscriminant(quadratic=False)
-    ),
-    "qlda": _Family(
-        "classification", {}, _grid(), lambda p, seed: LinearDiscriminant(quadratic=True)
-    ),
+    "knn": _Family("classification", _K_GRID, NearestNeighbors),
+    "wknn": _Family("classification", _K_GRID, partial(NearestNeighbors, weighted=True)),
+    "lda": _Family("classification", _grid(), partial(LinearDiscriminant, quadratic=False)),
+    "qlda": _Family("classification", _grid(), partial(LinearDiscriminant, quadratic=True)),
     "svm": _Family(
         "classification",
-        {"kernel": "linear", "loss": "hinge", "C": 1.0},
-        _grid(
-            kernel=("linear", "poly", "rbf"),
-            loss=("hinge", "squared_hinge"),
-            C=(0.1, 1.0, 10.0),
-        ),
-        lambda p, seed: SupportVectorClassifier(
-            kernel=p["kernel"], loss=p["loss"], C=float(p["C"])
-        ),
+        _grid(kernel=KERNELS, loss=LOSSES, C=(0.1, 1.0, 10.0)),
+        SupportVectorClassifier,
         fit_batch=fit_lockstep,
     ),
-    "gradient_boosting": _Family(
-        "regression",
-        {"n_trees": 100, "depth": 4},
-        _grid(n_trees=(50, 200), depth=(4, 8, None)),
-        lambda p, seed: GradientBoosting(n_trees=p["n_trees"], max_depth=p["depth"]),
-    ),
-    "random_forest": _Family(
-        "regression",
-        {"n_trees": 100, "depth": None},
-        _grid(n_trees=(50, 200), depth=(4, 8, None)),
-        lambda p, seed: RandomForest(n_trees=p["n_trees"], max_depth=p["depth"], seed=seed),
-    ),
-    "linear": _Family("regression", {}, _grid(), lambda p, seed: LeastSquares()),
-    "ridge": _Family(
-        "regression", {"lam": 1.0}, _grid(lam=(1e-3, 1e-1, 1.0)),
-        lambda p, seed: RidgeRegression(lam=float(p["lam"])),
-    ),
+    "gradient_boosting": _Family("regression", _TREE_GRID, GradientBoosting),
+    "random_forest": _Family("regression", _TREE_GRID, RandomForest, seeded=True),
+    "linear": _Family("regression", _grid(), LeastSquares),
+    "ridge": _Family("regression", _grid(lam=(1e-3, 1e-1, 1.0)), RidgeRegression),
     "ransac": _Family(
-        "regression", {"residual_quantile": 0.5}, _grid(residual_quantile=(0.5,)),
-        lambda p, seed: RansacRegression(
-            residual_quantile=float(p["residual_quantile"]), seed=seed
-        ),
+        "regression", _grid(residual_quantile=(0.5,)), RansacRegression, seeded=True
     ),
-    "bayesian": _Family(
-        "regression", {"lam": 1.0}, _grid(lam=(1e-3, 1e-1, 1.0)),
-        lambda p, seed: BayesianRidge(lam=float(p["lam"])),
-    ),
+    "bayesian": _Family("regression", _grid(lam=(1e-3, 1e-1, 1.0)), BayesianRidge),
     "theil_sen": _Family(
-        "regression", {"n_subsets": 200}, _grid(n_subsets=(200, 500)),
-        lambda p, seed: TheilSenRegression(n_subsets=int(p["n_subsets"]), seed=seed),
+        "regression", _grid(n_subsets=(200, 500)), TheilSenRegression, seeded=True
     ),
 }
 
@@ -132,18 +102,13 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        allowed = set(_family(self.family).defaults)
+        allowed = set().union(*_family(self.family).grid)
         unknown = set(self.params) - allowed
         if unknown:
             raise ModelError(
                 f"{self.family}: unknown hyperparameters {sorted(unknown)}; "
                 f"allowed: {sorted(allowed)}"
             )
-
-    def resolved_params(self) -> dict:
-        merged = dict(_FAMILIES[self.family].defaults)
-        merged.update(self.params)
-        return merged
 
 
 def default_grid(family: str) -> list[dict]:
@@ -215,7 +180,8 @@ def fit_grid(
 
     def fitted(spec: ModelSpec) -> TrainedModel | ValueError:
         try:
-            inner = family.build(spec.resolved_params(), spec.seed)
+            seed = {"seed": spec.seed} if family.seeded else {}
+            inner = family.model(**spec.params, **seed)
             if family.fit_batch is None:
                 inner.fit(X, *targets)
         except np.linalg.LinAlgError as exc:

@@ -13,8 +13,9 @@ grown node by node. The forest predicts the mean of its trees, and
 boosting the base plus its shrunken rounds: each is one call to
 ``trees.leaf_sum``, which descends all the trees at once and adds their
 leaf values in tree order. The selector ranks splits on the indicator by
-variance reduction, half the two-class Gini decrease. Tree counts and
-depths must be integers >= 1 (a depth may be None: unbounded).
+variance reduction, half the two-class Gini decrease. Both constructors
+take ``n_trees=`` and ``depth=``, the keys of the families' grid; tree
+counts and depths must be integers >= 1 (a depth may be None: unbounded).
 
 Gradient boosting (Friedman, 2001) fits one regression tree per round to
 the residuals under squared loss, with shrinkage 0.1; the recorded training
@@ -48,9 +49,9 @@ def _positive_int(name: str, value) -> int:
 class RandomForest:
     """Bagging ensemble of variance-criterion trees; predicts their mean."""
 
-    def __init__(self, n_trees: int = 100, max_depth: int | None = None, seed: int = 0):
+    def __init__(self, n_trees: int = 100, depth: int | None = None, seed: int = 0):
         self.n_trees = _positive_int("n_trees", n_trees)
-        self.max_depth = None if max_depth is None else _positive_int("max_depth", max_depth)
+        self.max_depth = None if depth is None else _positive_int("depth", depth)
         self.seed = int(seed)
         self.trees: list[DecisionTree] = []
         self.importances_: np.ndarray | None = None
@@ -77,9 +78,9 @@ class RandomForest:
 class GradientBoosting:
     """Squared-loss boosting of regression trees with shrinkage."""
 
-    def __init__(self, n_trees: int = 100, max_depth: int | None = 4):
+    def __init__(self, n_trees: int = 100, depth: int | None = 4):
         self.n_trees = _positive_int("n_trees", n_trees)
-        self.max_depth = None if max_depth is None else _positive_int("max_depth", max_depth)
+        self.max_depth = None if depth is None else _positive_int("depth", depth)
         self.base_: float = 0.0
         self.trees: list[DecisionTree] = []
         self.train_losses_: list[float] = []

@@ -25,9 +25,9 @@ class NearestNeighbors:
     """
 
     def __init__(self, k: int = 5, weighted: bool = False):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         self.k = int(k)
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         self.weighted = weighted
         self.X_: np.ndarray | None = None
         self.y_idx_: np.ndarray | None = None

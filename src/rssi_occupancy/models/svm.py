@@ -278,11 +278,11 @@ class SupportVectorClassifier:
             raise ValueError(f"unknown kernel {kernel!r}")
         if loss not in LOSSES:
             raise ValueError(f"unknown loss {loss!r}")
-        if not C > 0:  # rejects NaN too
+        self.C = float(C)
+        if not self.C > 0:  # rejects NaN too
             raise ValueError(f"C must be positive, got {C}")
         self.kernel = kernel
         self.loss = loss
-        self.C = float(C)
         self.machines: list[_BinarySVM] = []
         self.n_classes = 0
 

@@ -190,7 +190,7 @@ def load_scenario(text: str) -> ScenarioConfig:
 
     Repeatable lines: ``transmitter = <mac> <distance_cm>`` and
     ``event = <time_s> <count>``. Every other key is a scalar line of
-    ``_SCALAR_KEYS``.
+    ``_SCALAR_KEYS``, and may appear once.
     """
     records: dict[str | None, dict[str, float | int]] = {
         None: {}, "path_loss": {}, "body_effect": {}
@@ -199,7 +199,11 @@ def load_scenario(text: str) -> ScenarioConfig:
     events: list[tuple[float, int]] = []
     lines = read_key_values(text, lambda message, line: ScenarioError(f"line {line}: {message}"))
     for lineno, key, value in lines:
-        if key != "transmitter" and key != "event" and key not in _SCALAR_KEYS:
+        if key in _SCALAR_KEYS:
+            record, field, kind = _SCALAR_KEYS[key]
+            if field in records[record]:
+                raise ScenarioError(f"line {lineno}: repeated key {key!r}")
+        elif key != "transmitter" and key != "event":
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "transmitter":
@@ -209,7 +213,6 @@ def load_scenario(text: str) -> ScenarioConfig:
                 time_s, count = value.split()
                 events.append((float(time_s), int(count)))
             else:
-                record, field, kind = _SCALAR_KEYS[key]
                 records[record][field] = kind(value)
         except (ValueError, TypeError):
             raise ScenarioError(f"line {lineno}: bad value {value!r} for {key!r}") from None

@@ -353,6 +353,14 @@ class TestEvaluate:
         assert not out.exists()
         assert not (tmp_path / "r.scores.csv").exists()
 
+    def test_family_listed_twice_exits_2(self, tmp_path, dataset_files, capsys):
+        out = tmp_path / "r.json"
+        code = cli.main(["evaluate", str(dataset_files), "--task", "detection",
+                         "--models", "lda,lda", "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert "listed more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_family_fails_cleanly(self, tmp_path, dataset_files, capsys):
         code = cli.main(
             [

@@ -191,10 +191,12 @@ class TestParse:
         [
             ("sampling_hz = fast\nM1 = 100\n", "bad sampling_hz 'fast'", 1),
             ("sampling_hz = 45\nM1 = 100\nM1 = 200\n", "duplicate transmitter 'M1'", 3),
+            ("sampling_hz = 45\nM1 = 100\nsampling_hz = 20\n", "repeated key 'sampling_hz'", 3),
             ("sampling_hz = 45\n# near\nM1 = 0\n", "distance_cm must be positive, got 0", 3),
             ("sampling_hz = 45\n", "sidecar lists no transmitters", None),
         ],
-        ids=["bad-rate", "duplicate-transmitter", "zero-distance", "no-transmitters"],
+        ids=["bad-rate", "duplicate-transmitter", "repeated-rate", "zero-distance",
+             "no-transmitters"],
     )
     def test_sidecar_error_messages_and_lines(self, text, message, line):
         with pytest.raises(DatasetError) as raised:

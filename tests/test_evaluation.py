@@ -220,6 +220,29 @@ class TestKfold:
             kfold_split(2, 3, seed=0)
 
 
+def _invalid_configs():
+    """(family, grid, folds failed per config): bad values between configs that fit.
+
+    Beside the SVM's out-of-range C values, each numeric hyperparameter of
+    every family is given the string "ten" between its grid's first and
+    last configs: the constructor's conversion raises ``ValueError``.
+    """
+    good = {"kernel": "linear", "loss": "hinge", "C": 1.0}
+    yield pytest.param(
+        "svm",
+        [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"},
+         {**good, "C": float("nan")}],
+        [0, 3, 3, 0, 3],
+        id="svm",
+    )
+    for family in FAMILIES:
+        first, last = default_grid(family)[0], default_grid(family)[-1]
+        for axis, value in first.items():
+            if family != "svm" and not isinstance(value, str):
+                grid = [first, {**first, axis: "ten"}, last]
+                yield pytest.param(family, grid, [0, 3, 0], id=f"{family}-{axis}")
+
+
 class TestGridSearch:
     def _classification_matrix(self, seed=70, n=120):
         rng = np.random.default_rng(seed)
@@ -344,17 +367,16 @@ class TestGridSearch:
         means = [float(np.mean(scores)) for scores in want]
         assert result.best_index == max(range(len(grid)), key=lambda i: (means[i], -i))
 
-    def test_svm_invalid_config_fails_only_its_folds(self):
+    @pytest.mark.parametrize("family, grid, failed", _invalid_configs())
+    def test_invalid_config_fails_only_its_folds(self, family, grid, failed):
         matrix = self._classification_matrix(n=45)
-        good = {"kernel": "linear", "loss": "hinge", "C": 1.0}
-        grid = [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"},
-                {**good, "C": float("nan")}]
-        result = grid_search("svm", grid, matrix, k=3, seed=0)
-        assert [s.n_failed for s in result.scores] == [0, 3, 3, 0, 3]
-        assert [len(s.fold_scores) for s in result.scores] == [3, 0, 0, 3, 0]
-        for i in (0, 3):
-            alone = grid_search("svm", [grid[i]], matrix, k=3, seed=0)
-            assert result.scores[i].fold_scores == alone.scores[0].fold_scores
+        result = grid_search(family, grid, matrix, k=3, seed=0)
+        assert [s.n_failed for s in result.scores] == failed
+        assert [len(s.fold_scores) for s in result.scores] == [3 - n for n in failed]
+        for params, score, n_failed in zip(grid, result.scores, failed):
+            if n_failed == 0:
+                alone = grid_search(family, [params], matrix, k=3, seed=0)
+                assert score.fold_scores == alone.scores[0].fold_scores
 
     def test_svm_one_class_fold_fails_for_every_config(self):
         rng = np.random.default_rng(74)
@@ -483,6 +505,17 @@ class TestRunPipeline:
 
         monkeypatch.setattr(evaluation, "deduplicate", no_stage)
         with pytest.raises(EvaluationError, match=message):
+            run_pipeline(small_dataset, "detection", "features", config)
+
+    def test_family_listed_twice_is_a_usage_error_before_any_stage(
+        self, small_dataset, monkeypatch
+    ):
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(evaluation, "deduplicate", no_stage)
+        config = PipelineConfig(families=("lda", "qlda", "lda"), k=3)
+        with pytest.raises(EvaluationError, match="listed more than once"):
             run_pipeline(small_dataset, "detection", "features", config)
 
     def test_detection_end_to_end(self, small_dataset):

@@ -54,6 +54,24 @@ def linear_data():
     return X, y
 
 
+# README's "Model families" table: the hyperparameters an empty spec builds, as
+# attributes of its model, beside the flag each family fixes and the spec's seed.
+DOCUMENTED_DEFAULTS = {
+    "knn": {"k": 5, "weighted": False},
+    "wknn": {"k": 5, "weighted": True},
+    "lda": {"quadratic": False},
+    "qlda": {"quadratic": True},
+    "svm": {"kernel": "linear", "loss": "hinge", "C": 1.0},
+    "gradient_boosting": {"n_trees": 100, "max_depth": 4},
+    "random_forest": {"n_trees": 100, "max_depth": None, "seed": 3},
+    "linear": {},
+    "ridge": {"lam": 1.0},
+    "ransac": {"residual_quantile": 0.5, "seed": 3},
+    "bayesian": {"lam_init": 1.0},
+    "theil_sen": {"n_subsets": 200, "seed": 3},
+}
+
+
 class TestSpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ModelError, match="unknown model family"):
@@ -72,6 +90,24 @@ class TestSpec:
             assert family_task(family) == "classification"
         for family in REGRESSOR_FAMILIES:
             assert family_task(family) == "regression"
+
+    @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES + REGRESSOR_FAMILIES)
+    def test_grid_axes_are_the_hyperparameters(self, family):
+        first = default_grid(family)[0]
+        for axis, value in first.items():
+            assert ModelSpec(family, {axis: value}).params == {axis: value}
+        # fixed flags and the seed are not hyperparameters
+        for key in ("weighted", "quadratic", "seed"):
+            with pytest.raises(ModelError, match="unknown hyperparameters"):
+                ModelSpec(family, {key: 1})
+
+    @pytest.mark.parametrize("family", CLASSIFIER_FAMILIES + REGRESSOR_FAMILIES)
+    def test_an_empty_spec_builds_the_documented_defaults(self, blobs, linear_data, family):
+        X, y = blobs if family_task(family) == "classification" else linear_data
+        model = fit(ModelSpec(family, seed=3), X, y)
+        for name, value in DOCUMENTED_DEFAULTS[family].items():
+            assert getattr(model.inner, name) == value, name
+
 
 
 class TestDefaultGrids:
@@ -766,9 +802,8 @@ def assert_same_trees(new_trees, old_trees, probe):
 
 def assert_forest_matches_reference(X, y, n_trees=5, depth=None, seed=0):
     probe = np.vstack([X, np.random.default_rng(seed).uniform(-6, 6, size=(20, X.shape[1]))])
-    params = dict(n_trees=n_trees, max_depth=depth, seed=seed)
-    new = RandomForest(**params).fit(X, y)
-    old = trees_reference.RandomForest(**params).fit(X, y)
+    new = RandomForest(n_trees=n_trees, depth=depth, seed=seed).fit(X, y)
+    old = trees_reference.RandomForest(n_trees=n_trees, max_depth=depth, seed=seed).fit(X, y)
     assert_same_trees(new.trees, old.trees, probe)
     assert np.array_equal(new.importances_, old.importances_)
     assert np.array_equal(new.predict(probe), old.predict(probe))
@@ -974,7 +1009,7 @@ def reached(tree, X):
 
 def assert_boosting_round_matches_reference(X, y, depth):
     """One boosting round equals the sort-based reference's, node for node."""
-    new = GradientBoosting(n_trees=1, max_depth=depth).fit(X, y)
+    new = GradientBoosting(n_trees=1, depth=depth).fit(X, y)
     old = trees_reference.GradientBoosting(n_trees=1, max_depth=depth).fit(X, y)
     assert len(new.trees[0].feature) == len(old.trees[0].feature)
     assert preorder(new.trees[0]) == preorder(old.trees[0])
@@ -1008,7 +1043,7 @@ class TestBoostingTrees:
         X = np.round(rng.normal(size=(150, 5)), 1)  # repeated values in every column
         X[::4, 2] = np.nan
         y = X[:, 0] ** 2 + rng.normal(0, 0.2, 150)
-        model = GradientBoosting(n_trees=8, max_depth=depth).fit(X, y)
+        model = GradientBoosting(n_trees=8, depth=depth).fit(X, y)
         oracle = trees_reference.DecisionTree()
         current = np.full(y.shape, model.base_)
         for tree in model.trees:
@@ -1031,7 +1066,7 @@ class TestBoostingTrees:
         rng = np.random.default_rng(90)
         X = np.round(rng.normal(size=(24, 3)), 1)
         y = X[:, 0] - 0.5 * X[:, 1] ** 2 + rng.normal(0, 0.3, 24)
-        model = GradientBoosting(n_trees=4, max_depth=2).fit(X, y)
+        model = GradientBoosting(n_trees=4, depth=2).fit(X, y)
         assert model.predict(X).tolist() == [
             0.3910813547640043, -0.1233104968893439, 0.3910813547640043, -0.30606721393072894,
             -0.30606721393072894, -0.4410400887970688, -0.7632601327546246, -0.1233104968893439,
@@ -1046,7 +1081,7 @@ class TestBoostingTrees:
         ]
         # constant columns: the root has no boundary, so each round is one leaf, the mean
         X, y = np.full((5, 2), 3.0), np.array([0.1, 0.7, 0.25, 1.3, 0.05])
-        model = GradientBoosting(n_trees=3, max_depth=2).fit(X, y)
+        model = GradientBoosting(n_trees=3, depth=2).fit(X, y)
         assert [len(tree.feature) for tree in model.trees] == [1, 1, 1]
         assert model.predict(X).tolist() == [0.47999999999999987] * 5
         assert model.train_losses_ == [0.22060000000000005] * 4
@@ -1055,8 +1090,8 @@ class TestBoostingTrees:
         rng = np.random.default_rng(69)
         X = rng.normal(size=(120, 4))
         y = X[:, 0] ** 2 + rng.normal(0, 0.2, 120)
-        first = GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
-        second = GradientBoosting(n_trees=15, max_depth=3).fit(X, y)
+        first = GradientBoosting(n_trees=15, depth=3).fit(X, y)
+        second = GradientBoosting(n_trees=15, depth=3).fit(X, y)
         assert_same_trees(first.trees, second.trees, X)
         assert first.train_losses_ == second.train_losses_
         assert np.array_equal(first.predict(X), second.predict(X))
@@ -1071,7 +1106,7 @@ class TestVarianceOnOccupancyIsGini:
         rng = np.random.default_rng(75)
         X = rng.normal(size=(150, 9))
         occupied = X[:, 0] + 0.5 * X[:, 3] + rng.normal(0, 0.7, 150) > 0
-        variance = RandomForest(n_trees=20, max_depth=depth, seed=76).fit(X, occupied)
+        variance = RandomForest(n_trees=20, depth=depth, seed=76).fit(X, occupied)
         gini = trees_reference.RandomForest(
             task="classification", n_trees=20, max_depth=depth, seed=76
         ).fit(X, occupied.astype(np.int64))
@@ -1100,8 +1135,8 @@ class TestKeyedDraws:
         X, y = integer_problem(80, n=120, d=7, target=target if target in TARGETS else "regression")
         if target == "fractional":
             y = y + np.random.default_rng(80).normal(0, 0.3, y.size)
-        shallow = RandomForest(n_trees=12, max_depth=4, seed=81).fit(X, y)
-        deep = RandomForest(n_trees=12, max_depth=8, seed=81).fit(X, y)
+        shallow = RandomForest(n_trees=12, depth=4, seed=81).fit(X, y)
+        deep = RandomForest(n_trees=12, depth=8, seed=81).fit(X, y)
         for cut, full in zip(shallow.trees, deep.trees, strict=True):
             m = len(cut.feature)
             # breadth first: the nodes down to depth 4 come first
@@ -1136,7 +1171,7 @@ class TestKeyedDraws:
         rng = np.random.default_rng(86)
         X = rng.normal(size=(150, 4))
         y = X[:, 0] ** 2 + rng.normal(0, 0.3, 150)
-        forest = RandomForest(n_trees=30, max_depth=6, seed=87).fit(X, y)
+        forest = RandomForest(n_trees=30, depth=6, seed=87).fit(X, y)
         probe = rng.normal(size=(70, 4)) * 2
         monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)  # rows per predict chunk
         want = np.zeros(probe.shape[0])
@@ -1202,7 +1237,7 @@ class TestDescent:
     @pytest.mark.parametrize("depth", [3, None])
     def test_forest_predict(self, monkeypatch, problem, cells, depth):
         X, y = problem
-        forest = RandomForest(n_trees=12, max_depth=depth, seed=96).fit(X, y)
+        forest = RandomForest(n_trees=12, depth=depth, seed=96).fit(X, y)
         if depth is None:  # trees of mixed depths descend together
             assert len({tree.depth for tree in forest.trees}) > 1
         probe = awkward_rows(forest.trees, X, 97)
@@ -1216,7 +1251,7 @@ class TestDescent:
     def test_boosting_predict_and_rounds(self, monkeypatch, problem, cells, depth):
         X, y = problem
         monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
-        model = GradientBoosting(n_trees=6, max_depth=depth).fit(X, y)
+        model = GradientBoosting(n_trees=6, depth=depth).fit(X, y)
         probe = awkward_rows(model.trees, X, 98)
         assert model.predict(probe).tobytes() == walked_boosting(model, probe).tobytes()
         # the training predictions of every round, as the fit used them
@@ -1247,8 +1282,8 @@ class TestDescent:
     def test_zero_rows(self, problem):
         X, y = problem
         empty = np.empty((0, X.shape[1]))
-        forest = RandomForest(n_trees=4, max_depth=3, seed=100).fit(X, y)
-        booster = GradientBoosting(n_trees=3, max_depth=2).fit(X, y)
+        forest = RandomForest(n_trees=4, depth=3, seed=100).fit(X, y)
+        booster = GradientBoosting(n_trees=3, depth=2).fit(X, y)
         for predicted in (forest.predict(empty), forest.trees[0].predict(empty),
                           booster.predict(empty)):
             assert predicted.shape == (0,) and predicted.dtype == np.float64
@@ -1281,28 +1316,28 @@ class TestTreeHyperparameters:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_negative_depth_rejected(self, family):
         # it used to fit a constant: every tree a single leaf
-        with pytest.raises(ValueError, match="max_depth"):
-            family(n_trees=5, max_depth=-3)
+        with pytest.raises(ValueError, match="depth"):
+            family(n_trees=5, depth=-3)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_fractional_depth_rejected(self, family):
-        with pytest.raises(ValueError, match="max_depth"):
-            family(n_trees=5, max_depth=2.5)
+        with pytest.raises(ValueError, match="depth"):
+            family(n_trees=5, depth=2.5)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_bool_depth_rejected(self, family):
-        with pytest.raises(ValueError, match="max_depth"):
-            family(n_trees=5, max_depth=True)
+        with pytest.raises(ValueError, match="depth"):
+            family(n_trees=5, depth=True)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_string_depth_rejected(self, family):
-        with pytest.raises(ValueError, match="max_depth"):
-            family(n_trees=5, max_depth="4")
+        with pytest.raises(ValueError, match="depth"):
+            family(n_trees=5, depth="4")
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_fractional_tree_count_rejected(self, family):
         with pytest.raises(ValueError, match="n_trees"):
-            family(n_trees=2.7, max_depth=3)
+            family(n_trees=2.7, depth=3)
 
     @pytest.mark.parametrize("family", ["random_forest", "gradient_boosting"])
     def test_integral_values_accepted(self, family):
@@ -1522,7 +1557,7 @@ class TestLeanLevel:
     def test_boosting_matches_the_former_grower(self, monkeypatch, levels, cells, depth):
         monkeypatch.setattr(trees_module, "_CHUNK_CELLS", cells)
         X, y = fractional_problem(110)
-        model = GradientBoosting(n_trees=6, max_depth=depth).fit(X, y)
+        model = GradientBoosting(n_trees=6, depth=depth).fit(X, y)
         trees, losses = former_boosting(X, y, 6, depth)
         assert_same_bytes(model.trees, trees)
         assert model.train_losses_ == losses
@@ -1591,7 +1626,7 @@ class TestLeanLevel:
         X, y = fractional_problem(115)
         for X, y in ((X, y), (np.zeros((5, 0)), np.array([0.0, 1.0, 1.0, 2.0, 3.0]))):
             rounds.clear()
-            GradientBoosting(n_trees=5, max_depth=depth).fit(X, y)
+            GradientBoosting(n_trees=5, depth=depth).fit(X, y)
             assert len(rounds) == 5
             for tree, leaf_value in rounds:
                 assert leaf_value.tobytes() == tree.predict(X).tobytes()

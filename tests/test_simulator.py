@@ -279,6 +279,12 @@ motion_amp_db = 0
         with pytest.raises(ScenarioError, match="line 2.*unknown key"):
             load_scenario("sampling_hz = 45\nbogus = 1\n")
 
+    def test_repeated_scalar_key_reports_line(self):
+        text = "sampling_hz = 45\nseed = 1\nduration_s = 10\nseed = 2\ntransmitter = M1 100\n"
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario(text)
+        assert str(raised.value) == "line 4: repeated key 'seed'"
+
     def test_missing_required_key(self):
         with pytest.raises(ScenarioError, match="missing 'duration_s'"):
             load_scenario("sampling_hz = 45\ntransmitter = M1 100\n")
