@@ -31,27 +31,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
 from .trees import DecisionTree, _LevelSearch, grow_forest, grow_trees, leaf_sum
 
 LEARNING_RATE = 0.1
-
-
-def _positive_int(name: str, value) -> int:
-    """``value`` as an int if it is an integral number >= 1 (not a bool); else ValueError."""
-    integral = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
-        value, (bool, np.bool_)
-    )
-    if not integral or not float(value).is_integer() or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 class RandomForest:
     """Bagging ensemble of variance-criterion trees; predicts their mean."""
 
     def __init__(self, n_trees: int = 100, depth: int | None = None, seed: int = 0):
-        self.n_trees = _positive_int("n_trees", n_trees)
-        self.max_depth = None if depth is None else _positive_int("depth", depth)
+        self.n_trees = checks.count("n_trees", n_trees)
+        self.max_depth = None if depth is None else checks.count("depth", depth)
         self.seed = int(seed)
         self.trees: list[DecisionTree] = []
         self.importances_: np.ndarray | None = None
@@ -79,8 +70,8 @@ class GradientBoosting:
     """Squared-loss boosting of regression trees with shrinkage."""
 
     def __init__(self, n_trees: int = 100, depth: int | None = 4):
-        self.n_trees = _positive_int("n_trees", n_trees)
-        self.max_depth = None if depth is None else _positive_int("depth", depth)
+        self.n_trees = checks.count("n_trees", n_trees)
+        self.max_depth = None if depth is None else checks.count("depth", depth)
         self.base_: float = 0.0
         self.trees: list[DecisionTree] = []
         self.train_losses_: list[float] = []

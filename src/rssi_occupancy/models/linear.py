@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
+
 BAYES_TOL = 1e-4
 BAYES_MAX_ITER = 300
 
@@ -50,9 +52,7 @@ class RidgeRegression(Affine):
     """Closed-form L2-penalized least squares; lam=0 reproduces OLS."""
 
     def __init__(self, lam: float = 1.0):
-        self.lam = float(lam)
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {lam}")
+        self.lam = checks.positive("lam", lam, zero=True)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
         X = np.asarray(X, dtype=np.float64)
@@ -74,9 +74,7 @@ class BayesianRidge(Affine):
     """Evidence-iterated ridge; ``lam`` seeds the initial weight precision."""
 
     def __init__(self, lam: float = 1.0):
-        self.lam_init = float(lam)
-        if self.lam_init <= 0:
-            raise ValueError(f"initial lam must be > 0, got {lam}")
+        self.lam_init = checks.positive("lam", lam)
         self.alpha_: float = 1.0  # noise precision
         self.lambda_: float = 1.0  # weight precision
         self.n_iter_: int = 0

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
+
 _WEIGHT_EPS = 1e-9  # keeps 1/(d + eps) finite for exact duplicates
 
 
@@ -25,9 +27,7 @@ class NearestNeighbors:
     """
 
     def __init__(self, k: int = 5, weighted: bool = False):
-        self.k = int(k)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = checks.count("k", k)
         self.weighted = weighted
         self.X_: np.ndarray | None = None
         self.y_idx_: np.ndarray | None = None

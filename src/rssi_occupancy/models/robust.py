@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import checks
 from .linear import Affine, _least_squares
 
 RANSAC_TRIALS = 100
@@ -54,8 +55,8 @@ class RansacRegression(Affine):
     """Iterative inlier consensus around a least-squares base model."""
 
     def __init__(self, residual_quantile: float = 0.5, seed: int = 0):
-        self.residual_quantile = float(residual_quantile)
-        if not 0 < self.residual_quantile <= 1:
+        self.residual_quantile = checks.positive("residual_quantile", residual_quantile)
+        if self.residual_quantile > 1:
             raise ValueError(f"residual_quantile must be in (0, 1], got {residual_quantile}")
         self.seed = int(seed)
         self.n_inliers_: int = 0
@@ -108,9 +109,7 @@ class TheilSenRegression(Affine):
     """Spatial-median aggregation of least-squares fits on random row subsets."""
 
     def __init__(self, n_subsets: int = 200, seed: int = 0):
-        self.n_subsets = int(n_subsets)
-        if self.n_subsets < 1:
-            raise ValueError(f"n_subsets must be >= 1, got {n_subsets}")
+        self.n_subsets = checks.count("n_subsets", n_subsets)
         self.seed = int(seed)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "TheilSenRegression":

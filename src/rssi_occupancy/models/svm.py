@@ -14,42 +14,48 @@ Kernels: linear, polynomial (degree 3, coef0 1), and RBF; gamma follows the
 Multiclass inputs are reduced one-vs-rest; occupancy detection itself is
 binary.
 
-Lockstep solving. The solver's unit of work is every binary machine of one
-kernel on one training set: in a grid search, a fold's (loss, C) configs
-times their one-vs-rest classes. ``fit_lockstep`` runs each such batch of B
-problems as one loop. Every problem of a batch multiplies by the same chain
-of kernel factors, ``(Z^T, Z)`` for the linear kernel and ``(K,)``
-otherwise, so a step makes one stacked matvec, each factor broadcast over
-the problems rather than copied and its gemvs writing into a buffer made
-once, and does every other update on ``(B, m)`` arrays: the step sizes and
-box bounds are held whole, so the divide and the clip take arrays of one
-shape, and each result is written into a buffer the loop owns. Each problem
-keeps its own step size, convergence test, ``converged`` flag and count of
-steps since its last restart; FISTA's momentum (t_k - 1)/t_{k+1} depends on
-that count k alone, so it is read from a table computed once at import
-(``_MOMENTUM``), with the float operations of a one-problem loop. A problem
-that converges leaves the batch: its iterate is stored as it stood and its
-row is dropped from the stacked arrays, so no step is spent on it while the
-others run on (problems of one batch converge hundreds of iterations apart).
-The loop ends when the batch is empty or at the iteration cap.
-``fit_lockstep`` is the only way a classifier is fitted; a single fit is the
-batch of one.
+Lockstep solving. The solver's unit of work is one training set and one
+label: ``fit_lockstep`` solves one batch for detection's label, or one per
+class for one-vs-rest, and a batch holds one problem per classifier, whatever
+its kernel, loss and C. The problems are grouped into one run of rows per
+kernel, and each run multiplies by its kernel's chain of factors, signed by
+the label y: ``(y * Z)^T`` (held C-contiguous) then ``y * Z`` with Z = [X, 1]
+for the linear kernel, ``(y y^T) * (K + 1)`` otherwise. So ``Q v`` is the
+chain's product plus squared hinge's diagonal term, with no multiply by y. A
+batch holds one matrix per kernel; the next label re-signs it in place by
+``s s^T``, s the product of the two labels, so no signed copy is made per
+class. A step makes each live run's stacked matvec, each factor broadcast
+over its problems rather than copied and its gemvs writing into buffers made
+once, and does every other update once over the whole batch on ``(B, m)``
+arrays: the step sizes and box bounds are held whole, so the divide and the
+clip take arrays of one shape, and each result is written into a buffer the
+loop owns. Each problem keeps its own step size, convergence test,
+``converged`` flag and count of steps since its last restart; FISTA's
+momentum (t_k - 1)/t_{k+1} depends on that count k alone, so it is read from
+a table computed once at import (``_MOMENTUM``), with the float operations of
+a one-problem loop. A problem that converges leaves the batch: its iterate
+is stored as it stood and its row is dropped from the stacked arrays, so no
+step is spent on it while the others run on (problems of one batch converge
+hundreds of iterations apart). The loop ends when the batch is empty or at
+the iteration cap. ``fit_lockstep`` is the only way a classifier is fitted; a
+single fit is the batch of one.
 
 A batch gives every problem the bits it would get alone. Each product with
 a kernel factor is a BLAS gemv per row (``A @ v[..., None]``), each inner
 product a ddot per row, and each row sum numpy's pairwise sum of that row,
 all as on one 1-D vector. The batch never turns its matvecs into one
 matrix-matrix product: GEMM blocks its sums in another order, and a
-machine's bits would then depend on the batch it was fitted in. The hinge
-dual shares one kernel matrix K (which includes the bias's +1) across
-one-vs-rest labels: ``Q v`` is taken as ``y * (K (y * v))``, which rounds as
-``((y y^T) * K) v`` does because y is +-1 and rounding is symmetric in sign.
-Squared hinge adds its diagonal 1/(2C) as the term ``v * (1 / (2C))`` of its
-own rows, which the batch keeps last, never as a shifted copy of K; so a
-batch holds one kernel whatever its losses and C values.
+machine's bits would then depend on the batch it was fitted in. The signed
+factors round as the unsigned product ``y * (F (y * v))`` does: y is +-1, so
+each signed term is the unsigned one exactly, and rounding is symmetric in
+sign; the two can differ only in the sign of an exact zero, which the
+gradient's ``- 1`` and the norms' squares erase. Squared hinge adds its
+diagonal 1/(2C) as the term ``v * shift`` of each row, never as a shifted copy
+of K; a hinge row's shift is 0.0, and its ``v * 0.0`` is a zero (v stays in
+its box), so one multiply-add over the batch serves both losses.
 
 The linear kernel's K = XX^T + 1 has rank at most d + 1, often far below m:
-it is Z Z^T with Z = [X, 1], m x (d + 1). So a linear batch never forms K:
+it is Z Z^T with Z = [X, 1], m x (d + 1). So a linear run never forms K:
 it takes ``K s`` as ``Z (Z^T s)``, two thin gemvs that cost O(m d), not O(m^2)
 (linear SVM solvers keep the factor for this reason: Hsieh et al., ICML
 2008, the method behind LIBLINEAR). Z^T is held C-contiguous; a gemv on the
@@ -63,6 +69,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import checks
 from .neighbors import squared_distances
 
 KERNELS = ("linear", "poly", "rbf")
@@ -72,6 +79,7 @@ _TOL = 1e-4
 _MAX_ITER = 8000
 _DEGREE = 3
 _COEF0 = 1.0
+_BUILD_ORDER = ("rbf", "poly", "linear")  # the order of a batch's kernel runs
 
 
 def _momentum_table(n: int) -> np.ndarray:
@@ -159,79 +167,115 @@ class _BinarySVM:
         return _kernel_matrix(self.kernel, X, self.support_rows, self.gamma) @ self.dual_coef
 
 
-def _dual_matvec(
-    chain: tuple[np.ndarray, ...], Y: np.ndarray, shift: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``Q v`` of each row: ``y * (F_k ... F_1 (y * v))``, the F those of ``chain``.
+def _factors(kernel: str, X: np.ndarray, gamma: float) -> tuple[np.ndarray, ...]:
+    """The chain of factors whose product is K + 1: ``(Z^T, Z)``, Z = [X, 1], for linear."""
+    if kernel == "linear":
+        # K = XX^T + 1 = ZZ^T, a product of two thin gemvs
+        Z = np.column_stack([X, np.ones(X.shape[0])])
+        # Z.T's strided view would gemv differently; and a copy, never a view of an
+        # F-ordered Z, since the chain is signed in place
+        return (np.array(Z.T, order="C"), Z)
+    return (_kernel_matrix(kernel, X, X, gamma),)
 
-    Each factor's product is one stacked matmul, a gemv per row. The last
-    ``shift.size`` rows add ``shift * v``, each its own ``shift``. The returned
-    array is a buffer that the next call overwrites.
-    """
-    n, m = Y.shape
-    signed = np.empty((n, m, 1))
-    stages = [np.empty((n, F.shape[0], 1)) for F in chain]
-    out = np.empty((n, m))
-    tail = n - shift.size
-    shift = np.repeat(shift[:, None], m, axis=1)
 
-    def matvec(V: np.ndarray) -> np.ndarray:
-        np.multiply(Y, V, out=signed[..., 0])
-        vectors = signed
-        for F, stage in zip(chain, stages):
-            vectors = np.matmul(F, vectors, out=stage)
-        np.multiply(Y, vectors[..., 0], out=out)
-        if tail < n:
-            term = signed[tail:, :, 0]  # free once the first factor has read it
-            np.multiply(V[tail:], shift, out=term)
-            out[tail:] += term
-        return out
+def _sign(chain: tuple[np.ndarray, ...], s: np.ndarray) -> None:
+    """Multiply the chain's product by ``s s^T`` elementwise, in place and exactly (s is +-1)."""
+    first, last = chain[0], chain[-1]  # one array for K
+    first *= s  # the input's side
+    last *= s[:, None]  # the output's side
 
-    return matvec
+
+def _runs(chains: dict[str, tuple[np.ndarray, ...]], run: np.ndarray) -> list[tuple]:
+    """(chain, start, stop) of every chain that has rows; ``run`` is each row's chain, ascending."""
+    bounds = np.searchsorted(run, np.arange(len(chains) + 1)).tolist()
+    return [(chain, start, stop) for chain, start, stop in zip(chains.values(), bounds, bounds[1:])
+            if start < stop]
+
+
+def _keep(a: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``a[live]``, moved into the leading rows of ``a``'s own buffer."""
+    kept = a[live]
+    a[: len(kept)] = kept
+    return a[: len(kept)]
+
+
+def _machine(kernel: str, X: np.ndarray, gamma: float, y: np.ndarray, alpha: np.ndarray,
+             converged: bool) -> _BinarySVM:
+    """The machine of a problem that left its batch with the iterate ``alpha``."""
+    machine = _BinarySVM(kernel, gamma, converged)
+    dual = alpha * y
+    machine.b = float(dual.sum())
+    if kernel == "linear":
+        machine.w = X.T @ dual
+    else:
+        keep = np.abs(alpha) > 0
+        machine.support_rows = X[keep]
+        machine.dual_coef = dual[keep]
+    return machine
 
 
 def _solve_dual(
-    kernel: str, X: np.ndarray, gamma: float, squared: np.ndarray, C: np.ndarray,
-    labels: np.ndarray,
+    classifiers: Sequence[SupportVectorClassifier], chains: dict[str, tuple[np.ndarray, ...]],
+    X: np.ndarray, gamma: float, y: np.ndarray,
 ) -> list[_BinarySVM]:
-    n_problems, m = labels.shape
-    rows = np.argsort(squared, kind="stable")  # the problem of each row; squared hinge last
-    squared, C, Y = squared[rows], C[rows], labels[rows]
-    if kernel == "linear":
-        # K = XX^T + 1 = ZZ^T with Z = [X, 1], a product of two thin gemvs
-        Z = np.column_stack([X, np.ones(m)])
-        chain = (np.ascontiguousarray(Z.T), Z)  # Z.T's strided view would gemv differently
-    else:
-        chain = (_kernel_matrix(kernel, X, X, gamma),)
-    shift = 1.0 / (2.0 * C[squared])  # squared hinge's diagonal 1/(2C), a term of its own rows
-    matvec = _dual_matvec(chain, Y, shift)
-    # held whole, so the step's divide and clip take arrays of one shape
-    upper = np.repeat(np.where(squared, np.inf, C)[:, None], m, axis=1)
-    lipschitz = np.repeat((_spectral_norm(matvec, n_problems, m) * 1.05)[:, None], m, axis=1)
+    """One machine per classifier on the labels ``y``; each chain is signed by ``y``.
 
-    # the iterate, the velocity, and two buffers that the step writes and then swaps in
-    alpha, velocity, alpha_next, step = np.zeros((4, n_problems, m))
+    The classifiers come in one run per kernel, in the order of ``chains``.
+    """
+    n_problems, m = len(classifiers), y.size
+    rows = np.arange(n_problems)  # the problem of each row
+    kernels = list(chains)
+    run = np.array([kernels.index(c.kernel) for c in classifiers])  # the chain of each row
+    runs = _runs(chains, run)
+    C = np.array([c.C for c in classifiers])
+    squared = np.array([c.loss == "squared_hinge" for c in classifiers])
+    # held whole, so the step's multiply, divide and clip take arrays of one shape;
+    # squared hinge's diagonal 1/(2C) is a term of its own rows, 0.0 on hinge rows
+    shift = np.repeat(np.where(squared, 1.0 / (2.0 * C), 0.0)[:, None], m, axis=1)
+    upper = np.repeat(np.where(squared, np.inf, C)[:, None], m, axis=1)
+    product = np.empty((n_problems, m))
+    middle = np.empty((n_problems, X.shape[1] + 1, 1))  # Z^T v of the linear rows
+
+    def dual(V: np.ndarray, term: np.ndarray) -> np.ndarray:
+        """``Q v`` of each row of ``V``, written into ``product``; ``term`` is a free buffer.
+
+        Each factor's product is one stacked matmul over its run, a gemv per row.
+        """
+        out = product[: len(V)]
+        for chain, start, stop in runs:
+            vectors = V[start:stop, :, None]
+            if len(chain) == 2:  # (Z^T, Z): through the thin middle
+                vectors = np.matmul(chain[0], vectors, out=middle[start:stop])
+            np.matmul(chain[-1], vectors, out=out[start:stop, :, None])
+        out += np.multiply(V, shift, out=term)
+        return out
+
+    norm = _spectral_norm(lambda V: dual(V, np.empty_like(V)), n_problems, m)
+    lipschitz = np.repeat((norm * 1.05)[:, None], m, axis=1)
+
+    # the iterate, the velocity and a free buffer; a step writes the next iterate into the
+    # free buffer, then the step itself into the spent velocity's, which is the next velocity
+    alpha, velocity, alpha_next = np.zeros((3, n_problems, m))
     since = np.zeros((n_problems, 1), dtype=np.intp)  # steps since each problem's last restart
     pg0 = None
-    final = np.zeros((n_problems, m))
-    converged = np.zeros(n_problems, dtype=bool)
+    machines: list[_BinarySVM | None] = [None] * n_problems
     for iteration in range(_MAX_ITER):
-        grad_v = matvec(velocity)
+        grad_v = dual(velocity, alpha_next)
         grad_v -= 1.0
         np.divide(grad_v, lipschitz, out=alpha_next)
         np.subtract(velocity, alpha_next, out=alpha_next)
         # clipped as tests/svm_reference.py clips: np.clip keeps -0.0, np.maximum(x, 0.0) gives +0.0
         alpha_next.clip(0.0, upper, out=alpha_next)
-        np.subtract(alpha_next, alpha, out=step)
+        step = np.subtract(alpha_next, alpha, out=velocity)
         restart = (_rowdot(grad_v, step) > 0)[:, None]  # non-descent
         step *= _MOMENTUM[since]
         step += alpha_next
         np.copyto(step, alpha_next, where=restart)
-        alpha, velocity, alpha_next, step = alpha_next, step, alpha, velocity
+        alpha, velocity, alpha_next = alpha_next, step, alpha
         since += 1
         since[restart] = 0
         if iteration % 10 == 9:
-            grad = matvec(alpha)
+            grad = dual(alpha, alpha_next)
             grad -= 1.0
             gap = np.subtract(alpha, grad, out=alpha_next)
             gap.clip(0.0, upper, out=gap)
@@ -240,33 +284,21 @@ def _solve_dual(
             if pg0 is None:
                 pg0 = np.maximum(pg, 1.0)
             done = pg <= _TOL * pg0
-            if done.any():  # converged problems leave the batch
-                final[rows[done]] = alpha[done]
-                converged[rows[done]] = True
+            if done.any():  # converged problems leave the batch with their iterates
+                for row, a in zip(rows[done].tolist(), alpha[done]):
+                    machines[row] = _machine(classifiers[row].kernel, X, gamma, y, a, True)
                 if done.all():
                     break
                 live = ~done
-                shift = shift[live[live.size - shift.size :]]
-                rows, alpha, velocity, since, pg0, lipschitz, upper, Y = (
-                    a[live] for a in (rows, alpha, velocity, since, pg0, lipschitz, upper, Y)
+                rows, run, since, pg0 = rows[live], run[live], since[live], pg0[live]
+                alpha, velocity, upper, lipschitz, shift = (
+                    _keep(a, live) for a in (alpha, velocity, upper, lipschitz, shift)
                 )
-                alpha_next, step = np.empty_like(alpha), np.empty_like(alpha)
-                matvec = _dual_matvec(chain, Y, shift)
+                alpha_next = alpha_next[: rows.size]
+                runs = _runs(chains, run)
     else:  # the iteration cap: the problems still in the batch end unconverged
-        final[rows] = alpha
-
-    machines = []
-    for alpha, y, ok in zip(final, labels, converged.tolist()):
-        machine = _BinarySVM(kernel, gamma, ok)
-        dual = alpha * y
-        machine.b = float(dual.sum())
-        if kernel == "linear":
-            machine.w = X.T @ dual
-        else:
-            keep = np.abs(alpha) > 0
-            machine.support_rows = X[keep]
-            machine.dual_coef = dual[keep]
-        machines.append(machine)
+        for row, a in zip(rows.tolist(), alpha):
+            machines[row] = _machine(classifiers[row].kernel, X, gamma, y, a, False)
     return machines
 
 
@@ -278,9 +310,7 @@ class SupportVectorClassifier:
             raise ValueError(f"unknown kernel {kernel!r}")
         if loss not in LOSSES:
             raise ValueError(f"unknown loss {loss!r}")
-        self.C = float(C)
-        if not self.C > 0:  # rejects NaN too
-            raise ValueError(f"C must be positive, got {C}")
+        self.C = checks.positive("C", C)
         self.kernel = kernel
         self.loss = loss
         self.machines: list[_BinarySVM] = []
@@ -296,27 +326,33 @@ class SupportVectorClassifier:
 def fit_lockstep(
     classifiers: Sequence[SupportVectorClassifier], X: np.ndarray, y_idx: np.ndarray, n_classes: int
 ) -> None:
-    """Fit every classifier on (X, y_idx), one lockstep batch per kernel.
+    """Fit every classifier on (X, y_idx), one lockstep batch per label.
 
-    A batch holds each of its classifiers' machines: one for two classes, one
-    per class (one-vs-rest) otherwise. The machines are those each classifier
-    would get fitted alone. Features that are not finite raise ``ValueError``.
+    The labels are class 1 against 0 for two classes, and each class against
+    the rest otherwise; a batch holds every classifier's machine of its
+    label. The machines are those each classifier would get fitted alone.
+    Features that are not finite raise ``ValueError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("svm: training features hold NaN or infinite values")
+    if not classifiers:
+        return
     y_idx = np.asarray(y_idx)
     gamma = _scale_gamma(X)
-    positives = [1] if n_classes == 2 else range(n_classes)
-    labels = [np.where(y_idx == c, 1.0, -1.0) for c in positives]
-    batches: dict[str, list[SupportVectorClassifier]] = {}
-    for classifier in classifiers:
-        batches.setdefault(classifier.kernel, []).append(classifier)
-    for kernel, members in batches.items():
-        # one problem per (classifier, label), classifier-major
-        squared = np.repeat([c.loss == "squared_hinge" for c in members], len(labels))
-        C = np.repeat([c.C for c in members], len(labels))
-        machines = _solve_dual(kernel, X, gamma, squared, C, np.tile(labels, (len(members), 1)))
-        for i, classifier in enumerate(members):
-            classifier.n_classes = n_classes
-            classifier.machines = machines[i * len(labels) : (i + 1) * len(labels)]
+    # one run per kernel; RBF's matrix is built first, so its two-array transient
+    # (squared_distances) ends before poly's matrix exists
+    members = sorted(classifiers, key=lambda c: _BUILD_ORDER.index(c.kernel))
+    kernels = dict.fromkeys(c.kernel for c in members)
+    chains = {kernel: _factors(kernel, X, gamma) for kernel in kernels}
+    for classifier in members:
+        classifier.n_classes = n_classes
+        classifier.machines = []
+    sign = np.ones(X.shape[0])  # the label that the chains are signed by
+    for label in [1] if n_classes == 2 else range(n_classes):
+        y = np.where(y_idx == label, 1.0, -1.0)
+        for chain in chains.values():
+            _sign(chain, sign * y)
+        sign = y
+        for classifier, machine in zip(members, _solve_dual(members, chains, X, gamma, y)):
+            classifier.machines.append(machine)

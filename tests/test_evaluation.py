@@ -224,23 +224,25 @@ def _invalid_configs():
     """(family, grid, folds failed per config): bad values between configs that fit.
 
     Beside the SVM's out-of-range C values, each numeric hyperparameter of
-    every family is given the string "ten" between its grid's first and
-    last configs: the constructor's conversion raises ``ValueError``.
+    every family is given the string "ten", NaN and infinity between its
+    grid's first and last configs, and a count (an axis of integers) also
+    2.7: the constructor's check raises ``ValueError`` for each.
     """
     good = {"kernel": "linear", "loss": "hinge", "C": 1.0}
     yield pytest.param(
         "svm",
         [good, {**good, "C": 0.0}, {**good, "C": "ten"}, {**good, "kernel": "rbf"},
-         {**good, "C": float("nan")}],
-        [0, 3, 3, 0, 3],
+         {**good, "C": float("nan")}, {**good, "C": float("inf")}],
+        [0, 3, 3, 0, 3, 3],
         id="svm",
     )
     for family in FAMILIES:
         first, last = default_grid(family)[0], default_grid(family)[-1]
         for axis, value in first.items():
             if family != "svm" and not isinstance(value, str):
-                grid = [first, {**first, axis: "ten"}, last]
-                yield pytest.param(family, grid, [0, 3, 0], id=f"{family}-{axis}")
+                bad = ["ten", float("nan"), float("inf")] + [2.7] * isinstance(value, int)
+                grid = [first, *({**first, axis: v} for v in bad), last]
+                yield pytest.param(family, grid, [0, *[3] * len(bad), 0], id=f"{family}-{axis}")
 
 
 class TestGridSearch:

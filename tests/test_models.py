@@ -322,6 +322,56 @@ class TestSvm:
         # measured: poly 1.4x, rbf 2.07x (squared_distances holds two m x m arrays at once)
         assert peak <= 2.5 * 8 * m * m, peak / (8 * m * m)
 
+    @pytest.mark.parametrize("n_classes", (2, 3))
+    def test_default_grid_batch_holds_one_matrix_per_kernel(self, n_classes):
+        # all 18 configs solve as one batch per label, with one matrix per kernel: RBF's is
+        # built first, so its two-array transient ends before poly's exists, and one-vs-rest
+        # re-signs both in place for each class rather than copying them
+        rng = np.random.default_rng(5)
+        m = 300
+        X = rng.normal(size=(m, 8))
+        score = X[:, 0] + 0.5 * X[:, 1] + 0.3 * rng.normal(size=m)
+        y = np.digitize(score, np.quantile(score, np.linspace(0.0, 1.0, n_classes + 1)[1:-1]))
+        classifiers = [svm_module.SupportVectorClassifier(**p) for p in default_grid("svm")]
+        tracemalloc.start()
+        try:
+            svm_module.fit_lockstep(classifiers, X, y, n_classes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(c.machines) for c in classifiers] == [1 if n_classes == 2 else 3] * 18
+        # measured: 2.71x for two classes and 3.16x for three, against 2.16x and 2.53x for
+        # one batch per kernel. Beside the two matrices, the batch holds seven arrays of its
+        # 18 problems (0.42x at this m) and the machines their support rows (0.19x a class);
+        # poly's matrix built first, or a signed copy per class, adds a whole 1x
+        assert peak <= (2.9 if n_classes == 2 else 3.4) * 8 * m * m, peak / (8 * m * m)
+
+    def test_signed_factors_give_the_unsigned_product(self):
+        # y is +-1, so each term of ((y y^T) * K) v is a term of y * (K (y * v)) exactly, and
+        # rounding is symmetric in sign: the two agree bit for bit, for K and for the thin
+        # factor [X, 1], and so does a chain re-signed from one label to the next
+        rng = np.random.default_rng(51)
+        m, d = 200, 12
+        X = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=d)
+        labels = np.where(rng.random((2, m)) < 0.5, 1.0, -1.0)
+        V = rng.normal(size=(4, m))
+        V[:, rng.random(m) < 0.3] = 0.0  # exact zeros beside negatives
+        gamma = svm_module._scale_gamma(X)
+
+        def product(chain, v):
+            for F in chain:
+                v = F @ v
+            return v
+
+        for kernel in svm_module.KERNELS:
+            chain = svm_module._factors(kernel, X, gamma)
+            unsigned = [[y * product(chain, y * v) for v in V] for y in labels]
+            sign = np.ones(m)
+            for y, want in zip(labels, unsigned):
+                svm_module._sign(chain, sign * y)
+                sign = y
+                assert _same_bits([product(chain, v) for v in V], want), kernel
+
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -369,7 +419,8 @@ class TestLockstepSvmMatchesReference:
     def test_single_fit_is_the_batch_of_one(self, overlapping):
         X, y, probe = overlapping
         for params in ({"kernel": "rbf", "loss": "hinge", "C": 10.0},
-                       {"kernel": "poly", "loss": "squared_hinge", "C": 1.0}):
+                       {"kernel": "poly", "loss": "squared_hinge", "C": 1.0},
+                       {"kernel": "linear", "loss": "hinge", "C": 0.1}):
             assert_svm_matches_reference(fit(ModelSpec("svm", params), X, y), params, X, y, probe)
 
     @pytest.mark.parametrize("capped_first", (False, True))
@@ -405,7 +456,7 @@ class TestLockstepSvmMatchesReference:
         probe = rng.normal(size=(30, 2)) * 2.0
         grid = [
             {"kernel": kernel, "loss": loss, "C": 1.0}
-            for kernel in ("linear", "rbf")
+            for kernel in ("linear", "poly", "rbf")
             for loss in ("hinge", "squared_hinge")
         ]
         models = fit_grid(_svm_specs(grid), X, y)
@@ -419,6 +470,15 @@ class TestLockstepSvmMatchesReference:
         X = np.zeros((20, 3))
         y = np.array([0, 1] * 10)
         probe = np.random.default_rng(49).normal(size=(10, 3))
+        grid = default_grid("svm")
+        for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
+            assert_svm_matches_reference(model, params, X, y, probe)
+
+    def test_fortran_ordered_features(self, overlapping):
+        # an F-ordered X makes [X, 1] F-ordered, whose transpose is a C-contiguous view of
+        # it; the linear chain is signed in place, so it holds a copy
+        X, y, probe = overlapping
+        X = np.asfortranarray(X)
         grid = default_grid("svm")
         for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
             assert_svm_matches_reference(model, params, X, y, probe)
@@ -469,6 +529,16 @@ class TestLockstepSvmMatchesReference:
         assert_svm_matches_reference(results[1], good, X, y, probe)
         with pytest.raises(TypeError):
             fit_grid(_svm_specs([{**good, "C": None}]), X, y)
+
+    def test_all_invalid_grid_fits_nothing(self, overlapping, monkeypatch):
+        # the batch is empty: each config's error comes back, and no dual is solved
+        X, y, _ = overlapping
+        solved = []
+        monkeypatch.setattr(svm_module, "_solve_dual", lambda *args: solved.append(args))
+        grid = [{"C": 0.0}, {"kernel": "sigmoid"}, {"C": float("inf")}, {"loss": "l1"}]
+        results = list(fit_grid(_svm_specs(grid), X, y))
+        assert [type(r) for r in results] == [ValueError] * 4
+        assert solved == []
 
     def test_one_class_fails_the_whole_batch(self, overlapping):
         X, _, _ = overlapping
