@@ -661,40 +661,69 @@ def _encode_ints(values: np.ndarray) -> np.ndarray:
     return table
 
 
+def _spell(layout: str, fields: dict[str, np.ndarray]) -> np.ndarray:
+    """One bytes item per value of ``fields``: ``layout`` with each letter a decimal digit.
+
+    A run of one letter spells that field's value, zero-padded to the run's
+    width; every other character of ``layout`` is literal.
+    """
+    size = np.broadcast(*fields.values()).size
+    spelled = np.empty((size, len(layout)), dtype=np.uint8)
+    spelled[:] = np.frombuffer(layout.encode(), dtype=np.uint8)
+    for offset in reversed(range(len(layout))):  # least significant digit first
+        symbol = layout[offset]
+        if symbol.isalpha():
+            fields[symbol], digit = np.divmod(fields[symbol], 10)
+            spelled[:, offset] = digit + ord("0")
+    return spelled.view(f"S{len(layout)}").ravel()
+
+
+# Spellings that serialize_dataset gathers, NUL-padded to a common width: each
+# millisecond of a second, each RSSI value (from RSSI_MIN), and each occupancy.
+_MILLIS = _spell("fff,", {"f": np.arange(1000)})
+_RSSI = np.array([b"%d," % value for value in range(RSSI_MIN, RSSI_MAX + 1)])
+_OCCUPANCY = np.array([b"false,", b"true,"])
+
+
 def serialize_dataset(dataset: RssiDataset) -> str:
     """Emit the dataset CSV; ``parse_dataset`` of the output round-trips.
 
-    Every row is spelled into one uint8 table, field by field; NUL bytes pad
-    the variable-width fields and are dropped at the end.
+    Each row is one fixed-width record whose fields are gathered from
+    spellings made beforehand: the ``dd/mm/yyyy HH:MM:SS.`` of each distinct
+    second, spelled once for its run of rows (the timestamps never decrease),
+    and the module's tables of milliseconds, RSSI values and occupancies. The
+    counts are spelled right-aligned by ``_encode_ints``. NUL bytes pad the
+    variable-width fields and are dropped at the end.
     """
     seconds, millis = np.divmod(dataset.timestamps_ms, 1000)
-    days, seconds = np.divmod(seconds, 86_400)
+    starts = np.flatnonzero(np.diff(seconds, prepend=seconds[:1] - 1))
+    days, seconds = np.divmod(seconds[starts], 86_400)
     year, month, day = _civil_from_days(days)
     outside = (year < 1) | (year > 9999)
     if outside.any():
         raise DatasetError(
-            f"timestamp_ms {dataset.timestamps_ms[outside.argmax()]} falls outside "
+            f"timestamp_ms {dataset.timestamps_ms[starts[outside.argmax()]]} falls outside "
             "years 1-9999, which DD/MM/YYYY cannot spell"
         )
-    fields = {
+    stamps = _spell(_STAMP_LAYOUT.rstrip("f"), {
         "y": year, "m": month, "d": day,
-        "H": seconds // 3600, "M": seconds // 60 % 60, "S": seconds % 60, "f": millis,
-    }
-    stamps = np.empty((len(dataset), len(_STAMP_LAYOUT) + 1), dtype=np.uint8)
-    stamps[:] = np.frombuffer(f"{_STAMP_LAYOUT},".encode(), dtype=np.uint8)
-    for offset in reversed(range(len(_STAMP_LAYOUT))):  # least significant digit first
-        symbol = _STAMP_LAYOUT[offset]
-        if symbol.isalpha():
-            fields[symbol], digit = np.divmod(fields[symbol], 10)
-            stamps[:, offset] = digit + ord("0")
-    words = np.frombuffer(b"false,\0true,", dtype=np.uint8).reshape(2, 6)
-    table = np.hstack([
-        stamps,
-        *map(_encode_ints, dataset.rssi.T),
-        words[dataset.occupancy.astype(np.intp)],
-        _encode_ints(dataset.counts),
+        "H": seconds // 3600, "M": seconds // 60 % 60, "S": seconds % 60,
+    })
+    counts = _encode_ints(dataset.counts)
+    counts[:, -1] = ord("\n")
+    rows = np.empty(len(dataset), dtype=[
+        ("second", stamps.dtype),
+        ("millis", _MILLIS.dtype),
+        ("rssi", _RSSI.dtype, (dataset.n_transmitters,)),
+        ("occupancy", _OCCUPANCY.dtype),
+        ("count", f"S{counts.shape[1]}"),
     ])
-    table[:, -1] = ord("\n")
+    rows["second"] = np.repeat(stamps, np.diff(starts, append=len(dataset)))
+    rows["millis"] = _MILLIS[millis]
+    rows["rssi"] = _RSSI[dataset.rssi - RSSI_MIN]
+    rows["occupancy"] = _OCCUPANCY[dataset.occupancy.astype(np.intp)]
+    rows["count"] = counts.view(rows.dtype["count"]).ravel()
+    table = rows.view(np.uint8)
     header = "timestamp," + ",".join(dataset.transmitter_ids()) + ",occupancy,count\n"
     return header + table[table != 0].tobytes().decode("ascii")
 

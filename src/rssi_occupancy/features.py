@@ -47,9 +47,11 @@ last bit. Their numerators, the means of the cubed and fourth-power
 deviations, take ``pow`` once per distinct deviation of a row: one argsort
 per chunk lines equal deviations up, and the powers go back to sample order
 before they are summed. The median comes from the same sorted rows, with
-the same bits. The percentiles do not: where a row holds both -0.0 and 0.0,
-the sign of a zero ``np.percentile`` returns depends on where those zeros
-sit, so they are taken from the unsorted rows. The one exception is the
+the bits of ``np.median``. The percentiles do not: where a row holds both
+-0.0 and 0.0, the sign of a zero ``np.percentile`` returns depends on where
+those zeros sit, so they are taken from one partition of the unsorted rows,
+at ``np.percentile``'s own indices and by its rules. Neither function is
+called, since in numpy 2.4 both import ``numpy.ma``. The one exception is the
 four "sum below/above" features: they add exact zeros in place of the
 unselected samples, which changes nothing on integer-valued samples such as
 RSSI but may round a sum of other floats differently.
@@ -318,16 +320,20 @@ def _sorted_moments_and_median(
     side, so ``pow`` runs once per distinct deviation, told apart by its bits
     so that -0.0 and 0.0 stay apart. The powers go back to sample order before
     ``np.mean`` adds them: the same values in the same order as
-    ``np.mean(deviations**3, axis=1)``. ``np.median`` of a sorted row is that
-    of the row, since the median adds its middle values to +0.0 and no sign of
-    zero survives that.
+    ``np.mean(deviations**3, axis=1)``. The median is taken as ``np.median``
+    takes it: the mean of the middle one or two values, or the row's last
+    value where that is NaN. On a sorted row that is the median of the row,
+    since the mean adds the middle values to +0.0 and no sign of zero
+    survives that.
     """
     # Each row-sized temporary is dropped, or written over, once it is used: a chunk
     # whose temporaries outgrow twice glibc's mmap threshold gives its heap back and
     # faults it in again on the next chunk.
     order = np.argsort(x, axis=1)
     deviations = np.take_along_axis(x, order, axis=1)  # the sorted rows, until the median
-    median = np.median(deviations, axis=1)
+    length = x.shape[1]
+    median = np.mean(deviations[:, (length - 1) // 2 : length // 2 + 1], axis=1)
+    np.copyto(median, deviations[:, -1], where=np.isnan(deviations[:, -1]))
     deviations -= mean[:, None]
     bits = deviations.view(np.int64)
     new = np.empty(deviations.shape, dtype=bool)
@@ -344,6 +350,28 @@ def _sorted_moments_and_median(
     third = np.mean((distinct**3)[inverse], axis=1)
     fourth = np.mean((distinct**4)[inverse], axis=1)
     return third, fourth, median
+
+
+def _percentiles(x: np.ndarray, quantiles: np.ndarray) -> np.ndarray:
+    """``np.percentile(x, 100 * quantiles, axis=1)`` for rows of two or more samples, bit for bit.
+
+    One ``np.partition`` of the unsorted rows, at the indices
+    ``np.percentile`` partitions at: 0, -1, and each quantile's
+    floor((L - 1) q) and the next, so that between -0.0 and 0.0 samples the
+    same zero is returned. Then its linear rule, and its NaN rule: a row's
+    NaN sorts last, and is then its every percentile.
+    """
+    virtual = (x.shape[1] - 1) * quantiles  # below L - 1, as L >= 2 and q < 1
+    below = np.floor(virtual).astype(np.intp)
+    above = below + 1
+    part = np.partition(x, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=1)
+    a, b = part[:, below].T, part[:, above].T
+    gamma = (virtual - below)[:, None]
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    np.copyto(result, part[:, -1], where=np.isnan(part[:, -1]))
+    return result
 
 
 def _time_block(x: np.ndarray) -> np.ndarray:
@@ -368,8 +396,7 @@ def _time_block(x: np.ndarray) -> np.ndarray:
     skewness = _ratio_or_zero(third, skew_denominator)
     kurtosis = np.where(kurt_denominator > 0, _ratio_or_zero(fourth, kurt_denominator) - 3.0, 0.0)
     rms, mean_power_dev = _rms_and_power_deviation(x)
-    # unsorted rows: on sorted ones a percentile between -0.0 and 0.0 samples may flip sign
-    p10, p25, p75, p90 = np.percentile(x, (10, 25, 75, 90), axis=1)
+    p10, p25, p75, p90 = _percentiles(x, np.array([10, 25, 75, 90]) / 100)
 
     # np.linspace(minimum, maximum, N) of each row; a batched linspace would take
     # its denormal-step branch for every row as soon as one row had a zero step

@@ -333,7 +333,7 @@ def fit_lockstep(
     label. The machines are those each classifier would get fitted alone.
     Features that are not finite raise ``ValueError``.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("svm: training features hold NaN or infinite values")
     if not classifiers:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +36,17 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration."""
 
 
+def _require_finite(record: object) -> None:
+    """Raise :class:`ScenarioError` naming the first float field of ``record`` that is not finite.
+
+    The range checks after it compare with ``<`` and ``<=``, which NaN passes.
+    """
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PathLossParams:
     """Log-distance propagation: mean RSSI at d0 plus decay and shadowing."""
@@ -45,6 +57,7 @@ class PathLossParams:
     shadow_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.d0_cm <= 0:
             raise ScenarioError(f"d0_cm must be positive, got {self.d0_cm}")
         if self.exponent < 1:
@@ -62,6 +75,7 @@ class BodyEffectParams:
     motion_amp_db: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for field in fields(self):
             if getattr(self, field.name) < 0:
                 raise ScenarioError(f"{field.name} must be >= 0")
@@ -78,6 +92,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.transmitters:
             raise ScenarioError("scenario needs at least one transmitter")
         ids = [mac for mac, _ in self.transmitters]
@@ -121,8 +136,43 @@ def _counts_over_time(config: ScenarioConfig, t_seconds: np.ndarray) -> np.ndarr
     return steps[idx]
 
 
+def _signals(config: ScenarioConfig, t: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
+    """Each transmitter's float signal in dBm at times ``t``, before clipping and rounding.
+
+    The sway of person k, ``2 pi f t + phi`` through ``np.sin``, is evaluated
+    only on the rows where at least k people are present, and is 0 on the others.
+    """
+    body = config.body_effect
+    sigma = config.path_loss.shadow_sigma_db + body.extra_sigma_db_per_person * counts
+    max_count = max((count for _, count in config.schedule), default=0)
+    present = [counts >= person for person in range(1, max_count + 1)]
+
+    root = np.random.SeedSequence(config.seed)
+    # One child per transmitter for noise, one per transmitter for motion params.
+    children = root.spawn(2 * len(config.transmitters))
+    for i, (_, distance_cm) in enumerate(config.transmitters):
+        base = mean_rssi(distance_cm, config.path_loss)
+        noise_rng = np.random.default_rng(children[2 * i])
+        motion_rng = np.random.default_rng(children[2 * i + 1])
+
+        signal = base - body.atten_db_per_person * counts
+        signal = signal + noise_rng.standard_normal(t.size) * sigma
+        for active in present:
+            freq = motion_rng.uniform(*_MOTION_FREQ_RANGE_HZ)
+            phase = motion_rng.uniform(0.0, 2.0 * math.pi)
+            sway = np.sin(2.0 * math.pi * freq * t + phase, out=np.zeros_like(t), where=active)
+            signal += body.motion_amp_db * sway
+        yield signal
+
+
 def simulate(config: ScenarioConfig) -> RssiDataset:
-    """Render the scenario into a fully labeled :class:`RssiDataset`."""
+    """Render the scenario into a fully labeled :class:`RssiDataset`.
+
+    Each transmitter's signal (see :func:`_signals`) is clipped to [-127, 0]
+    dBm and rounded. A person's sway is computed only on the rows where that
+    person is present and adds +0.0 elsewhere: the same integers as adding
+    the sway times a 0/1 presence mask, whose signed zeros the rounding drops.
+    """
     n_records = int(math.floor(config.duration_s * config.sampling_hz))
     if n_records == 0:
         raise ScenarioError("duration too short for one sample")
@@ -130,31 +180,10 @@ def simulate(config: ScenarioConfig) -> RssiDataset:
     timestamps = np.floor(t * 1000.0 + 0.5).astype(np.int64)
     counts = _counts_over_time(config, t)
 
-    body = config.body_effect
-    sigma = config.path_loss.shadow_sigma_db + body.extra_sigma_db_per_person * counts
-    max_count = max((count for _, count in config.schedule), default=0)
-
-    root = np.random.SeedSequence(config.seed)
-    # One child per transmitter for noise, one per transmitter for motion params.
-    children = root.spawn(2 * len(config.transmitters))
-
-    columns = []
-    for i, (_, distance_cm) in enumerate(config.transmitters):
-        base = mean_rssi(distance_cm, config.path_loss)
-        noise_rng = np.random.default_rng(children[2 * i])
-        motion_rng = np.random.default_rng(children[2 * i + 1])
-
-        signal = base - body.atten_db_per_person * counts
-        signal = signal + noise_rng.standard_normal(n_records) * sigma
-        for person in range(1, max_count + 1):
-            freq = motion_rng.uniform(*_MOTION_FREQ_RANGE_HZ)
-            phase = motion_rng.uniform(0.0, 2.0 * math.pi)
-            active = counts >= person
-            signal = signal + body.motion_amp_db * np.sin(
-                2.0 * math.pi * freq * t + phase
-            ) * active
-        clipped = np.clip(signal, RSSI_MIN, RSSI_MAX)
-        columns.append(np.rint(clipped).astype(np.int8))  # clipped to [-127, 0]: int8 holds it
+    columns = [
+        np.rint(np.clip(signal, RSSI_MIN, RSSI_MAX)).astype(np.int8)  # [-127, 0]: int8 holds it
+        for signal in _signals(config, t, counts)
+    ]
 
     transmitters = tuple(
         TransmitterMeta(id=mac, distance_cm=int(distance)) for mac, distance in config.transmitters

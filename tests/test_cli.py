@@ -104,6 +104,15 @@ class TestSimulate:
         assert capsys.readouterr().err == UNDECODABLE_ON_LINE_3
         assert not (tmp_path / "d.csv").exists()
 
+    def test_non_finite_scenario_value_exits_2_naming_the_key(self, tmp_path, capsys):
+        # NaN passes the range checks' < and <=: at the parent this wrote RSSI 0 on every row
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(SCENARIO_TEXT.replace("exponent = 2.0", "exponent = nan"))
+        code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "exponent must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_partial_outputs_removed_on_failure(self, tmp_path, scenario_file):
         out = tmp_path / "d.csv"
         sidecar = tmp_path / "not_a_dir" / "d.sidecar"

@@ -764,9 +764,74 @@ def test_impossible_calendar_values_raise_like_strptime(stamp):
     assert str(raised.value) == str(expected.value) == f"line 2: unparseable timestamp {stamp!r}"
 
 
+def _around(stamp, rows=400, step_ms=5):
+    """``rows`` timestamps ``step_ms`` apart, the middle one at ``stamp``."""
+    return reference.parse_timestamp(stamp) + step_ms * (np.arange(rows) - rows // 2)
+
+
+INT64_MAX = np.iinfo(np.int64).max
+SERIALIZED_STAMPS = {
+    "midnight": _around("16/06/2021 00:00:00.000"),
+    "month_end": _around("01/05/2021 00:00:00.000", step_ms=7),
+    "leap_day": np.concatenate(
+        [_around("29/02/2020 00:00:00.000"), _around("01/03/2020 00:00:00.000", step_ms=3)]
+    ),
+    "year_end": _around("01/01/2021 00:00:00.000", step_ms=11),
+    "repeated": np.repeat(_around("01/01/2021 00:00:00.000", rows=40, step_ms=499), 3),
+    "before_1970": _around("01/01/1970 00:00:00.000", step_ms=13),
+    "last_year": _around("31/12/9999 23:59:58.999"),  # strftime spells year 1 as "1"
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("stamps", SERIALIZED_STAMPS.values(), ids=SERIALIZED_STAMPS.keys())
+def test_serialize_matches_the_row_by_row_reference(stamps):
+    # each distinct second is spelled once for its run of rows, so runs that cross
+    # days, months, years and the epoch, and repeated stamps, each get their own
+    rng = np.random.default_rng(stamps.size)
+    dataset = RssiDataset(
+        transmitters=tuple(TransmitterMeta(f"M{i}", 100) for i in range(4)),
+        timestamps_ms=stamps,
+        rssi=rng.integers(-127, 1, (stamps.size, 4)),
+        counts=rng.integers(0, 4, stamps.size),
+        sampling_hz=200.0,
+    )
+    text = serialize_dataset(dataset)
+    assert text == reference.serialize_dataset(dataset)
+    assert parse_dataset(text, meta_of(dataset)) == dataset
+
+
+@pytest.mark.parametrize("n_tx", [1, 4])
+def test_every_rssi_and_count_width_serializes_like_the_reference(n_tx):
+    counts = [0, 1, 9, 10, 99, 100, 12_345, 10**18 - 1, 10**18, INT64_MAX - 1, INT64_MAX]
+    values = np.arange(-127, 1)
+    dataset = RssiDataset(
+        transmitters=tuple(TransmitterMeta(f"M{i}", 100) for i in range(n_tx)),
+        timestamps_ms=1_600_000_000_000 + 5 * np.arange(values.size),
+        rssi=np.stack([np.roll(values, 37 * i) for i in range(n_tx)], axis=1),
+        counts=np.resize(counts, values.size),
+        sampling_hz=200.0,
+    )
+    text = serialize_dataset(dataset)
+    assert text == reference.serialize_dataset(dataset)
+    assert parse_dataset(text, meta_of(dataset)) == dataset
+
+
+FIRST_MS, END_MS = -62_135_596_800_000, 253_402_300_800_000  # 01/01/0001, 01/01/10000
+
+
 def test_years_outside_four_digits_are_not_serialized():
-    with pytest.raises(DatasetError, match="outside years 1-9999"):
-        serialize_dataset(make_dataset([(253_402_300_800_000, (-50,), 0)], n_tx=1))
+    # the error names the first row that falls outside, as a check of every row would
+    for stamps in (
+        [END_MS - 2, END_MS - 1, END_MS, END_MS, END_MS + 1],
+        [FIRST_MS - 2, FIRST_MS - 1, FIRST_MS - 1, FIRST_MS, FIRST_MS + 1],
+    ):
+        first_bad = next(t for t in stamps if not FIRST_MS <= t < END_MS)
+        with pytest.raises(DatasetError) as raised:
+            serialize_dataset(make_dataset([(t, (-50,), 0) for t in stamps], n_tx=1))
+        assert str(raised.value) == (
+            f"timestamp_ms {first_bad} falls outside years 1-9999, which DD/MM/YYYY cannot spell"
+        )
 
 
 def test_empty_body_round_trips_without_warnings():

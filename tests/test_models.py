@@ -475,13 +475,34 @@ class TestLockstepSvmMatchesReference:
             assert_svm_matches_reference(model, params, X, y, probe)
 
     def test_fortran_ordered_features(self, overlapping):
-        # an F-ordered X makes [X, 1] F-ordered, whose transpose is a C-contiguous view of
-        # it; the linear chain is signed in place, so it holds a copy
+        # the fit copies an F-ordered X to C order, so its machines are the reference's on
+        # the C-ordered values; the reference itself follows X's memory order
         X, y, probe = overlapping
-        X = np.asfortranarray(X)
         grid = default_grid("svm")
-        for params, model in zip(grid, fit_grid(_svm_specs(grid), X, y)):
+        for params, model in zip(grid, fit_grid(_svm_specs(grid), np.asfortranarray(X), y)):
             assert_svm_matches_reference(model, params, X, y, probe)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_machines_do_not_depend_on_the_memory_order_of_x(self, n_classes):
+        # an F-ordered X would make [X, 1] F-ordered, whose gemv runs another BLAS kernel,
+        # and would sum squared_distances' rows in another order
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 12))
+        y = np.digitize(X[:, 0] + 0.5 * rng.normal(size=200), [0.0, 0.7][: n_classes - 1])
+        grid = [
+            {"kernel": kernel, "loss": loss, "C": 1.0}
+            for kernel in svm_module.KERNELS
+            for loss in svm_module.LOSSES
+        ]
+        c_models = fit_grid(_svm_specs(grid), X, y)
+        f_models = fit_grid(_svm_specs(grid), np.asfortranarray(X), y)
+        for params, c_model, f_model in zip(grid, c_models, f_models):
+            assert len(c_model.inner.machines) == (1 if n_classes == 2 else 3)
+            for c, f in zip(c_model.inner.machines, f_model.inner.machines):
+                for name in ("w", "b", "support_rows", "dual_coef", "gamma", "converged"):
+                    a, b = getattr(c, name), getattr(f, name)
+                    assert (a is None) == (b is None), (params, name)
+                    assert a is None or _same_bits(a, b), (params, name)
 
     def test_reference_linear_product_is_the_dense_dual_product(self):
         # the reference's product, factored for the linear kernel and with squared hinge's

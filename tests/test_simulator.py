@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rssi_occupancy import simulator as simulator_module
 from rssi_occupancy.dataset import serialize_dataset
 from rssi_occupancy.simulator import (
     _SCALAR_KEYS,
@@ -124,6 +125,64 @@ class TestSimulate:
         matrix = simulate(config).rssi
         assert matrix.min() >= -127
         assert matrix.max() <= 0
+
+
+def reference_signals(config):
+    """The times, the counts and each transmitter's float signal, with every sway on every row.
+
+    The sway of an absent person is multiplied by 0; ``simulate`` skips it.
+    """
+    n_records = int(math.floor(config.duration_s * config.sampling_hz))
+    t = np.arange(n_records, dtype=np.float64) / config.sampling_hz
+    counts = simulator_module._counts_over_time(config, t)
+    body = config.body_effect
+    sigma = config.path_loss.shadow_sigma_db + body.extra_sigma_db_per_person * counts
+    max_count = max((count for _, count in config.schedule), default=0)
+    children = np.random.SeedSequence(config.seed).spawn(2 * len(config.transmitters))
+    signals = []
+    for i, (_, distance_cm) in enumerate(config.transmitters):
+        noise_rng = np.random.default_rng(children[2 * i])
+        motion_rng = np.random.default_rng(children[2 * i + 1])
+        base = mean_rssi(distance_cm, config.path_loss)
+        signal = base - body.atten_db_per_person * counts
+        signal = signal + noise_rng.standard_normal(n_records) * sigma
+        for person in range(1, max_count + 1):
+            freq = motion_rng.uniform(0.5, 3.0)
+            phase = motion_rng.uniform(0.0, 2.0 * math.pi)
+            active = counts >= person
+            signal = signal + body.motion_amp_db * np.sin(2.0 * math.pi * freq * t + phase) * active
+        signals.append(signal)
+    return t, counts, signals
+
+
+class TestSwayOnlyWherePresent:
+    SCHEDULES = {
+        "no_one": (),
+        "one": ((0.0, 0), (3.0, 1)),
+        "three": ((0.0, 1), (2.0, 3), (5.0, 2), (7.5, 0)),
+        "five": ((1.0, 5), (4.0, 2), (6.0, 5)),
+        "starts_occupied": ((0.0, 2), (5.0, 0), (7.0, 1)),
+        "ends_empty": ((0.0, 0), (2.0, 3), (8.0, 0)),
+    }
+
+    @pytest.mark.parametrize("sampling_hz", [20.0, 200.0])
+    @pytest.mark.parametrize("motion_amp_db", [1.5, 0.0])
+    @pytest.mark.parametrize("schedule", SCHEDULES.values(), ids=SCHEDULES.keys())
+    def test_signal_is_the_expression_with_every_sway(self, sampling_hz, motion_amp_db, schedule):
+        config = make_config(
+            transmitters=(("M1", 100), ("M2", 250), ("M3", 600)),
+            sampling_hz=sampling_hz,
+            schedule=schedule,
+            path_loss=PathLossParams(-45.0, 100.0, 2.0, 1.0),
+            body_effect=BodyEffectParams(6.0, 2.0, motion_amp_db),
+            seed=5,
+        )
+        t, counts, signals = reference_signals(config)
+        got = list(simulator_module._signals(config, t, counts))
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in signals]
+        dataset = simulate(config)
+        assert np.array_equal(dataset.counts, counts)
+        assert np.array_equal(dataset.rssi, np.rint(np.clip(np.stack(signals, axis=1), -127, 0)))
 
 
 class TestScenarioValidation:
@@ -252,6 +311,23 @@ event = 30 2
             loaded = getattr(getattr(config, record), field)
         assert config == expected
         assert type(loaded) is type(value)
+
+    FLOAT_KEYS = [(key, field) for key, _, field, _, value in SCALARS if type(value) is float]
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key, field", FLOAT_KEYS, ids=[key for key, _ in FLOAT_KEYS])
+    def test_non_finite_float_key_is_rejected(self, key, field, text):
+        # NaN passes every range check's < and <=; an infinite duration overflowed the row count
+        lines = dict(line.split(" = ") for line in self.REQUIRED.splitlines())
+        lines[key] = text
+        with pytest.raises(ScenarioError) as raised:
+            load_scenario("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert str(raised.value) == f"{field} must be finite, got {float(text)}"
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    def test_non_finite_event_time_is_rejected(self, text):
+        with pytest.raises(ScenarioError, match="outside"):
+            load_scenario(self.REQUIRED + f"event = {text} 1\n")
 
     def test_required_keys_alone_take_the_record_defaults(self):
         config = load_scenario(self.REQUIRED)
