@@ -139,8 +139,8 @@ def _counts_over_time(config: ScenarioConfig, t_seconds: np.ndarray) -> np.ndarr
 def _signals(config: ScenarioConfig, t: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
     """Each transmitter's float signal in dBm at times ``t``, before clipping and rounding.
 
-    The sway of person k, ``2 pi f t + phi`` through ``np.sin``, is evaluated
-    only on the rows where at least k people are present, and is 0 on the others.
+    Person k's sway, ``motion_amp_db * sin(2 pi f t + phi)``, is evaluated only
+    on the rows where at least k people are present, and is 0 on the others.
     """
     body = config.body_effect
     sigma = config.path_loss.shadow_sigma_db + body.extra_sigma_db_per_person * counts

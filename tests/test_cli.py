@@ -105,7 +105,7 @@ class TestSimulate:
         assert not (tmp_path / "d.csv").exists()
 
     def test_non_finite_scenario_value_exits_2_naming_the_key(self, tmp_path, capsys):
-        # NaN passes the range checks' < and <=: at the parent this wrote RSSI 0 on every row
+        # NaN passes the range checks' < and <=; unchecked, it renders RSSI 0 on every row
         scenario = tmp_path / "scenario.cfg"
         scenario.write_text(SCENARIO_TEXT.replace("exponent = 2.0", "exponent = nan"))
         code = cli.main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "d.csv")])

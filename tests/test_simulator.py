@@ -317,7 +317,7 @@ event = 30 2
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key, field", FLOAT_KEYS, ids=[key for key, _ in FLOAT_KEYS])
     def test_non_finite_float_key_is_rejected(self, key, field, text):
-        # NaN passes every range check's < and <=; an infinite duration overflowed the row count
+        # NaN passes every range check's < and <=; an infinite duration overflows the row count
         lines = dict(line.split(" = ") for line in self.REQUIRED.splitlines())
         lines[key] = text
         with pytest.raises(ScenarioError) as raised:
